@@ -3,21 +3,31 @@
 Discretizes  -d^2/dx^2 - |x|^(2s) d^2/dy^2  with Dirichlet conditions on a
 disk or an axis-aligned rectangle using the 5-point stencil on a uniform
 grid.  The y-stencil coefficient is the value of |x|^(2s) at the node's own
-x-coordinate, which keeps the assembled matrix exactly symmetric; the
-assembly asserts that.  Disk geometry is handled by masking: a node belongs
-to the system iff it lies strictly inside the disk, so the boundary is
-resolved to first order and results are Richardson-extrapolated from the
-full- and half-resolution grids.  Rectangles are grid-aligned and converge
-at second order.
+x-coordinate.  Disk geometry is handled by masking: a node belongs to the
+system iff it lies strictly inside the disk, so the boundary is resolved to
+first order and results are Richardson-extrapolated from the full- and
+half-resolution grids.  Rectangles are grid-aligned and converge at second
+order.
 
-The smallest eigenvalue comes from inverse power iteration; the matrix is
-positive definite (the x-direction chain connects every grid line, so rows
-with |x|^(2s) = 0 do no harm) and each step solves the sparse system with a
-cached LU factorization.  Iteration stops when the eigenvalue residual falls
-below 1e-3 relative and the Rayleigh quotient has stopped drifting; with
-large exponents the low end of the spectrum forms a near-degenerate cluster
-of one-dimensional chord modes, so the drift test is what actually ends the
-iteration there.
+Both grids mirror node i onto node n-1-i along each axis (the disk about
+x = 0 and y = 0, the rectangle about x = 0 and its midline).  The matrix is
+an irreducible M-matrix, so its lowest eigenvector is simple and positive,
+hence even under both reflections, and only the even-even quadrant is
+assembled: a neighbour across an axis is the node's own mirror and folds
+into its row.  This is exact, not an approximation.  For odd n, nodes lie
+on the axes; they get mass 1/2 (the origin 1/4) and the solved matrix is the
+symmetrically scaled M^(-1/2) K M^(-1/2), which the assembly checks for
+exact symmetry.
+
+The smallest eigenvalue comes from shift-invert Lanczos (ARPACK, sigma = 0)
+on one sparse LU factorization per grid, started from the constant vector
+so that repeated solves are bit-identical, followed by one inverse-iteration
+step from the Ritz vector; the reported value is that vector's Rayleigh
+quotient.  Every eigenpair must pass the a-posteriori check
+||S v - lambda v|| <= RESIDUAL_RTOL lambda ||v|| on the solved matrix S, or
+NonConvergence is raised.  A solve's `interior_count` is the number of
+quadrant unknowns on the fine grid and its `iterations` the number of LU
+solves spent there.
 """
 
 from __future__ import annotations
@@ -27,7 +37,13 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse.linalg import splu
+from scipy.sparse.linalg import (
+    ArpackError,
+    ArpackNoConvergence,
+    LinearOperator,
+    eigsh,
+    splu,
+)
 
 from .errors import DegenerateGrid, InvalidProblem, NonConvergence
 from .minimizer import ProblemParams, lambda1_product
@@ -41,17 +57,22 @@ __all__ = [
     "decoupled_rectangle_value",
     "segment_limit_probe",
     "solve_disk",
-    "solve_rectangle",
     "solve_rectangle_full",
 ]
 
 DEFAULT_N_2D = 512
 
-#: Outer iteration cap for inverse power iteration.
-MAX_OUTER = 500
+#: Largest accepted ||S v - lambda v|| / (lambda ||v||) of a reported
+#: eigenpair of the solved quadrant matrix S.
+RESIDUAL_RTOL = 1e-8
 
-_RESID_RTOL = 1e-3
-_DRIFT_RTOL = 1e-6
+#: ARPACK convergence tolerance for the shift-invert Ritz value.
+_ARPACK_TOL = 1e-10
+
+#: Lanczos basis size.  ARPACK's default of 20 for one eigenvalue restarts
+#: thousands of times on the near-degenerate chord-mode clusters of large s
+#: (46k solves for rho=1, s=300, n=129, against 201 with 40).
+_LANCZOS_NCV = 40
 
 
 @dataclass(frozen=True)
@@ -77,7 +98,11 @@ class DiskProblem:
 
 @dataclass(frozen=True)
 class DiskSolve:
-    """Smallest eigenvalue on the fine grid plus the Richardson estimate."""
+    """Smallest eigenvalue on the fine grid plus the Richardson estimate.
+
+    interior_count is the number of quadrant unknowns solved on the fine
+    grid, and iterations the number of shift-invert (LU) solves spent there.
+    """
 
     lambda1: float
     grid_h: float
@@ -103,37 +128,70 @@ def _coefficients(xs: np.ndarray, s: float) -> np.ndarray:
     return c
 
 
-def _assemble(mask: np.ndarray, c_row: np.ndarray, hx: float, hy: float):
-    """Sparse 5-point matrix over the masked nodes; exactly symmetric."""
+def _half_axis(a: float, n: int) -> np.ndarray:
+    """The coordinates >= 0 among n equispaced nodes on [-a, a].
+
+    Node i sits at a (2i - n + 1) / (n - 1), so mirrored nodes are exact
+    negatives and the last node is exactly a.  Entry 0 lies on the axis for
+    odd n and half a step off it for even n.
+    """
+    return a * (np.arange(1 - n % 2, n, 2) / (n - 1))
+
+
+def _links(idx: np.ndarray, on_axis: bool):
+    """(neighbour index, stencil weight) toward the next and previous row.
+
+    Indices run along axis 0 and are -1 where there is no neighbour.  Row
+    0's previous node lies across the axis.  Half a step off the axis it is
+    row 0's own mirror, so that link folds onto the diagonal.  On the axis
+    it is row 1's mirror: the two links to row 1 merge, and after scaling
+    by M^(-1/2) (mass 1/2 on the axis) one link of weight sqrt(2) is left
+    in each direction, which keeps the matrix exactly symmetric.
+    """
+    nxt = np.full_like(idx, -1)
+    nxt[:-1] = idx[1:]
+    prv = np.full_like(idx, -1)
+    prv[1:] = idx[:-1]
+    w_nxt = np.ones(idx.shape)
+    w_prv = np.ones(idx.shape)
+    if on_axis:
+        w_nxt[0] = w_prv[1] = math.sqrt(2.0)
+    else:
+        prv[0] = idx[0]
+    return (nxt, w_nxt), (prv, w_prv)
+
+
+def _assemble(mask: np.ndarray, c_row: np.ndarray, hx: float, hy: float, on_axis: bool):
+    """Scaled 5-point matrix over the masked quadrant nodes; exactly symmetric.
+
+    mask is square; its row and column 0 are the nodes nearest the mirror
+    axes, lying on them if on_axis.  The result is M^(-1/2) K M^(-1/2), with K the stencil
+    folded onto the quadrant and M the nodes' mass (1/2 per axis a node lies
+    on).
+    """
+    copies = np.full(mask.shape[0], 2)
+    if on_axis:
+        copies[0] = 1
+    full_count = int(np.outer(copies, copies)[mask].sum())
+    if full_count < 16:
+        raise DegenerateGrid(f"only {full_count} interior nodes; need at least 16")
     count = int(mask.sum())
-    if count < 16:
-        raise DegenerateGrid(f"only {count} interior nodes; need at least 16")
     idx = np.full(mask.shape, -1, dtype=np.int64)
     idx[mask] = np.arange(count)
-    inv_hx2 = 1.0 / (hx * hx)
-    inv_hy2 = 1.0 / (hy * hy)
-    cy = c_row * inv_hy2
+    cx = np.full(mask.shape, 1.0 / (hx * hx))
+    cy = np.broadcast_to((c_row / (hy * hy))[:, None], mask.shape)
 
-    i_int, _ = np.nonzero(mask)
-    diag = 2.0 * inv_hx2 + 2.0 * cy[i_int]
     rows = [idx[mask]]
     cols = [idx[mask]]
-    vals = [diag]
-
-    pair = mask[:-1, :] & mask[1:, :]
-    a, b = idx[:-1, :][pair], idx[1:, :][pair]
-    v = np.full(a.size, -inv_hx2)
-    rows += [a, b]
-    cols += [b, a]
-    vals += [v, v]
-
-    pair = mask[:, :-1] & mask[:, 1:]
-    a, b = idx[:, :-1][pair], idx[:, 1:][pair]
-    i_pair, _ = np.nonzero(pair)
-    v = -cy[i_pair]
-    rows += [a, b]
-    cols += [b, a]
-    vals += [v, v]
+    vals = [2.0 * (cx + cy)[mask]]
+    x_links = _links(idx, on_axis)
+    y_links = tuple((t.T, w.T) for t, w in _links(idx.T, on_axis))
+    for coef, links in ((cx, x_links), (cy, y_links)):
+        for target, weight in links:
+            link = mask & (target >= 0)
+            rows.append(idx[link])
+            cols.append(target[link])
+            vals.append(-(coef * weight)[link])
 
     matrix = sparse.coo_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
@@ -144,45 +202,72 @@ def _assemble(mask: np.ndarray, c_row: np.ndarray, hx: float, hy: float):
     return matrix
 
 
-def _smallest_eig(matrix, max_outer: int) -> tuple[float, int]:
-    """Inverse power iteration with a cached sparse LU factorization."""
-    lu = splu(matrix.tocsc())
+def _smallest_eig(matrix) -> tuple[float, int]:
+    """Shift-invert Lanczos at sigma = 0, gated by an a-posteriori residual.
+
+    Returns the eigenvalue and the number of LU solves spent.
+    """
+    lu = splu(matrix.tocsc(), permc_spec="MMD_AT_PLUS_A")
+    solves = 0
+
+    def inverse(b: np.ndarray) -> np.ndarray:
+        nonlocal solves
+        solves += 1
+        return lu.solve(b)
+
     m = matrix.shape[0]
-    v = np.full(m, 1.0 / math.sqrt(m))
-    prev = math.inf
-    for k in range(1, max_outer + 1):
-        u = lu.solve(v)
-        uu = float(u @ u)
-        rq = float(u @ v) / uu
-        resid = float(np.linalg.norm(v - rq * u)) / math.sqrt(uu)
-        if resid <= _RESID_RTOL * rq and abs(rq - prev) <= _DRIFT_RTOL * rq:
-            return rq, k
-        prev = rq
-        v = u / math.sqrt(uu)
-    raise NonConvergence(
-        f"inverse power iteration did not settle in {max_outer} steps"
-    )
+    try:
+        _, ritz = eigsh(
+            matrix,
+            k=1,
+            sigma=0.0,
+            OPinv=LinearOperator((m, m), matvec=inverse, dtype=float),
+            ncv=min(_LANCZOS_NCV, m),
+            v0=np.ones(m),
+            tol=_ARPACK_TOL,
+        )
+    except (ArpackNoConvergence, ArpackError) as exc:
+        raise NonConvergence(f"shift-invert Lanczos failed: {exc}") from exc
+    # The Ritz vector carries rounding of order eps ||v|| in rows whose
+    # diagonal is huge (|x|^(2s) >> 1 on wide domains), which dominates its
+    # residual; one inverse-iteration step removes it.  The reported value
+    # is the Rayleigh quotient of the refined vector.
+    v = inverse(ritz[:, 0])
+    sv = matrix @ v
+    vv = v @ v
+    with np.errstate(invalid="ignore", divide="ignore"):
+        lam = float(v @ sv / vv)
+        resid = float(np.linalg.norm(sv - lam * v) / (lam * np.sqrt(vv)))
+    if not (lam > 0.0 and resid <= RESIDUAL_RTOL):
+        raise NonConvergence(
+            f"eigenpair residual {resid:.3e} exceeds {RESIDUAL_RTOL:g} relative"
+        )
+    return lam, solves
 
 
-def _disk_eig(rho: float, s: float, n: int, max_outer: int) -> tuple[float, int, int]:
-    xs = np.linspace(-rho, rho, n)
+def _quadrant_eig(mask, c_row, hx: float, hy: float, n: int) -> tuple[float, int, int]:
+    matrix = _assemble(mask, c_row, hx, hy, on_axis=n % 2 == 1)
+    lam, solves = _smallest_eig(matrix)
+    return lam, matrix.shape[0], solves
+
+
+def _disk_eig(rho: float, s: float, n: int) -> tuple[float, int, int]:
+    xs = _half_axis(rho, n)
     mask = xs[:, None] ** 2 + xs[None, :] ** 2 < rho * rho
     h = 2.0 * rho / (n - 1)
-    matrix = _assemble(mask, _coefficients(xs, s), h, h)
-    lam, iters = _smallest_eig(matrix, max_outer)
-    return lam, matrix.shape[0], iters
+    return _quadrant_eig(mask, _coefficients(xs, s), h, h, n)
 
 
-def solve_disk(p: DiskProblem, max_outer: int = MAX_OUTER) -> DiskSolve:
+def solve_disk(p: DiskProblem) -> DiskSolve:
     """Smallest Dirichlet eigenvalue on the disk B(0, rho).
 
     Solves on the requested grid and on the half-resolution grid, then
     removes the first-order boundary-masking error by Richardson
     extrapolation with the exact spacing ratio (n-1)/(n//2-1).
     """
-    fine, count, iters = _disk_eig(p.rho, p.s, p.n, max_outer)
+    fine, count, iters = _disk_eig(p.rho, p.s, p.n)
     n_half = p.n // 2
-    coarse, _, _ = _disk_eig(p.rho, p.s, n_half, max_outer)
+    coarse, _, _ = _disk_eig(p.rho, p.s, n_half)
     ratio = (p.n - 1) / (n_half - 1)
     extrapolated = fine + (fine - coarse) / (ratio - 1.0)
     return DiskSolve(
@@ -194,21 +279,17 @@ def solve_disk(p: DiskProblem, max_outer: int = MAX_OUTER) -> DiskSolve:
     )
 
 
-def _rectangle_eig(
-    t: float, V: float, s: float, n: int, max_outer: int
-) -> tuple[float, int, int]:
-    xs = np.linspace(-0.5 * t, 0.5 * t, n)
-    mask = np.zeros((n, n), dtype=bool)
-    mask[1:-1, 1:-1] = True
+def _rectangle_eig(t: float, V: float, s: float, n: int) -> tuple[float, int, int]:
+    xs = _half_axis(0.5 * t, n)
+    mask = np.ones((xs.size, xs.size), dtype=bool)
+    mask[-1, :] = mask[:, -1] = False
     hx = t / (n - 1)
     hy = (V / t) / (n - 1)
-    matrix = _assemble(mask, _coefficients(xs, s), hx, hy)
-    lam, iters = _smallest_eig(matrix, max_outer)
-    return lam, matrix.shape[0], iters
+    return _quadrant_eig(mask, _coefficients(xs, s), hx, hy, n)
 
 
 def solve_rectangle_full(
-    t: float, V: float, s: float, n: int = DEFAULT_N_2D, max_outer: int = MAX_OUTER
+    t: float, V: float, s: float, n: int = DEFAULT_N_2D
 ) -> DiskSolve:
     """Direct 2-D solve on the rectangle (-t/2, t/2) x (0, V/t).
 
@@ -223,9 +304,9 @@ def solve_rectangle_full(
         raise InvalidProblem(f"s must be finite and >= 0, got {s}")
     if int(n) != n or n < 64:
         raise InvalidProblem(f"n must be an integer >= 64, got {n}")
-    fine, count, iters = _rectangle_eig(t, V, s, n, max_outer)
+    fine, count, iters = _rectangle_eig(t, V, s, n)
     n_half = n // 2
-    coarse, _, _ = _rectangle_eig(t, V, s, n_half, max_outer)
+    coarse, _, _ = _rectangle_eig(t, V, s, n_half)
     ratio = (n - 1) / (n_half - 1)
     extrapolated = fine + (fine - coarse) / (ratio * ratio - 1.0)
     return DiskSolve(
@@ -237,17 +318,6 @@ def solve_rectangle_full(
     )
 
 
-def solve_rectangle(
-    t: float, V: float, s: float, n: int = DEFAULT_N_2D, max_outer: int = MAX_OUTER
-) -> float:
-    """Smallest eigenvalue of the rectangle (-t/2, t/2) x (0, V/t).
-
-    The direct 2-D value; `decoupled_rectangle_value` gives the independent
-    separated-variables route for cross-validation.
-    """
-    return solve_rectangle_full(t, V, s, n, max_outer).lambda1
-
-
 def decoupled_rectangle_value(
     t: float, V: float, s: float, n1d: int = DEFAULT_N
 ) -> float:
@@ -257,9 +327,7 @@ def decoupled_rectangle_value(
     return lambda1_product(ProblemParams(d1=1, d2=1, s=s, V=V), t, n1d)
 
 
-def segment_limit_probe(
-    rho: float, s_list, n: int = DEFAULT_N_2D, max_outer: int = MAX_OUTER
-) -> SweepTable:
+def segment_limit_probe(rho: float, s_list, n: int = DEFAULT_N_2D) -> SweepTable:
     """Disk eigenvalues along an exponent ladder against a segment reference.
 
     The reference is the first Dirichlet eigenvalue pi^2/L^2 of the longest
@@ -274,6 +342,6 @@ def segment_limit_probe(
     reference = (math.pi / length) ** 2
     rows = []
     for s in s_list:
-        solve = solve_disk(DiskProblem(rho=rho, s=s, n=n), max_outer)
+        solve = solve_disk(DiskProblem(rho=rho, s=s, n=n))
         rows.append((s, solve.extrapolated, reference))
     return SweepTable(headers=("s", "lambda1", "reference"), rows=tuple(rows))

@@ -15,7 +15,9 @@ import sys
 from pathlib import Path
 
 import numpy as np
+from scipy import sparse
 from scipy.linalg import eigh
+from scipy.sparse.linalg import eigsh
 
 from grushin.radial import RadialProblem
 from grushin.radial import _assemble
@@ -68,6 +70,36 @@ def dense_lowest_eigenvalue(p: RadialProblem) -> float:
     a[idx[:-1], idx[:-1] + 1] = a_off
     a[idx[:-1] + 1, idx[:-1]] = a_off
     return float(eigh(a, np.diag(d_w), eigvals_only=True)[0])
+
+
+def full_grid_lowest_eigenvalue(mask: np.ndarray, c_row: np.ndarray, hx: float, hy: float) -> float:
+    """Smallest eigenvalue of the 5-point matrix over every masked node.
+
+    The whole-domain assembly that the production solver folds onto one
+    quadrant, solved by plain shift-invert Lanczos with default ordering.
+    """
+    count = int(mask.sum())
+    idx = np.full(mask.shape, -1, dtype=np.int64)
+    idx[mask] = np.arange(count)
+    cy = c_row / (hy * hy)
+    x_pair = mask[:-1, :] & mask[1:, :]
+    y_pair = mask[:, :-1] & mask[:, 1:]
+    links = (
+        (idx[:-1, :][x_pair], idx[1:, :][x_pair], np.full(int(x_pair.sum()), -1.0 / (hx * hx))),
+        (idx[:, :-1][y_pair], idx[:, 1:][y_pair], -cy[np.nonzero(y_pair)[0]]),
+    )
+    rows = [idx[mask]]
+    cols = [idx[mask]]
+    vals = [2.0 / (hx * hx) + 2.0 * cy[np.nonzero(mask)[0]]]
+    for a, b, v in links:
+        rows += [a, b]
+        cols += [b, a]
+        vals += [v, v]
+    matrix = sparse.coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(count, count),
+    ).tocsc()
+    return float(eigsh(matrix, k=1, sigma=0.0, v0=np.ones(count), tol=1e-13)[0][0])
 
 
 def golden_minimize(fn, lo: float, hi: float, tol: float = 1e-12) -> float:

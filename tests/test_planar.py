@@ -3,15 +3,18 @@
 The disk solver has an independent oracle: the radial reduction computes
 the same eigenvalues through a completely different discretization.  Both
 routes are compared here at matching physical parameters, along with
-symmetry of the assembled stencil, grid-refinement behavior, and the
-degenerate/overflow guard rails.
+symmetry of the assembled stencil, the quadrant reduction against the
+full-grid assembly, grid-refinement behavior, and the degenerate/overflow
+and eigensolver-failure guard rails.
 """
 
 import math
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import ArpackError, ArpackNoConvergence
 
+import grushin.planar as planar
 from grushin.errors import DegenerateGrid, InvalidProblem, NonConvergence
 from grushin.planar import (
     DiskProblem,
@@ -19,12 +22,11 @@ from grushin.planar import (
     decoupled_rectangle_value,
     segment_limit_probe,
     solve_disk,
-    solve_rectangle,
     solve_rectangle_full,
 )
-from grushin.planar import _assemble, _coefficients, _disk_eig
+from grushin.planar import _assemble, _coefficients, _disk_eig, _half_axis, _rectangle_eig
 from grushin.radial import mu1_ball
-from oracles import J01_SQUARED
+from oracles import J01_SQUARED, full_grid_lowest_eigenvalue
 
 PI2_4 = math.pi**2 / 4.0
 TWO_PI_SQUARED = 2.0 * math.pi**2
@@ -37,24 +39,69 @@ UNIT_AREA_RHO = math.pi**-0.5
 @pytest.mark.parametrize("n", [31, 32])
 @pytest.mark.parametrize("s", [0.0, 1.0, 150.0])
 def test_assembled_stencil_exactly_symmetric(n, s):
-    xs = np.linspace(-1.0, 1.0, n)
+    xs = _half_axis(1.0, n)
     mask = xs[:, None] ** 2 + xs[None, :] ** 2 < 1.0
     h = 2.0 / (n - 1)
-    matrix = _assemble(mask, _coefficients(xs, s), h, h)
+    matrix = _assemble(mask, _coefficients(xs, s), h, h, on_axis=n % 2 == 1)
     assert (matrix != matrix.T).nnz == 0
     assert matrix.shape == (int(mask.sum()),) * 2
 
 
 def test_degenerate_grid_rejected():
-    xs = np.linspace(-1.0, 1.0, 5)
+    xs = _half_axis(1.0, 5)
     mask = xs[:, None] ** 2 + xs[None, :] ** 2 < 1.0
     with pytest.raises(DegenerateGrid):
-        _assemble(mask, _coefficients(xs, 1.0), 0.5, 0.5)
+        _assemble(mask, _coefficients(xs, 1.0), 0.5, 0.5, on_axis=True)
+    # even n: 4 nodes on the whole grid, one in the quadrant
+    xs = _half_axis(1.0, 4)
+    mask = xs[:, None] ** 2 + xs[None, :] ** 2 < 1.0
+    with pytest.raises(DegenerateGrid):
+        _assemble(mask, _coefficients(xs, 1.0), 2.0 / 3.0, 2.0 / 3.0, on_axis=False)
 
 
 def test_coefficient_overflow_rejected():
     with pytest.raises(InvalidProblem):
         _coefficients(np.array([0.5, 2.0]), 600.0)
+
+
+@pytest.mark.parametrize("n", [64, 65])
+def test_coefficient_overflow_rejected_by_solvers(n):
+    with pytest.raises(InvalidProblem):
+        solve_disk(DiskProblem(rho=2.0, s=600.0, n=n))
+    with pytest.raises(InvalidProblem):
+        solve_rectangle_full(4.0, 1.0, 600.0, n)
+
+
+# ------------------------------------------------------ quadrant reduction
+
+
+def _full_axis(a, n):
+    # the whole axis with the same mirror-exact coordinates as _half_axis
+    return a * (np.arange(1 - n, n, 2) / (n - 1))
+
+
+@pytest.mark.parametrize("n", [64, 65])
+@pytest.mark.parametrize("s", [0.0, 1.0, 150.0])
+def test_disk_quadrant_matches_full_grid(n, s):
+    xs = _full_axis(UNIT_AREA_RHO, n)
+    mask = xs[:, None] ** 2 + xs[None, :] ** 2 < UNIT_AREA_RHO**2
+    h = 2.0 * UNIT_AREA_RHO / (n - 1)
+    full = full_grid_lowest_eigenvalue(mask, _coefficients(xs, s), h, h)
+    quadrant, count, _ = _disk_eig(UNIT_AREA_RHO, s, n)
+    assert abs(quadrant - full) / full <= 1e-10
+    assert count == int(mask[n // 2 :, n // 2 :].sum())
+
+
+@pytest.mark.parametrize("n", [64, 65])
+@pytest.mark.parametrize("s", [0.0, 1.0, 150.0])
+def test_rectangle_quadrant_matches_full_grid(n, s):
+    t, V = 1.645, 1.0
+    xs = _full_axis(0.5 * t, n)
+    mask = np.zeros((n, n), dtype=bool)
+    mask[1:-1, 1:-1] = True
+    full = full_grid_lowest_eigenvalue(mask, _coefficients(xs, s), t / (n - 1), (V / t) / (n - 1))
+    quadrant, _, _ = _rectangle_eig(t, V, s, n)
+    assert abs(quadrant - full) / full <= 1e-10
 
 
 # ------------------------------------------------------------ disk route
@@ -90,7 +137,7 @@ def test_disk_mesh_refinement_first_order():
     # doubling rather than 4x
     errs = []
     for n in (64, 128, 256):
-        lam, _, _ = _disk_eig(1.0, 0.0, n, 500)
+        lam, _, _ = _disk_eig(1.0, 0.0, n)
         errs.append(abs(lam - J01_SQUARED))
     assert 1.3 < errs[0] / errs[1] < 2.6
     assert 1.3 < errs[1] / errs[2] < 2.6
@@ -124,7 +171,7 @@ def test_rectangle_mesh_refinement_second_order():
 
 def test_rectangle_cross_route_agreement():
     # direct 2-D assembly against the separated radial route
-    direct = solve_rectangle(1.2, 1.0, 1.0, 512)
+    direct = solve_rectangle_full(1.2, 1.0, 1.0, 512).lambda1
     separated = decoupled_rectangle_value(1.2, 1.0, 1.0, 4096)
     assert abs(direct - separated) / separated < 0.02
 
@@ -187,9 +234,40 @@ def test_disk_solve_consistency_guard():
         DiskSolve(lambda1=-1.0, grid_h=0.1, interior_count=100, extrapolated=-1.0, iterations=3)
 
 
-def test_nonconvergence_on_iteration_cap():
+def test_repeated_solves_bit_identical():
+    # a fixed Lanczos start vector keeps CSV output byte-identical
+    p = DiskProblem(rho=UNIT_AREA_RHO, s=150.0, n=96)
+    assert solve_disk(p).extrapolated == solve_disk(p).extrapolated
+
+
+@pytest.mark.parametrize(
+    "failure",
+    [ArpackNoConvergence("no convergence", np.empty(0), np.empty((0, 0))), ArpackError(-9999)],
+    ids=["no-convergence", "arpack-error"],
+)
+def test_nonconvergence_when_lanczos_fails(monkeypatch, failure):
+    def fail(*args, **kwargs):
+        raise failure
+
+    monkeypatch.setattr(planar, "eigsh", fail)
     with pytest.raises(NonConvergence):
-        solve_disk(DiskProblem(rho=1.0, s=1.0, n=64), max_outer=1)
+        solve_disk(DiskProblem(rho=1.0, s=1.0, n=64))
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        lambda vecs: np.roll(vecs, 1, axis=0),
+        lambda vecs: np.ones_like(vecs),
+        lambda vecs: np.zeros_like(vecs),
+    ],
+    ids=["shifted", "start-vector", "zero"],
+)
+def test_nonconvergence_on_bad_eigenpair(monkeypatch, corrupt):
+    real = planar.eigsh
+    monkeypatch.setattr(planar, "eigsh", lambda *a, **kw: (None, corrupt(real(*a, **kw)[1])))
+    with pytest.raises(NonConvergence):
+        solve_rectangle_full(1.0, 1.0, 1.0, 64)
 
 
 def test_rectangle_input_validation():
