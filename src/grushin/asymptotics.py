@@ -35,10 +35,10 @@ from enum import Enum
 from .errors import InvalidProblem
 from .minimizer import (
     ProblemParams,
+    _whole_space_cached,
     ball_constants,
     lambda1_product,
     log_coupling_of_split,
-    whole_space_energy,
 )
 from .radial import DEFAULT_N, ball_volume_constant, mu1_ball
 from .tables import SweepTable
@@ -55,7 +55,6 @@ __all__ = [
     "small_s_limit",
     "small_s_min_value",
     "upper_envelope",
-    "whole_space_limit",
 ]
 
 REPORT_HEADERS = ("s", "t", "G_s", "G_limit", "abs_dev")
@@ -137,11 +136,6 @@ def large_s_limit(d1: int, t: float, n: int = DEFAULT_N) -> float:
     return mu1 * cap ** (-2.0 / d1)
 
 
-def whole_space_limit(d1: int, s: float, n_base: int = DEFAULT_N) -> float:
-    """Ground energy of -Laplace + |x|^(2s) on all of R^d1 (unit strength)."""
-    return whole_space_energy(d1, s, n_base)
-
-
 def upper_envelope(p: ProblemParams, t: float, n: int = DEFAULT_N) -> float:
     """Test-function upper bound for the finite-exponent curve at split t."""
     c = ball_constants(p.d1, p.d2, n)
@@ -158,7 +152,7 @@ def upper_envelope(p: ProblemParams, t: float, n: int = DEFAULT_N) -> float:
 def lower_envelope(p: ProblemParams, t: float, n: int = DEFAULT_N) -> float:
     """Whole-space lower bound for the finite-exponent curve at split t."""
     log_sigma = log_coupling_of_split(p, t, n)
-    e_inf = whole_space_energy(p.d1, p.s, n)
+    e_inf = _whole_space_cached(int(p.d1), float(p.s), int(n))
     return math.exp(
         log_sigma / (1.0 + p.s) + math.log(e_inf) - (2.0 / p.d1) * math.log(t)
     )

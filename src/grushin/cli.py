@@ -1,330 +1,115 @@
-"""Command line front end.
+"""Command line front end: one subcommand per library computation.
 
-Subcommands map one-to-one onto the library layers: `solve1d` samples the
-radial eigenfunction of the degenerate factor at a given split, `minimize`
-finds the optimal volume split, `sweep-s` tabulates the split objective
-against a limit curve over an exponent ladder, `limits` samples a limit
-curve alone, `disk`/`rectangle` run the direct 2-D solver, `probe` compares
-disk eigenvalues at growing exponent with the longest-segment reference,
-and `regress` recomputes a baseline CSV of accepted values.
-
-Flags may come from the command line or from a `--config` file of flat
-`key = value` lines (hash comments allowed); command-line flags win.  The
-environment variable GRUSHIN_DEFAULT_N replaces the built-in grid defaults
-(4096 for one-dimensional solves, 512 per axis in 2-D) when --n is absent.
-
-Exit codes: 0 success, 1 I/O failure, 2 usage error, 3 regression failure
-or missing baseline, 4 solver non-convergence.
+`_COMMANDS` names the flags of each subcommand (`grushin --help` lists them);
+the RunConfig field a flag sets holds its converter and default.  Flags are
+never abbreviated.  A `--config` file of `key = value` lines (`#` comments)
+may set any flag of the command being run, named without dashes; command-line
+flags win.  `--jobs K` (`sweep-s`, `regress`) spreads independent rows over K
+worker processes with byte-identical output.  GRUSHIN_DEFAULT_N replaces the
+default --n (4096 in 1-D, 512 per axis in 2-D).  Exit codes: 0 success, 1 I/O
+failure, 2 usage error, 3 regression failure or missing baseline, 4 solver
+non-convergence.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from contextlib import contextmanager
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 from .asymptotics import LimitKind, convergence_report, limit_profile
-from .errors import (
-    BaselineMissing,
-    BracketFailure,
-    DegenerateGrid,
-    GrushinError,
-    InvalidProblem,
-    NonConvergence,
-    UsageError,
-)
-from .minimizer import (
-    MinimizeResult,
-    ProblemParams,
-    ball1_radius,
-    coupling_of_split,
-    lambda1_product,
-    minimize,
-)
-from .planar import (
-    DEFAULT_N_2D,
-    DiskProblem,
-    segment_limit_probe,
-    solve_disk,
-    solve_rectangle_full,
-)
+from .baseline import BASELINE_HEADERS, DEFAULT_BASELINE, regression_suite
+from .errors import (BaselineMissing, BracketFailure, GrushinError, InvalidProblem,
+                     NonConvergence, UsageError)
+from .minimizer import (MinimizeResult, ProblemParams, ball1_radius, coupling_of_split,
+                        minimize)
+from .planar import (DEFAULT_N_2D, DiskProblem, segment_limit_probe, solve_disk,
+                     solve_rectangle_full)
 from .radial import DEFAULT_N, RadialProblem, solve_radial
 from .tables import SweepTable, emit_csv, emit_svg
 
-__all__ = [
-    "DEFAULT_BASELINE",
-    "RunConfig",
-    "console_entry",
-    "main",
-    "parse_config",
-    "regression_suite",
-]
+__all__ = ["BASELINE_HEADERS", "DEFAULT_BASELINE", "RunConfig", "console_entry", "main",
+           "parse_config", "regression_suite"]
 
-DEFAULT_BASELINE = Path("baselines") / "anchors.csv"
 DEFAULT_S_LADDER_ZERO = (0.1, 0.01, 0.001)
 DEFAULT_S_LADDER_INF = (10.0, 50.0, 150.0)
-DEFAULT_T_SPAN = (0.25, 4.0, 20)
-DEFAULT_RHO = math.pi ** -0.5
 
-_COMMANDS_1D = frozenset({"solve1d", "minimize", "sweep-s", "limits"})
-_COMMANDS_2D = frozenset({"disk", "rectangle", "probe"})
-_SVG_COMMANDS = frozenset({"solve1d", "sweep-s", "limits", "probe"})
 
-BASELINE_HEADERS = (
-    "name",
-    "kind",
-    "d1",
-    "d2",
-    "s",
-    "V",
-    "t",
-    "rho",
-    "n",
-    "expected",
-    "rel_tol",
-)
+def _number(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
+def _count(text: str) -> int:
+    if not text.strip().isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return int(text)
+
+
+def _grid(text: str) -> tuple[float, ...]:
+    """Comma-separated values, or lo:hi:count for a uniform grid."""
+    parts = text.split(":")
+    if len(parts) == 1:
+        values = tuple(_number(piece) for piece in text.split(",") if piece.strip())
+        if values:
+            return values
+    elif len(parts) == 3:
+        lo, hi, count = _number(parts[0]), _number(parts[1]), _count(parts[2])
+        if count >= 2 and hi > lo:
+            step = (hi - lo) / (count - 1)
+            return tuple(lo + k * step for k in range(count))
+    raise argparse.ArgumentTypeError(f"expected a list or lo:hi:count, got {text!r}")
+
+
+def _flag(name: str, convert, default):
+    """A RunConfig field set by --name, whose text `convert` turns into the value."""
+    return field(default=default, metadata={"flag": name, "convert": convert})
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """A fully validated run: one command plus everything it needs."""
+    """A validated run; fields of flags its command does not take keep their defaults."""
 
     command: str
     params: object = None
-    s_list: tuple[float, ...] = ()
-    t_grid: tuple[float, ...] = ()
-    output_path: str = "-"
-    grid_n: int = 0
-    s: float = 1.0
-    V: float = 1.0
-    t: float = 1.0
-    rho: float = DEFAULT_RHO
-    limit: LimitKind | None = None
-    svg_path: str | None = None
-    jobs: int = 1
-    baseline_path: str = str(DEFAULT_BASELINE)
+    d1: int = _flag("d1", int, 1)
+    d2: int = _flag("d2", int, 1)
+    s: float = _flag("s", _number, 1.0)
+    V: float = _flag("V", _number, 1.0)
+    t: float = _flag("t", _number, 1.0)
+    rho: float = _flag("rho", _number, math.pi ** -0.5)
+    s_list: tuple[float, ...] = _flag("s-list", _grid, ())
+    t_grid: tuple[float, ...] = _flag("t-grid", _grid, _grid("0.25:4:20"))
+    limit: LimitKind | None = _flag("limit", LimitKind, None)
+    grid_n: int = _flag("n", int, 0)
+    output_path: str = _flag("out", str, "-")
+    svg_path: str | None = _flag("svg", str, None)
+    jobs: int = _flag("jobs", _count, 1)
+    baseline_path: str = _flag("baseline", str, str(DEFAULT_BASELINE))
 
 
-def _parse_float(text: str, flag: str) -> float:
-    try:
-        value = float(text)
-    except ValueError as exc:
-        raise UsageError(f"{flag}: expected a number, got {text!r}") from exc
-    if not math.isfinite(value):
-        raise UsageError(f"{flag}: must be finite, got {text!r}")
-    return value
+#: flag name -> the RunConfig field it sets
+_FLAGS = {f.metadata["flag"]: f for f in fields(RunConfig) if f.metadata}
 
 
-def _parse_int(text: str, flag: str) -> int:
-    try:
-        return int(text)
-    except ValueError as exc:
-        raise UsageError(f"{flag}: expected an integer, got {text!r}") from exc
-
-
-def _parse_list(text: str, flag: str) -> tuple[float, ...]:
-    """Comma-separated values, or lo:hi:count for a uniform grid."""
-    text = text.strip()
-    if ":" in text:
-        parts = text.split(":")
-        if len(parts) != 3:
-            raise UsageError(f"{flag}: grid shorthand is lo:hi:count, got {text!r}")
-        lo = _parse_float(parts[0], flag)
-        hi = _parse_float(parts[1], flag)
-        count = _parse_int(parts[2], flag)
-        if count < 2 or hi <= lo:
-            raise UsageError(f"{flag}: need hi > lo and count >= 2, got {text!r}")
-        step = (hi - lo) / (count - 1)
-        return tuple(lo + k * step for k in range(count))
-    try:
-        return tuple(float(piece) for piece in text.split(",") if piece.strip())
-    except ValueError as exc:
-        raise UsageError(f"{flag}: expected comma-separated numbers, got {text!r}") from exc
-
-
-_CONFIG_KEYS = {
-    "d1",
-    "d2",
-    "s",
-    "s-list",
-    "V",
-    "t",
-    "t-grid",
-    "rho",
-    "n",
-    "out",
-    "svg",
-    "jobs",
-    "limit",
-    "baseline",
-    "config",
-}
-
-
-def _load_config_file(path: str) -> dict[str, str]:
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise UsageError(f"--config: cannot read {path!r}: {exc}") from exc
-    values: dict[str, str] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise UsageError(f"--config: line {lineno} is not `key = value`: {raw!r}")
-        key, _, value = line.partition("=")
-        key = key.strip()
-        if key not in _CONFIG_KEYS:
-            raise UsageError(f"--config: unknown key {key!r} on line {lineno}")
-        values[key] = value.strip()
-    return values
-
-
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="grushin",
-        description="Eigenvalue computations for the degenerate product operator.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name: str, help_text: str, flags: tuple[str, ...]) -> None:
-        p = sub.add_parser(name, help=help_text)
-        for flag in flags:
-            if flag == "--limit":
-                p.add_argument(flag, choices=("zero", "inf"), default=None)
-            else:
-                p.add_argument(flag, type=str, default=None)
-        p.add_argument("--config", type=str, default=None)
-
-    common = ("--d1", "--d2", "--s", "--V", "--n", "--out", "--jobs")
-    add("solve1d", "radial eigenfunction at a given split", common + ("--t", "--svg"))
-    add("minimize", "optimal volume split", common)
-    add(
-        "sweep-s",
-        "objective versus a limit curve over an exponent ladder",
-        common + ("--s-list", "--t-grid", "--limit", "--svg"),
-    )
-    add(
-        "limits",
-        "sample a closed-form limit curve",
-        common + ("--t-grid", "--limit", "--svg"),
-    )
-    add("disk", "direct 2-D disk eigenvalue", ("--rho", "--s", "--n", "--out", "--jobs"))
-    add(
-        "rectangle",
-        "direct 2-D rectangle eigenvalue",
-        ("--t", "--V", "--s", "--n", "--out", "--jobs"),
-    )
-    add(
-        "probe",
-        "disk eigenvalues against the longest-segment reference",
-        ("--rho", "--s-list", "--n", "--out", "--svg", "--jobs"),
-    )
-    add("regress", "recompute a baseline CSV", ("--baseline", "--n", "--out", "--jobs"))
-    return parser
-
-
-def _merged(ns: argparse.Namespace, key: str) -> str | None:
-    """Command-line value if given, else the config-file value."""
-    attr = key.replace("-", "_")
-    value = getattr(ns, attr, None)
-    if value is not None:
-        return value
-    return getattr(ns, "_config_values", {}).get(key)
-
-
-def parse_config(argv) -> RunConfig:
-    """Parse flags plus optional config file into a validated RunConfig."""
-    parser = _build_parser()
-    ns = parser.parse_args(list(argv))
-    command = ns.command
-    config_values: dict[str, str] = {}
-    if getattr(ns, "config", None):
-        config_values = _load_config_file(ns.config)
-    ns._config_values = config_values
-
-    def flag(key: str) -> str | None:
-        return _merged(ns, key)
-
-    d1 = _parse_int(flag("d1"), "--d1") if flag("d1") is not None else 1
-    d2 = _parse_int(flag("d2"), "--d2") if flag("d2") is not None else 1
-    s = _parse_float(flag("s"), "--s") if flag("s") is not None else 1.0
-    V = _parse_float(flag("V"), "--V") if flag("V") is not None else 1.0
-    t = _parse_float(flag("t"), "--t") if flag("t") is not None else 1.0
-    rho = _parse_float(flag("rho"), "--rho") if flag("rho") is not None else DEFAULT_RHO
-    jobs = _parse_int(flag("jobs"), "--jobs") if flag("jobs") is not None else 1
-    if jobs < 1:
-        raise UsageError(f"--jobs: must be >= 1, got {jobs}")
-    out = flag("out") or "-"
-    svg = flag("svg")
-    if svg is not None and command not in _SVG_COMMANDS:
-        raise UsageError(f"--svg: not supported by the {command} command")
-
-    if flag("n") is not None:
-        grid_n = _parse_int(flag("n"), "--n")
-    elif os.environ.get("GRUSHIN_DEFAULT_N"):
-        grid_n = _parse_int(os.environ["GRUSHIN_DEFAULT_N"], "GRUSHIN_DEFAULT_N")
-    elif command in _COMMANDS_2D:
-        grid_n = DEFAULT_N_2D
+@contextmanager
+def _pool_map(jobs: int):
+    """`map`, or the map of a pool of `jobs` worker processes when jobs > 1."""
+    if jobs == 1:
+        yield map
     else:
-        grid_n = DEFAULT_N
-
-    limit = None
-    if flag("limit") is not None:
-        value = flag("limit")
-        if value not in ("zero", "inf"):
-            raise UsageError(f"--limit: must be zero or inf, got {value!r}")
-        limit = LimitKind.S_TO_ZERO if value == "zero" else LimitKind.S_TO_INFINITY
-
-    if flag("s-list") is not None:
-        s_list = _parse_list(flag("s-list"), "--s-list")
-    elif limit is LimitKind.S_TO_ZERO:
-        s_list = DEFAULT_S_LADDER_ZERO
-    else:
-        s_list = DEFAULT_S_LADDER_INF
-
-    if flag("t-grid") is not None:
-        t_grid = _parse_list(flag("t-grid"), "--t-grid")
-    else:
-        lo, hi, count = DEFAULT_T_SPAN
-        step = (hi - lo) / (count - 1)
-        t_grid = tuple(lo + k * step for k in range(count))
-
-    try:
-        if command in _COMMANDS_1D:
-            params: object = ProblemParams(d1=d1, d2=d2, s=s, V=V)
-        elif command == "disk":
-            params = DiskProblem(rho=rho, s=s, n=grid_n)
-        elif command == "probe":
-            params = DiskProblem(rho=rho, s=s_list[0], n=grid_n)
-        else:
-            params = None
-    except InvalidProblem as exc:
-        raise UsageError(str(exc)) from exc
-
-    baseline = flag("baseline") or str(DEFAULT_BASELINE)
-    return RunConfig(
-        command=command,
-        params=params,
-        s_list=s_list,
-        t_grid=t_grid,
-        output_path=out,
-        grid_n=grid_n,
-        s=s,
-        V=V,
-        t=t,
-        rho=rho,
-        limit=limit,
-        svg_path=svg,
-        jobs=jobs,
-        baseline_path=baseline,
-    )
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            yield pool.map
 
 
 def _emit(cfg: RunConfig, table: SweepTable) -> None:
@@ -333,7 +118,7 @@ def _emit(cfg: RunConfig, table: SweepTable) -> None:
         emit_svg(table, cfg.svg_path)
 
 
-def _cmd_solve1d(cfg: RunConfig) -> int:
+def _cmd_solve1d(cfg: RunConfig) -> None:
     p: ProblemParams = cfg.params
     sigma = coupling_of_split(p, cfg.t, cfg.grid_n)
     prob = RadialProblem(d1=p.d1, s=p.s, mu=sigma, R=ball1_radius(p.d1), n=cfg.grid_n)
@@ -342,208 +127,173 @@ def _cmd_solve1d(cfg: RunConfig) -> int:
     rows = tuple(zip(prob.grid().tolist(), sol.v.tolist()))
     _emit(cfg, SweepTable(headers=("r", "v"), rows=rows))
     print(f"lambda1 = {lam:.12g} (coupling {sigma:.6g})", file=sys.stderr)
-    return 0
 
 
-def _cmd_minimize(cfg: RunConfig) -> int:
+def _cmd_minimize(cfg: RunConfig) -> None:
     result = minimize(cfg.params, cfg.grid_n)
-    table = SweepTable(headers=MinimizeResult.CSV_HEADERS, rows=(result.csv_row(),))
+    _emit(cfg, SweepTable(headers=MinimizeResult.CSV_HEADERS, rows=(result.csv_row(),)))
+
+
+def _cmd_sweep(cfg: RunConfig) -> None:
+    with _pool_map(cfg.jobs) as map_fn:
+        table = convergence_report(cfg.params, cfg.s_list, cfg.t_grid, cfg.limit,
+                                   cfg.grid_n, map_fn=map_fn)
     _emit(cfg, table)
-    return 0
 
 
-def _cmd_sweep(cfg: RunConfig) -> int:
-    if cfg.jobs > 1:
-        with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
-            table = convergence_report(
-                cfg.params, cfg.s_list, cfg.t_grid, cfg.limit, cfg.grid_n,
-                map_fn=pool.map,
-            )
-    else:
-        table = convergence_report(
-            cfg.params, cfg.s_list, cfg.t_grid, cfg.limit, cfg.grid_n
-        )
-    _emit(cfg, table)
-    return 0
-
-
-def _cmd_limits(cfg: RunConfig) -> int:
+def _cmd_limits(cfg: RunConfig) -> None:
     kind = cfg.limit if cfg.limit is not None else LimitKind.S_TO_INFINITY
     profile = limit_profile(cfg.params, kind, cfg.t_grid, cfg.grid_n)
     rows = tuple(zip(profile.t_grid, profile.values))
     _emit(cfg, SweepTable(headers=("t", "G_limit"), rows=rows))
-    return 0
 
 
-def _cmd_disk(cfg: RunConfig) -> int:
+_PLANAR_HEADERS = ("shape", "rho_or_t", "s", "n", "lambda1", "extrapolated")
+
+
+def _cmd_disk(cfg: RunConfig) -> None:
     p: DiskProblem = cfg.params
     solve = solve_disk(p)
-    table = SweepTable(
-        headers=("shape", "rho_or_t", "s", "n", "lambda1", "extrapolated"),
-        rows=(("disk", p.rho, p.s, p.n, solve.lambda1, solve.extrapolated),),
-    )
-    _emit(cfg, table)
-    return 0
+    row = ("disk", p.rho, p.s, p.n, solve.lambda1, solve.extrapolated)
+    _emit(cfg, SweepTable(headers=_PLANAR_HEADERS, rows=(row,)))
 
 
-def _cmd_rectangle(cfg: RunConfig) -> int:
+def _cmd_rectangle(cfg: RunConfig) -> None:
     full = solve_rectangle_full(cfg.t, cfg.V, cfg.s, cfg.grid_n)
-    table = SweepTable(
-        headers=("shape", "rho_or_t", "s", "n", "lambda1", "extrapolated"),
-        rows=(("rectangle", cfg.t, cfg.s, cfg.grid_n, full.lambda1, full.extrapolated),),
-    )
-    _emit(cfg, table)
-    return 0
+    row = ("rectangle", cfg.t, cfg.s, cfg.grid_n, full.lambda1, full.extrapolated)
+    _emit(cfg, SweepTable(headers=_PLANAR_HEADERS, rows=(row,)))
 
 
-def _cmd_probe(cfg: RunConfig) -> int:
-    table = segment_limit_probe(cfg.rho, cfg.s_list, cfg.grid_n)
-    _emit(cfg, table)
-    return 0
-
-
-def _read_baseline(path: str) -> list[dict]:
-    file = Path(path)
-    if not file.is_file():
-        raise BaselineMissing(f"baseline file not found: {path}")
-    with file.open(newline="") as handle:
-        reader = csv.DictReader(handle)
-        if reader.fieldnames is None:
-            raise BaselineMissing(f"baseline file is empty: {path}")
-        missing = set(BASELINE_HEADERS) - set(reader.fieldnames)
-        if missing:
-            raise UsageError(
-                f"baseline {path}: missing columns {sorted(missing)}"
-            )
-        return list(reader)
-
-
-def _row_value(row: dict, key: str, default: float | None = None) -> float:
-    text = (row.get(key) or "").strip()
-    if not text:
-        if default is None:
-            raise UsageError(f"baseline row {row.get('name')!r}: missing {key}")
-        return default
-    return float(text)
-
-
-def _evaluate_baseline_row(row: dict) -> float:
-    kind = (row.get("kind") or "").strip()
-    n = int(_row_value(row, "n"))
-    if kind == "minimize":
-        p = ProblemParams(
-            d1=int(_row_value(row, "d1", 1)),
-            d2=int(_row_value(row, "d2", 1)),
-            s=_row_value(row, "s"),
-            V=_row_value(row, "V", 1.0),
-        )
-        return minimize(p, n).lambda1
-    if kind == "gs":
-        p = ProblemParams(
-            d1=int(_row_value(row, "d1", 1)),
-            d2=int(_row_value(row, "d2", 1)),
-            s=_row_value(row, "s"),
-            V=_row_value(row, "V", 1.0),
-        )
-        return lambda1_product(p, _row_value(row, "t"), n)
-    if kind == "disk":
-        problem = DiskProblem(rho=_row_value(row, "rho"), s=_row_value(row, "s"), n=n)
-        return solve_disk(problem).extrapolated
-    if kind == "rectangle":
-        return solve_rectangle_full(
-            _row_value(row, "t"), _row_value(row, "V", 1.0), _row_value(row, "s"), n
-        ).extrapolated
-    raise UsageError(f"baseline row {row.get('name')!r}: unknown kind {kind!r}")
-
-
-@dataclass(frozen=True)
-class RegressionReport:
-    """Recomputed baseline rows with their deviations."""
-
-    rows: tuple[tuple[str, float, float, float, float], ...]
-
-    @property
-    def failures(self) -> tuple[str, ...]:
-        return tuple(name for name, _, _, dev, tol in self.rows if dev > tol)
-
-    @property
-    def max_rel_dev(self) -> float:
-        return max((dev for _, _, _, dev, _ in self.rows), default=0.0)
-
-
-def regression_suite(baseline_path) -> RegressionReport:
-    """Recompute every baseline row and report relative deviations."""
-    entries = _read_baseline(str(baseline_path))
-    rows = []
-    for entry in entries:
-        name = (entry.get("name") or "").strip() or "<unnamed>"
-        expected = _row_value(entry, "expected")
-        tol = _row_value(entry, "rel_tol")
-        actual = _evaluate_baseline_row(entry)
-        dev = abs(actual - expected) / abs(expected)
-        rows.append((name, expected, actual, dev, tol))
-    return RegressionReport(rows=tuple(rows))
+def _cmd_probe(cfg: RunConfig) -> None:
+    _emit(cfg, segment_limit_probe(cfg.rho, cfg.s_list, cfg.grid_n))
 
 
 def _cmd_regress(cfg: RunConfig) -> int:
-    report = regression_suite(cfg.baseline_path)
+    with _pool_map(cfg.jobs) as map_fn:
+        report = regression_suite(cfg.baseline_path, map_fn=map_fn)
     if not report.rows:
         print("warning: baseline has no rows; nothing to check", file=sys.stderr)
         return 0
     for name, expected, actual, dev, tol in report.rows:
         verdict = "OK" if dev <= tol else "FAIL"
-        print(
-            f"{name}: expected={expected:.10g} actual={actual:.10g} "
-            f"rel_dev={dev:.3e} tol={tol:.3e} [{verdict}]"
-        )
-    failures = report.failures
-    if failures:
-        print(f"regression failed for: {', '.join(failures)}", file=sys.stderr)
+        print(f"{name}: expected={expected:.10g} actual={actual:.10g} "
+              f"rel_dev={dev:.3e} tol={tol:.3e} [{verdict}]")
+    if report.failures:
+        print(f"regression failed for: {', '.join(report.failures)}", file=sys.stderr)
         return 3
     print(f"regression passed; max rel dev {report.max_rel_dev:.3e}")
     return 0
 
 
+#: command -> (handler, help, the flags it takes besides --config, default --n)
+_COMMANDS = {
+    "solve1d": (_cmd_solve1d, "radial eigenfunction at a given split",
+                "d1 d2 s V t n out svg".split(), DEFAULT_N),
+    "minimize": (_cmd_minimize, "optimal volume split", "d1 d2 s V n out".split(), DEFAULT_N),
+    "sweep-s": (_cmd_sweep, "objective versus a limit curve over an exponent ladder",
+                "d1 d2 V s-list t-grid limit n out svg jobs".split(), DEFAULT_N),
+    "limits": (_cmd_limits, "sample a closed-form limit curve",
+               "d1 d2 V t-grid limit n out svg".split(), DEFAULT_N),
+    "disk": (_cmd_disk, "direct 2-D disk eigenvalue", "rho s n out".split(), DEFAULT_N_2D),
+    "rectangle": (_cmd_rectangle, "direct 2-D rectangle eigenvalue",
+                  "t V s n out".split(), DEFAULT_N_2D),
+    "probe": (_cmd_probe, "disk eigenvalues against the longest-segment reference",
+              "rho s-list n out svg".split(), DEFAULT_N_2D),
+    "regress": (_cmd_regress, "recompute a baseline CSV", "baseline jobs".split(), None),
+}
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises UsageError where argparse would print the usage and exit 2."""
+
+    def error(self, message):
+        raise UsageError(f"{self.prog}: {message}\n{self.format_usage().rstrip()}")
+
+
+def _build_parser():
+    """The argument parser, plus its subparsers by command name."""
+    parser = _Parser(
+        prog="grushin",
+        description="Eigenvalue computations for the degenerate product operator.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (_, help_text, flags, _) in _COMMANDS.items():
+        # No abbreviations, so that `--s` cannot stand for `--s-list` or `--svg`.
+        # Absent flags stay out of the namespace, so RunConfig holds the defaults.
+        p = sub.add_parser(name, help=help_text, allow_abbrev=False,
+                           argument_default=argparse.SUPPRESS)
+        for flag in flags:
+            p.add_argument(f"--{flag}", dest=_FLAGS[flag].name, metavar=flag.upper(),
+                           type=_FLAGS[flag].metadata["convert"])
+        p.add_argument("--config")
+    return parser, sub.choices
+
+
+def _load_config_file(path: str, command: str) -> dict[str, str]:
+    """The file's `key = value` lines as unconverted values by RunConfig field."""
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:
+        raise UsageError(f"--config: cannot read {path!r}: {exc}") from exc
+    values = {}
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        key, equals, value = raw.split("#", 1)[0].partition("=")
+        key = key.strip()
+        if not (key or equals):
+            continue
+        if not equals or key not in _COMMANDS[command][2]:
+            raise UsageError(f"--config: line {lineno}: {raw!r} sets no {command} flag")
+        values[_FLAGS[key].name] = value.strip()
+    return values
+
+
+def parse_config(argv) -> RunConfig:
+    """Parse flags plus optional config file into a validated RunConfig."""
+    argv = list(argv)
+    parser, subparsers = _build_parser()
+    values = vars(parser.parse_args(argv))
+    command, config_path = values["command"], values.pop("config", None)
+    _, _, flags, default_n = _COMMANDS[command]
+    if config_path:
+        # the file's values become defaults, which argparse converts like flags
+        subparsers[command].set_defaults(**_load_config_file(config_path, command))
+        values = vars(parser.parse_args(argv))
+        del values["config"]
+    if "n" in flags and "grid_n" not in values:
+        env = os.environ.get("GRUSHIN_DEFAULT_N")
+        try:
+            values["grid_n"] = int(env) if env else default_n
+        except ValueError as exc:
+            raise UsageError(f"GRUSHIN_DEFAULT_N: expected an integer, got {env!r}") from exc
+    if "s-list" in flags and "s_list" not in values:
+        zero = values.get("limit") is LimitKind.S_TO_ZERO
+        values["s_list"] = DEFAULT_S_LADDER_ZERO if zero else DEFAULT_S_LADDER_INF
+    cfg = RunConfig(**values)
+    try:
+        if "d1" in flags:
+            return replace(cfg, params=ProblemParams(d1=cfg.d1, d2=cfg.d2, s=cfg.s, V=cfg.V))
+        if "rho" in flags:
+            s = cfg.s_list[0] if command == "probe" else cfg.s
+            return replace(cfg, params=DiskProblem(rho=cfg.rho, s=s, n=cfg.grid_n))
+    except InvalidProblem as exc:
+        raise UsageError(str(exc)) from exc
+    return cfg
+
+
 def main(argv=None) -> int:
     """Run the CLI; returns the process exit code instead of raising."""
-    if argv is None:
-        argv = sys.argv[1:]
     try:
-        cfg = parse_config(argv)
-    except SystemExit as exc:
-        code = exc.code
-        return code if isinstance(code, int) else 2
-    except UsageError as exc:
+        cfg = parse_config(sys.argv[1:] if argv is None else argv)
+        return _COMMANDS[cfg.command][0](cfg) or 0
+    except SystemExit as exc:  # --help
+        return exc.code if isinstance(exc.code, int) else 2
+    except (GrushinError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-
-    handlers = {
-        "solve1d": _cmd_solve1d,
-        "minimize": _cmd_minimize,
-        "sweep-s": _cmd_sweep,
-        "limits": _cmd_limits,
-        "disk": _cmd_disk,
-        "rectangle": _cmd_rectangle,
-        "probe": _cmd_probe,
-        "regress": _cmd_regress,
-    }
-    try:
-        return handlers[cfg.command](cfg)
-    except (UsageError, InvalidProblem, DegenerateGrid) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except BaselineMissing as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except (NonConvergence, BracketFailure) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except GrushinError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        if isinstance(exc, BaselineMissing):
+            return 3
+        if isinstance(exc, (NonConvergence, BracketFailure)):
+            return 4
+        return 1 if isinstance(exc, OSError) else 2
 
 
 def console_entry() -> None:

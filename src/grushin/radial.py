@@ -153,9 +153,10 @@ class RadialSolution:
 def _assemble(p: RadialProblem):
     """Build the symmetric tridiagonal pencil (A, D) for the problem.
 
-    Returns (h, r, lo, a_diag, a_off, d_w) where the unknowns are the grid
-    nodes lo..n-1, a_diag/a_off define A = K + diag(potential) and d_w is the
-    diagonal of D.
+    Returns (h, r, lo, a_diag, a_off, d_w, a_half, pot) where the unknowns are
+    the grid nodes lo..n-1, a_diag/a_off define A = K + diag(potential), d_w is
+    the diagonal of D, and a_half and pot are the flux coefficients at the half
+    points and the potential samples at the nodes.
     """
     n = p.n
     h = p.h
@@ -186,7 +187,7 @@ def _assemble(p: RadialProblem):
         off_k = -a_half[1 : n - 1]
         a_diag = diag_k / h**2 + d_w * pot[1:n]
     a_off = off_k / h**2
-    return h, r, lo, a_diag, a_off, d_w
+    return h, r, lo, a_diag, a_off, d_w, a_half, pot
 
 
 def solve_radial(p: RadialProblem) -> RadialSolution:
@@ -195,10 +196,11 @@ def solve_radial(p: RadialProblem) -> RadialSolution:
     Raises NonConvergence if the tridiagonal eigensolver fails, and
     InvalidProblem (via RadialProblem) for bad inputs.
     """
-    h, r, lo, a_diag, a_off, d_w = _assemble(p)
+    # the congruence D^(-1/2) A D^(-1/2) overwrites A's entries in place
+    h, r, lo, t_diag, t_off, d_w, a_half, pot = _assemble(p)
     sqrt_d = np.sqrt(d_w)
-    t_diag = a_diag / d_w
-    t_off = a_off / (sqrt_d[:-1] * sqrt_d[1:])
+    t_diag /= d_w
+    t_off /= sqrt_d[:-1] * sqrt_d[1:]
     if not (np.all(np.isfinite(t_diag)) and np.all(np.isfinite(t_off))):
         raise InvalidProblem("assembled operator contains non-finite entries")
     try:
@@ -216,9 +218,6 @@ def solve_radial(p: RadialProblem) -> RadialSolution:
     # quotient carries no cancellation and is accurate to relative rounding.
     # (The congruence-coordinate form x'Tx loses ~eps*|T| absolutely, which
     # finite differences in mu would amplify.)
-    half = 0.5 * (r[:-1] + r[1:])
-    a_half = _rpow(half, p.d1 - 1.0)
-    pot = _potential_samples(r, p.s, p.mu)
     v_ext = np.zeros(p.n + 1 - lo)  # nodes lo..n, Dirichlet zero at n
     v_ext[:-1] = v_unknown
     diffs = v_ext[1:] - v_ext[:-1]
@@ -246,19 +245,12 @@ def solve_radial(p: RadialProblem) -> RadialSolution:
         v[tiny] = 0.0
 
     slope = (-4.0 * v[p.n - 1] + v[p.n - 2]) / (2.0 * h)
-    sol = RadialSolution(
-        energy=energy,
-        v=v,
-        boundary_slope=slope,
-        hf_derivative=0.0,
-        norm_weight=f"trapezoid, weight r^{p.d1 - 1}, h={h!r}",
-    )
     return RadialSolution(
         energy=energy,
         v=v,
         boundary_slope=slope,
-        hf_derivative=hf_derivative(sol, p),
-        norm_weight=sol.norm_weight,
+        hf_derivative=_weighted_integral(v**2, r, 2.0 * p.s + p.d1 - 1.0, h),
+        norm_weight=f"trapezoid, weight r^{p.d1 - 1}, h={h!r}",
     )
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -62,7 +63,7 @@ def dense_lowest_eigenvalue(p: RadialProblem) -> float:
     it with a dense generalized symmetric eigendecomposition instead of the
     tridiagonal bisection path.  Only sensible for small n.
     """
-    _, _, _, a_diag, a_off, d_w = _assemble(p)
+    _, _, _, a_diag, a_off, d_w, _, _ = _assemble(p)
     m = a_diag.size
     a = np.zeros((m, m))
     idx = np.arange(m)
@@ -143,8 +144,11 @@ def golden_minimize(fn, lo: float, hi: float, tol: float = 1e-12) -> float:
 
 
 def run_cli(args, cwd=None, env=None, timeout: float = 600.0):
-    """Run the package CLI in a subprocess; returns CompletedProcess."""
+    """Run the package CLI of this checkout in a subprocess; returns CompletedProcess."""
     cmd = [sys.executable, "-m", "grushin", *args]
+    if env is None:
+        paths = [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
     return subprocess.run(
         cmd,
         cwd=cwd or REPO_ROOT,

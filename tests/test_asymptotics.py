@@ -23,10 +23,9 @@ from grushin.asymptotics import (
     small_s_limit,
     small_s_min_value,
     upper_envelope,
-    whole_space_limit,
 )
 from grushin.errors import InvalidProblem
-from grushin.minimizer import ProblemParams, lambda1_product, whole_space_energy
+from grushin.minimizer import ProblemParams, lambda1_product
 from grushin.radial import mu1_ball
 from grushin.tables import SweepTable
 from oracles import J01_SQUARED, golden_minimize
@@ -78,10 +77,6 @@ def test_large_s_limit_branches_and_continuity():
 def test_large_s_limit_planar_value_is_bessel_constant():
     # d1=2 at t = pi (the unit-disk volume): mu1(B(0,1)) = j01^2
     assert abs(large_s_limit(2, math.pi) - J01_SQUARED) / J01_SQUARED < 1e-5
-
-
-def test_whole_space_limit_passthrough():
-    assert whole_space_limit(1, 1.0, 2048) == whole_space_energy(1, 1.0, 2048)
 
 
 # ------------------------------------------------------------ envelopes

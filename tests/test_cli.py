@@ -101,19 +101,25 @@ def test_config_file_errors(tmp_path):
         parse_config(["minimize", "--config", str(bad_line)])
     with pytest.raises(UsageError):
         parse_config(["minimize", "--config", str(tmp_path / "missing.cfg")])
+    # keys must name flags of the command being run; `config` is not one
+    for line in ("rho = 1", "config = x", "jobs = 2"):
+        foreign = tmp_path / "foreign.cfg"
+        foreign.write_text(line + "\n")
+        with pytest.raises(UsageError):
+            parse_config(["minimize", "--config", str(foreign)])
 
 
 def test_flag_validation(tmp_path):
     with pytest.raises(UsageError):
         parse_config(["minimize", "--s", "abc"])
     with pytest.raises(UsageError):
-        parse_config(["minimize", "--jobs", "0"])
+        parse_config(["sweep-s", "--jobs", "0"])
     with pytest.raises(UsageError):
         parse_config(["sweep-s", "--t-grid", "3:1:5"])
     with pytest.raises(UsageError):
         parse_config(["minimize", "--s", "0"])  # InvalidProblem surfaces as usage
-    # svg is only an argparse flag on plotting commands; through the config
-    # file it reaches the explicit support check instead
+    # svg is only a flag of plotting commands, on the command line and as a
+    # config key
     cfg_file = tmp_path / "svg.cfg"
     cfg_file.write_text("svg = x.svg\n")
     with pytest.raises(UsageError):
@@ -130,6 +136,15 @@ def test_exit_code_usage_error():
 
 def test_exit_code_missing_subcommand():
     assert main([]) == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["disk", "--jobs", "2"], ["limits", "--s", "2"], ["sweep-s", "--s", "2"],
+     ["regress", "--n", "64"], ["regress", "--out", "x.csv"]],
+)
+def test_flags_that_would_be_ignored_are_rejected(argv):
+    assert main(argv) == 2
 
 
 def test_exit_code_runtime_invalid(capsys):
@@ -236,6 +251,29 @@ def test_regress_pass_and_fail(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "[FAIL]" in captured.out
     assert "gs_t2" in captured.err
+
+
+def test_regress_parallel_output_identical(tmp_path, capsys, monkeypatch):
+    pools = []
+
+    class CountingPool(cli.ProcessPoolExecutor):
+        def map(self, *args, **kwargs):
+            pools.append(self._max_workers)
+            return super().map(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", CountingPool)
+    rows = []
+    for t in (1.5, 2.0):
+        value = lambda1_product(ProblemParams(1, 1, 1.0), t, 512)
+        rows.append((f"gs_t{t}", "gs", 1, 1, 1.0, 1.0, t, "", 512, value, 1e-9))
+    path = tmp_path / "two.csv"
+    _write_baseline(path, rows)
+    assert main(["regress", "--baseline", str(path)]) == 0
+    serial = capsys.readouterr().out
+    assert main(["regress", "--baseline", str(path), "--jobs", "2"]) == 0
+    assert capsys.readouterr().out == serial
+    assert serial.count("[OK]") == 2
+    assert pools == [2]  # only the --jobs 2 run used worker processes
 
 
 def test_regress_empty_baseline_warns(tmp_path, capsys):
