@@ -3,13 +3,15 @@
 A baseline CSV has the columns of BASELINE_HEADERS.  `kind` selects the
 computation (`minimize`, `gs` for the split objective at a given `t`, `disk`,
 `rectangle`); `d1`, `d2` and `V` may be left empty (1, 1 and 1.0), the other
-inputs the kind uses may not.  `regression_suite` recomputes every row and
-reports its relative deviation from `expected` next to the row's `rel_tol`.
+inputs the kind uses may not.  Numbers must be finite, `expected` nonzero
+and `rel_tol` >= 0.  `regression_suite` recomputes every row and reports
+its relative deviation from `expected` next to the row's `rel_tol`.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -56,7 +58,22 @@ def _row_value(row: dict, key: str, default: float | None = None) -> float:
         if default is None:
             raise UsageError(f"baseline row {row.get('name')!r}: missing {key}")
         return default
-    return float(text)
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        name = row.get("name")
+        raise UsageError(f"baseline row {name!r}: {key} = {text!r} is not a finite number")
+    return value
+
+
+def _accepted(row: dict) -> tuple[str, float, float]:
+    name = (row.get("name") or "").strip() or "<unnamed>"
+    expected, tol = _row_value(row, "expected"), _row_value(row, "rel_tol")
+    if expected == 0.0 or tol < 0.0:
+        raise UsageError(f"baseline row {name!r}: expected must be nonzero and rel_tol >= 0")
+    return name, expected, tol
 
 
 def _evaluate_baseline_row(row: dict) -> float:
@@ -104,14 +121,7 @@ def regression_suite(baseline_path, map_fn=map) -> RegressionReport:
     order follows the file either way.
     """
     entries = _read_baseline(str(baseline_path))
-    accepted = [
-        (
-            (entry.get("name") or "").strip() or "<unnamed>",
-            _row_value(entry, "expected"),
-            _row_value(entry, "rel_tol"),
-        )
-        for entry in entries
-    ]
+    accepted = [_accepted(entry) for entry in entries]
     actuals = map_fn(_evaluate_baseline_row, entries)
     rows = tuple(
         (name, expected, actual, abs(actual - expected) / abs(expected), tol)

@@ -13,11 +13,15 @@ Both grids mirror node i onto node n-1-i along each axis (the disk about
 x = 0 and y = 0, the rectangle about x = 0 and its midline).  The matrix is
 an irreducible M-matrix, so its lowest eigenvector is simple and positive,
 hence even under both reflections, and only the even-even quadrant is
-assembled: a neighbour across an axis is the node's own mirror and folds
-into its row.  This is exact, not an approximation.  For odd n, nodes lie
-on the axes; they get mass 1/2 (the origin 1/4) and the solved matrix is the
-symmetrically scaled M^(-1/2) K M^(-1/2), which the assembly checks for
-exact symmetry.
+solved: a neighbour across an axis is the node's own mirror and folds into
+its row.  This is exact, not an approximation.  For odd n, nodes lie on the
+axes; they get mass 1/2 (the origin 1/4) and the solved matrix is the
+symmetrically scaled M^(-1/2) K M^(-1/2), which the disk assembly checks for
+exact symmetry.  On the rectangle that matrix is exactly
+Kx (x) I + diag(|x|^(2s)) (x) Ky with |x|^(2s) >= 0, so its smallest
+eigenvalue is that of the line operator Kx + mu diag(|x|^(2s)), with mu the
+smallest eigenvalue (4/hy^2) sin^2(pi/(2(n-1))) of Ky (fast diagonalization,
+Lynch, Rice & Thomas 1964): rectangles are never assembled in 2-D.
 
 The smallest eigenvalue comes from shift-invert Lanczos (ARPACK, sigma = 0)
 on one sparse LU factorization per grid, started from the constant vector
@@ -25,9 +29,8 @@ so that repeated solves are bit-identical, followed by one inverse-iteration
 step from the Ritz vector; the reported value is that vector's Rayleigh
 quotient.  Every eigenpair must pass the a-posteriori check
 ||S v - lambda v|| <= RESIDUAL_RTOL lambda ||v|| on the solved matrix S, or
-NonConvergence is raised.  A solve's `interior_count` is the number of
-quadrant unknowns on the fine grid and its `iterations` the number of LU
-solves spent there.
+NonConvergence is raised.  A solve's `interior_count` is the size of S on
+the fine grid and its `iterations` the number of LU solves spent there.
 """
 
 from __future__ import annotations
@@ -50,20 +53,13 @@ from .minimizer import ProblemParams, lambda1_product
 from .radial import DEFAULT_N
 from .tables import SweepTable
 
-__all__ = [
-    "DEFAULT_N_2D",
-    "DiskProblem",
-    "DiskSolve",
-    "decoupled_rectangle_value",
-    "segment_limit_probe",
-    "solve_disk",
-    "solve_rectangle_full",
-]
+__all__ = ["DEFAULT_N_2D", "DiskProblem", "DiskSolve", "decoupled_rectangle_value",
+           "segment_limit_probe", "solve_disk", "solve_rectangle_full"]
 
 DEFAULT_N_2D = 512
 
 #: Largest accepted ||S v - lambda v|| / (lambda ||v||) of a reported
-#: eigenpair of the solved quadrant matrix S.
+#: eigenpair of the solved matrix S.
 RESIDUAL_RTOL = 1e-8
 
 #: ARPACK convergence tolerance for the shift-invert Ritz value.
@@ -100,8 +96,9 @@ class DiskProblem:
 class DiskSolve:
     """Smallest eigenvalue on the fine grid plus the Richardson estimate.
 
-    interior_count is the number of quadrant unknowns solved on the fine
-    grid, and iterations the number of shift-invert (LU) solves spent there.
+    interior_count is the number of unknowns solved on the fine grid (the
+    quadrant nodes of a disk, the line nodes of a rectangle), and iterations
+    the number of shift-invert (LU) solves spent there.
     """
 
     lambda1: float
@@ -161,13 +158,13 @@ def _links(idx: np.ndarray, on_axis: bool):
     return (nxt, w_nxt), (prv, w_prv)
 
 
-def _assemble(mask: np.ndarray, c_row: np.ndarray, hx: float, hy: float, on_axis: bool):
+def _assemble(mask: np.ndarray, c_row: np.ndarray, h: float, on_axis: bool):
     """Scaled 5-point matrix over the masked quadrant nodes; exactly symmetric.
 
-    mask is square; its row and column 0 are the nodes nearest the mirror
-    axes, lying on them if on_axis.  The result is M^(-1/2) K M^(-1/2), with K the stencil
-    folded onto the quadrant and M the nodes' mass (1/2 per axis a node lies
-    on).
+    mask is square with spacing h on both axes; its row and column 0 are the
+    nodes nearest the mirror axes, lying on them if on_axis.  The result is
+    M^(-1/2) K M^(-1/2), with K the stencil folded onto the quadrant and M
+    the nodes' mass (1/2 per axis a node lies on).
     """
     copies = np.full(mask.shape[0], 2)
     if on_axis:
@@ -178,8 +175,8 @@ def _assemble(mask: np.ndarray, c_row: np.ndarray, hx: float, hy: float, on_axis
     count = int(mask.sum())
     idx = np.full(mask.shape, -1, dtype=np.int64)
     idx[mask] = np.arange(count)
-    cx = np.full(mask.shape, 1.0 / (hx * hx))
-    cy = np.broadcast_to((c_row / (hy * hy))[:, None], mask.shape)
+    cx = np.full(mask.shape, 1.0 / (h * h))
+    cy = np.broadcast_to((c_row / (h * h))[:, None], mask.shape)
 
     rows = [idx[mask]]
     cols = [idx[mask]]
@@ -245,17 +242,45 @@ def _smallest_eig(matrix) -> tuple[float, int]:
     return lam, solves
 
 
-def _quadrant_eig(mask, c_row, hx: float, hy: float, n: int) -> tuple[float, int, int]:
-    matrix = _assemble(mask, c_row, hx, hy, on_axis=n % 2 == 1)
+def _disk_eig(rho: float, s: float, n: int) -> tuple[float, int, int]:
+    xs = _half_axis(rho, n)
+    mask = xs[:, None] ** 2 + xs[None, :] ** 2 < rho * rho
+    matrix = _assemble(mask, _coefficients(xs, s), 2.0 * rho / (n - 1), on_axis=n % 2 == 1)
     lam, solves = _smallest_eig(matrix)
     return lam, matrix.shape[0], solves
 
 
-def _disk_eig(rho: float, s: float, n: int) -> tuple[float, int, int]:
-    xs = _half_axis(rho, n)
-    mask = xs[:, None] ** 2 + xs[None, :] ** 2 < rho * rho
-    h = 2.0 * rho / (n - 1)
-    return _quadrant_eig(mask, _coefficients(xs, s), h, h, n)
+def _rectangle_eig(t: float, V: float, s: float, n: int) -> tuple[float, int, int]:
+    # Kx + mu diag(|x|^(2s)) on the x half-axis without its boundary node,
+    # folded at the mirror axis as `_links` folds it; k = 1/hx^2, and
+    # mu = (4/hy^2) sin^2(pi/(2(n-1))) with hy = V/(t(n-1))
+    xs = _half_axis(0.5 * t, n)[:-1]
+    k = ((n - 1) / t) ** 2
+    mu = (2.0 * (n - 1) * t / V * math.sin(0.5 * math.pi / (n - 1))) ** 2
+    diag = 2.0 * k + mu * _coefficients(xs, s)
+    off = np.full(xs.size - 1, -k)
+    if n % 2 == 0:
+        diag[0] -= k
+    else:
+        off[0] *= math.sqrt(2.0)
+    lam, solves = _smallest_eig(sparse.diags([off, diag, off], [-1, 0, 1], format="csc"))
+    return lam, xs.size, solves
+
+
+def _richardson(eig, n: int, h: float, order: int) -> DiskSolve:
+    """Fine grid n, coarse grid n//2, extrapolated at the given order in h."""
+    fine, count, iters = eig(n)
+    n_half = n // 2
+    coarse, _, _ = eig(n_half)
+    ratio = (n - 1) / (n_half - 1)
+    weight = ratio - 1.0 if order == 1 else ratio * ratio - 1.0
+    return DiskSolve(
+        lambda1=fine,
+        grid_h=h,
+        interior_count=count,
+        extrapolated=fine + (fine - coarse) / weight,
+        iterations=iters,
+    )
 
 
 def solve_disk(p: DiskProblem) -> DiskSolve:
@@ -265,57 +290,25 @@ def solve_disk(p: DiskProblem) -> DiskSolve:
     removes the first-order boundary-masking error by Richardson
     extrapolation with the exact spacing ratio (n-1)/(n//2-1).
     """
-    fine, count, iters = _disk_eig(p.rho, p.s, p.n)
-    n_half = p.n // 2
-    coarse, _, _ = _disk_eig(p.rho, p.s, n_half)
-    ratio = (p.n - 1) / (n_half - 1)
-    extrapolated = fine + (fine - coarse) / (ratio - 1.0)
-    return DiskSolve(
-        lambda1=fine,
-        grid_h=2.0 * p.rho / (p.n - 1),
-        interior_count=count,
-        extrapolated=extrapolated,
-        iterations=iters,
-    )
-
-
-def _rectangle_eig(t: float, V: float, s: float, n: int) -> tuple[float, int, int]:
-    xs = _half_axis(0.5 * t, n)
-    mask = np.ones((xs.size, xs.size), dtype=bool)
-    mask[-1, :] = mask[:, -1] = False
-    hx = t / (n - 1)
-    hy = (V / t) / (n - 1)
-    return _quadrant_eig(mask, _coefficients(xs, s), hx, hy, n)
+    return _richardson(lambda n: _disk_eig(p.rho, p.s, n), p.n, 2.0 * p.rho / (p.n - 1), 1)
 
 
 def solve_rectangle_full(
     t: float, V: float, s: float, n: int = DEFAULT_N_2D
 ) -> DiskSolve:
-    """Direct 2-D solve on the rectangle (-t/2, t/2) x (0, V/t).
+    """Smallest Dirichlet eigenvalue on the rectangle (-t/2, t/2) x (0, V/t).
 
     Grid-aligned boundaries make the scheme second order, so the Richardson
     step uses the squared spacing ratio.
     """
-    if not (t > 0.0) or not math.isfinite(t):
-        raise InvalidProblem(f"t must be finite and > 0, got {t}")
-    if not (V > 0.0) or not math.isfinite(V):
-        raise InvalidProblem(f"V must be finite and > 0, got {V}")
+    for name, value in (("t", t), ("V", V)):
+        if not (value > 0.0) or not math.isfinite(value):
+            raise InvalidProblem(f"{name} must be finite and > 0, got {value}")
     if s < 0.0 or not math.isfinite(s):
         raise InvalidProblem(f"s must be finite and >= 0, got {s}")
     if int(n) != n or n < 64:
         raise InvalidProblem(f"n must be an integer >= 64, got {n}")
-    fine, count, iters = _rectangle_eig(t, V, s, n)
-    n_half = n // 2
-    coarse, _, _ = _rectangle_eig(t, V, s, n_half)
-    ratio = (n - 1) / (n_half - 1)
-    extrapolated = fine + (fine - coarse) / (ratio * ratio - 1.0)
-    return DiskSolve(
-        lambda1=fine,
-        grid_h=t / (n - 1),
-        interior_count=count,
-        extrapolated=extrapolated,
-        iterations=iters,
-    )
+    return _richardson(lambda m: _rectangle_eig(t, V, s, m), n, t / (n - 1), 2)
 
 
 def decoupled_rectangle_value(
@@ -335,13 +328,9 @@ def segment_limit_probe(rho: float, s_list, n: int = DEFAULT_N_2D) -> SweepTable
     L = 2 min(rho, 1).  Rows are (s, lambda1, reference) with lambda1 the
     Richardson estimate.
     """
-    s_list = tuple(float(s) for s in s_list)
-    if any(b <= a for a, b in zip(s_list, s_list[1:])):
-        raise InvalidProblem("s_list must be strictly increasing")
-    length = 2.0 * min(rho, 1.0)
-    reference = (math.pi / length) ** 2
-    rows = []
-    for s in s_list:
-        solve = solve_disk(DiskProblem(rho=rho, s=s, n=n))
-        rows.append((s, solve.extrapolated, reference))
-    return SweepTable(headers=("s", "lambda1", "reference"), rows=tuple(rows))
+    problems = [DiskProblem(rho=rho, s=float(s), n=n) for s in s_list]
+    if not problems or any(b.s <= a.s for a, b in zip(problems, problems[1:])):
+        raise InvalidProblem("s_list must be non-empty and strictly increasing")
+    reference = (math.pi / (2.0 * min(rho, 1.0))) ** 2
+    rows = tuple((p.s, solve_disk(p).extrapolated, reference) for p in problems)
+    return SweepTable(headers=("s", "lambda1", "reference"), rows=rows)

@@ -77,7 +77,8 @@ def full_grid_lowest_eigenvalue(mask: np.ndarray, c_row: np.ndarray, hx: float, 
     """Smallest eigenvalue of the 5-point matrix over every masked node.
 
     The whole-domain assembly that the production solver folds onto one
-    quadrant, solved by plain shift-invert Lanczos with default ordering.
+    quadrant (a disk) or one line (a rectangle), solved by plain shift-invert
+    Lanczos with default ordering.
     """
     count = int(mask.sum())
     idx = np.full(mask.shape, -1, dtype=np.int64)

@@ -295,6 +295,19 @@ def test_regress_unknown_kind(tmp_path):
     assert main(["regress", "--baseline", str(bad)]) == 2
 
 
+@pytest.mark.parametrize(
+    "expected, rel_tol, column",
+    [("abc", 0.1, "expected"), ("0", 0.1, "expected"), (6.0, "nan", "rel_tol"), (6.0, -1, "rel_tol")],
+)
+def test_regress_unusable_number(tmp_path, capsys, expected, rel_tol, column):
+    # expected divides the deviation and rel_tol bounds it
+    bad = tmp_path / "bad.csv"
+    _write_baseline(bad, [("x", "gs", 1, 1, 1.0, 1.0, 2.0, "", 512, expected, rel_tol)])
+    assert main(["regress", "--baseline", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert "'x'" in err and column in err
+
+
 def test_regression_suite_api(tmp_path):
     value = lambda1_product(ProblemParams(1, 1, 1.0), 2.0, 512)
     path = tmp_path / "one.csv"

@@ -3,9 +3,10 @@
 The disk solver has an independent oracle: the radial reduction computes
 the same eigenvalues through a completely different discretization.  Both
 routes are compared here at matching physical parameters, along with
-symmetry of the assembled stencil, the quadrant reduction against the
-full-grid assembly, grid-refinement behavior, and the degenerate/overflow
-and eigensolver-failure guard rails.
+symmetry of the assembled stencil, the quadrant reduction (disks) and the
+line operator (rectangles) against the full-grid assembly, the line
+operator against the radial scheme it equals, grid-refinement behavior, and
+the degenerate/overflow and eigensolver-failure guard rails.
 """
 
 import math
@@ -25,7 +26,7 @@ from grushin.planar import (
     solve_rectangle_full,
 )
 from grushin.planar import _assemble, _coefficients, _disk_eig, _half_axis, _rectangle_eig
-from grushin.radial import mu1_ball
+from grushin.radial import RadialProblem, mu1_ball, solve_radial
 from oracles import J01_SQUARED, full_grid_lowest_eigenvalue
 
 PI2_4 = math.pi**2 / 4.0
@@ -42,7 +43,7 @@ def test_assembled_stencil_exactly_symmetric(n, s):
     xs = _half_axis(1.0, n)
     mask = xs[:, None] ** 2 + xs[None, :] ** 2 < 1.0
     h = 2.0 / (n - 1)
-    matrix = _assemble(mask, _coefficients(xs, s), h, h, on_axis=n % 2 == 1)
+    matrix = _assemble(mask, _coefficients(xs, s), h, on_axis=n % 2 == 1)
     assert (matrix != matrix.T).nnz == 0
     assert matrix.shape == (int(mask.sum()),) * 2
 
@@ -51,12 +52,12 @@ def test_degenerate_grid_rejected():
     xs = _half_axis(1.0, 5)
     mask = xs[:, None] ** 2 + xs[None, :] ** 2 < 1.0
     with pytest.raises(DegenerateGrid):
-        _assemble(mask, _coefficients(xs, 1.0), 0.5, 0.5, on_axis=True)
+        _assemble(mask, _coefficients(xs, 1.0), 0.5, on_axis=True)
     # even n: 4 nodes on the whole grid, one in the quadrant
     xs = _half_axis(1.0, 4)
     mask = xs[:, None] ** 2 + xs[None, :] ** 2 < 1.0
     with pytest.raises(DegenerateGrid):
-        _assemble(mask, _coefficients(xs, 1.0), 2.0 / 3.0, 2.0 / 3.0, on_axis=False)
+        _assemble(mask, _coefficients(xs, 1.0), 2.0 / 3.0, on_axis=False)
 
 
 def test_coefficient_overflow_rejected():
@@ -93,15 +94,37 @@ def test_disk_quadrant_matches_full_grid(n, s):
 
 
 @pytest.mark.parametrize("n", [64, 65])
-@pytest.mark.parametrize("s", [0.0, 1.0, 150.0])
-def test_rectangle_quadrant_matches_full_grid(n, s):
-    t, V = 1.645, 1.0
+@pytest.mark.parametrize(
+    "t, s",
+    [pytest.param(1.645, s, id=f"{s}") for s in (0.0, 1.0, 150.0, 300.0)]
+    + [pytest.param(3.0, s, id=f"wide-{s}") for s in (0.0, 1.0, 150.0, 300.0)],
+)
+def test_rectangle_quadrant_matches_full_grid(n, t, s):
+    # the line operator against the whole 2-D grid; on the wide rectangle
+    # (t=3, half-width 1.5) |x|^(2s) reaches ~1e52 (s=150) and ~1e105 (s=300)
+    V = 1.0
     xs = _full_axis(0.5 * t, n)
     mask = np.zeros((n, n), dtype=bool)
     mask[1:-1, 1:-1] = True
     full = full_grid_lowest_eigenvalue(mask, _coefficients(xs, s), t / (n - 1), (V / t) / (n - 1))
-    quadrant, _, _ = _rectangle_eig(t, V, s, n)
-    assert abs(quadrant - full) / full <= 1e-10
+    line, count, _ = _rectangle_eig(t, V, s, n)
+    assert abs(line - full) / full <= 1e-10
+    assert count == (n - 1) // 2
+
+
+@pytest.mark.parametrize("n", [65, 129, 257, 513])
+@pytest.mark.parametrize("s", [0.0, 1.0, 150.0])
+@pytest.mark.parametrize("t", [1.0, 1.645, 2.0])
+def test_rectangle_line_operator_is_the_radial_scheme(n, s, t):
+    # For odd n the line operator is the d1=1 radial scheme on (0, t/2) with
+    # (n-1)/2 cells and coupling mu = lowest eigenvalue of the y stencil.
+    # t <= 2 keeps mu |x|^(2s) below POTENTIAL_CAP, so the two coincide.
+    V = 1.0
+    hy = (V / t) / (n - 1)
+    mu = (4.0 / hy**2) * math.sin(math.pi / (2 * (n - 1))) ** 2
+    line, _, _ = _rectangle_eig(t, V, s, n)
+    radial = solve_radial(RadialProblem(d1=1, s=s, mu=mu, R=t / 2, n=(n - 1) // 2)).energy
+    assert abs(line - radial) / radial <= 1e-10
 
 
 # ------------------------------------------------------------ disk route
@@ -170,7 +193,7 @@ def test_rectangle_mesh_refinement_second_order():
 
 
 def test_rectangle_cross_route_agreement():
-    # direct 2-D assembly against the separated radial route
+    # the 2-D scheme's line operator against the separated radial route
     direct = solve_rectangle_full(1.2, 1.0, 1.0, 512).lambda1
     separated = decoupled_rectangle_value(1.2, 1.0, 1.0, 4096)
     assert abs(direct - separated) / separated < 0.02
@@ -211,6 +234,8 @@ def test_probe_wide_disk_same_reference():
 def test_probe_requires_increasing_ladder():
     with pytest.raises(InvalidProblem):
         segment_limit_probe(1.0, (1.0, 1.0), 96)
+    with pytest.raises(InvalidProblem):
+        segment_limit_probe(0.0, (1.0,), 64)
     with pytest.raises(InvalidProblem):
         segment_limit_probe(1.0, (2.0, 1.0), 96)
 
