@@ -41,19 +41,9 @@ from .minimizer import (
     log_coupling_of_split,
     lower_bounds,
     minimize,
-    scaled_energy,
     scaled_energy_derivative,
     split_of_coupling,
     whole_space_energy,
-)
-from .planar import (
-    DEFAULT_N_2D,
-    DiskProblem,
-    DiskSolve,
-    decoupled_rectangle_value,
-    segment_limit_probe,
-    solve_disk,
-    solve_rectangle_full,
 )
 from .radial import (
     DEFAULT_N,
@@ -61,16 +51,35 @@ from .radial import (
     RadialSolution,
     ball_volume_constant,
     gradient_integral,
-    hf_derivative,
     identity_residuals,
     mu1_ball,
-    refined_energy,
     second_derivative_sign,
     solve_radial,
 )
 from .tables import SweepTable, emit_csv, emit_svg, render_csv, render_svg
 
 __version__ = "0.1.0"
+
+#: names loaded from `planar` on first use, so that 1-D work never imports
+#: the sparse 2-D solver
+_PLANAR_NAMES = (
+    "DEFAULT_N_2D",
+    "DiskProblem",
+    "DiskSolve",
+    "decoupled_rectangle_value",
+    "segment_limit_probe",
+    "solve_disk",
+    "solve_rectangle_full",
+)
+
+
+def __getattr__(name: str):
+    if name in _PLANAR_NAMES:
+        from . import planar
+
+        return getattr(planar, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "BallConstants",
@@ -101,7 +110,6 @@ __all__ = [
     "emit_csv",
     "emit_svg",
     "gradient_integral",
-    "hf_derivative",
     "identity_residuals",
     "lambda1_product",
     "large_s_limit",
@@ -112,10 +120,8 @@ __all__ = [
     "max_deviation_per_s",
     "minimize",
     "mu1_ball",
-    "refined_energy",
     "render_csv",
     "render_svg",
-    "scaled_energy",
     "scaled_energy_derivative",
     "second_derivative_sign",
     "segment_limit_probe",

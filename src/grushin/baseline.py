@@ -17,7 +17,6 @@ from pathlib import Path
 
 from .errors import BaselineMissing, UsageError
 from .minimizer import ProblemParams, lambda1_product, minimize
-from .planar import DiskProblem, solve_disk, solve_rectangle_full
 
 __all__ = ["BASELINE_HEADERS", "DEFAULT_BASELINE", "RegressionReport", "regression_suite"]
 
@@ -90,9 +89,13 @@ def _evaluate_baseline_row(row: dict) -> float:
             return minimize(p, n).lambda1
         return lambda1_product(p, _row_value(row, "t"), n)
     if kind == "disk":
+        from .planar import DiskProblem, solve_disk
+
         problem = DiskProblem(rho=_row_value(row, "rho"), s=_row_value(row, "s"), n=n)
         return solve_disk(problem).extrapolated
     if kind == "rectangle":
+        from .planar import solve_rectangle_full
+
         return solve_rectangle_full(
             _row_value(row, "t"), _row_value(row, "V", 1.0), _row_value(row, "s"), n
         ).extrapolated

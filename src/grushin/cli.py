@@ -28,13 +28,32 @@ from .errors import (BaselineMissing, BracketFailure, GrushinError, InvalidProbl
                      NonConvergence, UsageError)
 from .minimizer import (MinimizeResult, ProblemParams, ball1_radius, coupling_of_split,
                         minimize)
-from .planar import (DEFAULT_N_2D, DiskProblem, segment_limit_probe, solve_disk,
-                     solve_rectangle_full)
 from .radial import DEFAULT_N, RadialProblem, solve_radial
 from .tables import SweepTable, emit_csv, emit_svg
 
 __all__ = ["BASELINE_HEADERS", "DEFAULT_BASELINE", "RunConfig", "console_entry", "main",
            "parse_config", "regression_suite"]
+
+#: Names of the 2-D solver that `_bind_planar` binds here on first use, so
+#: that 1-D commands never import it.
+_PLANAR_NAMES = ("DEFAULT_N_2D", "DiskProblem", "segment_limit_probe", "solve_disk",
+                 "solve_rectangle_full")
+
+
+def _bind_planar() -> None:
+    """Bind the 2-D names here, keeping any binding already made."""
+    from . import planar
+
+    for name in _PLANAR_NAMES:
+        globals().setdefault(name, getattr(planar, name))
+
+
+def __getattr__(name: str):
+    if name in _PLANAR_NAMES:
+        _bind_planar()
+        return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 DEFAULT_S_LADDER_ZERO = (0.1, 0.01, 0.001)
 DEFAULT_S_LADDER_INF = (10.0, 50.0, 150.0)
@@ -185,21 +204,22 @@ def _cmd_regress(cfg: RunConfig) -> int:
     return 0
 
 
-#: command -> (handler, help, the flags it takes besides --config, default --n)
+#: command -> (handler, help, the flags it takes besides --config, whether it
+#: runs the 2-D solver, whose DEFAULT_N_2D replaces DEFAULT_N as its --n)
 _COMMANDS = {
     "solve1d": (_cmd_solve1d, "radial eigenfunction at a given split",
-                "d1 d2 s V t n out svg".split(), DEFAULT_N),
-    "minimize": (_cmd_minimize, "optimal volume split", "d1 d2 s V n out".split(), DEFAULT_N),
+                "d1 d2 s V t n out svg".split(), False),
+    "minimize": (_cmd_minimize, "optimal volume split", "d1 d2 s V n out".split(), False),
     "sweep-s": (_cmd_sweep, "objective versus a limit curve over an exponent ladder",
-                "d1 d2 V s-list t-grid limit n out svg jobs".split(), DEFAULT_N),
+                "d1 d2 V s-list t-grid limit n out svg jobs".split(), False),
     "limits": (_cmd_limits, "sample a closed-form limit curve",
-               "d1 d2 V t-grid limit n out svg".split(), DEFAULT_N),
-    "disk": (_cmd_disk, "direct 2-D disk eigenvalue", "rho s n out".split(), DEFAULT_N_2D),
+               "d1 d2 V t-grid limit n out svg".split(), False),
+    "disk": (_cmd_disk, "direct 2-D disk eigenvalue", "rho s n out".split(), True),
     "rectangle": (_cmd_rectangle, "direct 2-D rectangle eigenvalue",
-                  "t V s n out".split(), DEFAULT_N_2D),
+                  "t V s n out".split(), True),
     "probe": (_cmd_probe, "disk eigenvalues against the longest-segment reference",
-              "rho s-list n out svg".split(), DEFAULT_N_2D),
-    "regress": (_cmd_regress, "recompute a baseline CSV", "baseline jobs".split(), None),
+              "rho s-list n out svg".split(), True),
+    "regress": (_cmd_regress, "recompute a baseline CSV", "baseline jobs".split(), False),
 }
 
 
@@ -253,7 +273,9 @@ def parse_config(argv) -> RunConfig:
     parser, subparsers = _build_parser()
     values = vars(parser.parse_args(argv))
     command, config_path = values["command"], values.pop("config", None)
-    _, _, flags, default_n = _COMMANDS[command]
+    _, _, flags, planar = _COMMANDS[command]
+    if planar:
+        _bind_planar()
     if config_path:
         # the file's values become defaults, which argparse converts like flags
         subparsers[command].set_defaults(**_load_config_file(config_path, command))
@@ -262,7 +284,7 @@ def parse_config(argv) -> RunConfig:
     if "n" in flags and "grid_n" not in values:
         env = os.environ.get("GRUSHIN_DEFAULT_N")
         try:
-            values["grid_n"] = int(env) if env else default_n
+            values["grid_n"] = int(env) if env else DEFAULT_N_2D if planar else DEFAULT_N
         except ValueError as exc:
             raise UsageError(f"GRUSHIN_DEFAULT_N: expected an integer, got {env!r}") from exc
     if "s-list" in flags and "s_list" not in values:

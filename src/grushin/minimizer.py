@@ -21,16 +21,22 @@ objective into
 
     F(sigma) = sigma^(-a) * E1(sigma, B1),    a = d2 / (d1 + (1+s) d2),
 
-whose derivative has exactly one sign change: the split is unique.  This
-module locates that critical point, evaluates the minimal eigenvalue, and
-computes closed-form lower bounds for the optimal split volume and for the
-eigenvalue itself, the latter through the ground energy E1(1, R^d1) of the
-whole-space confinement problem obtained by adaptive domain truncation.
+whose derivative has exactly one sign change: the split is unique.  In
+u = log(sigma), F' has the sign of G(u) = sigma E1' - a E1, with slope
+dG/du = sigma ((1-a) E1' + sigma E1''), where the primes are derivatives in
+the coupling.  Every radial solve returns E1, E1' and the exact E1'' of the
+discrete eigenvalue, so this module finds the root of G by safeguarded
+Newton iteration, one solve per step, and reports the exact curvature F'' at
+the root.  It also computes closed-form lower bounds for the optimal split
+volume and for the eigenvalue itself, the latter through the ground energy
+E1(1, R^d1) of the whole-space confinement problem obtained by adaptive
+domain truncation.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -45,14 +51,26 @@ from .radial import (
     solve_radial,
 )
 
-#: Geometric expansion factor while hunting for a sign change of F'.
+#: Geometric expansion factor while hunting for a sign change of F': the
+#: shortest step the search takes before the sign change is bracketed.
 _BRACKET_FACTOR = 4.0
-
-#: Relative width of the final bisection interval for the critical coupling.
-_BISECT_RTOL = 1e-10
 
 #: The bracket hunt gives up beyond this multiple of the starting coupling.
 _BRACKET_SPAN = 1e12
+
+#: The Newton iteration stops once its step in log(sigma) is this small.
+_LOG_SIGMA_TOL = 1e-11
+
+#: A Newton step this short that does not halve the previous one is rounding
+#: noise: E1' carries ~1e-10 relative noise, ~2e-10 in log(sigma) at s = 150.
+_NOISE_STEP = 1e-8
+
+#: Largest log(sigma) the search may reach: sigma^2 E1'' is O(E1), so E1''
+#: underflows beyond it.
+_LOG_SIGMA_MAX = 0.5 * math.log(sys.float_info.max)
+
+#: Radial solves the critical-point search may spend before giving up.
+_MAX_SOLVES = 100
 
 
 @dataclass(frozen=True)
@@ -217,15 +235,6 @@ def lambda1_product(p: ProblemParams, t: float, n: int = DEFAULT_N) -> float:
     return t ** (-2.0 / p.d1) * e1
 
 
-def scaled_energy(p: ProblemParams, sigma: float, n: int = DEFAULT_N) -> float:
-    """F(sigma) = sigma^(-a) E1(sigma, B1); minimizing F locates the split."""
-    if not (sigma > 0.0) or not math.isfinite(sigma):
-        raise InvalidProblem(f"sigma must be finite and > 0, got {sigma}")
-    a = _objective_exponent(p)
-    e1 = _ball1_solution(p, sigma, n).energy
-    return math.exp(-a * math.log(sigma)) * e1
-
-
 def scaled_energy_derivative(p: ProblemParams, sigma: float, n: int = DEFAULT_N) -> float:
     """F'(sigma) = sigma^(-a-1) (sigma dE1/dsigma - a E1), by Hellmann-Feynman."""
     if not (sigma > 0.0) or not math.isfinite(sigma):
@@ -235,6 +244,25 @@ def scaled_energy_derivative(p: ProblemParams, sigma: float, n: int = DEFAULT_N)
     return math.exp((-a - 1.0) * math.log(sigma)) * (
         sigma * sol.hf_derivative - a * sol.energy
     )
+
+
+def _critical_terms(p: ProblemParams, log_sigma: float, n: int) -> tuple:
+    """(G, dG/du, solution) at u = log_sigma, from one radial solve.
+
+    G = sigma E1' - a E1 has the sign of F'(sigma); dG/du = sigma ((1-a) E1'
+    + sigma E1'').
+    """
+    if log_sigma > _LOG_SIGMA_MAX:
+        raise InvalidProblem(
+            f"critical coupling overflows the float range at s={p.s}; "
+            "the closed-form lower_bounds remain available"
+        )
+    sigma = math.exp(log_sigma)
+    a = _objective_exponent(p)
+    sol = _ball1_solution(p, sigma, n)
+    g = sigma * sol.hf_derivative - a * sol.energy
+    slope = sigma * ((1.0 - a) * sol.hf_derivative + sigma * sol.second_derivative)
+    return g, slope, sol
 
 
 def _log_sigma_floor(p: ProblemParams, c: BallConstants) -> float:
@@ -317,64 +345,78 @@ def lower_bounds(p: ProblemParams, n: int = DEFAULT_N) -> tuple[float, float]:
 def minimize(p: ProblemParams, n: int = DEFAULT_N) -> MinimizeResult:
     """Locate the unique optimal volume split and the minimal eigenvalue.
 
-    Brackets the single sign change of F' starting from the provable
-    lower floor of the critical coupling, expanding geometrically, then
-    bisects in log(sigma) to relative width 1e-10.
+    Finds the single sign change of F' by safeguarded Newton iteration on
+    G(u) = sigma E1' - a E1 in u = log(sigma), one radial solve per step,
+    starting at the provable lower floor of the critical coupling.  Until a
+    point with F' > 0 brackets the root, each step is the Newton step in
+    sigma (exact where E1 is affine in sigma), but at least the x4 expansion.
+    Inside the bracket [lo, hi], a Newton step in u that leaves it is
+    replaced by the midpoint.  The search stops when the Newton step is at
+    most 1e-11 in u, or when a step of at most 1e-8 no longer halves the one
+    before, which is the rounding noise of G; it reports the last iterate.
+    There F'' = sigma^(-a-2) (sigma^2 E1'' - 2 a sigma E1' + a (a+1) E1) is
+    exact, from the same solve.
+
+    Raises BracketFailure if F' shows no sign change within a factor 1e12 of
+    the floor, InvalidProblem if the critical coupling leaves the float
+    range (sigma^2 > float max), and NonConvergence after 100 steps.
     """
     c = ball_constants(p.d1, p.d2, n)
     log_floor = _log_sigma_floor(p, c)
-    if log_floor > 690.0:
-        raise InvalidProblem(
-            f"critical coupling overflows the float range at s={p.s}; "
-            "the closed-form lower_bounds remain available"
-        )
-    sigma_floor = math.exp(log_floor)
-
-    lo = sigma_floor
-    f_lo = scaled_energy_derivative(p, lo, n)
-    guard = 0
-    while f_lo >= 0.0:
+    max_step = math.log(_BRACKET_FACTOR)
+    u = log_floor
+    g, slope, sol = _critical_terms(p, u, n)
+    walked = 0
+    while g >= 0.0:
         # the floor is strict in theory; absorb rounding by walking down
-        lo /= _BRACKET_FACTOR
-        guard += 1
-        if guard > 20:
+        u -= max_step
+        walked += 1
+        if walked > 20:
             raise BracketFailure(
-                f"derivative is nonnegative down to sigma={lo:.3e}; no bracket"
+                f"derivative is nonnegative down to sigma={math.exp(u):.3e}; no bracket"
             )
-        f_lo = scaled_energy_derivative(p, lo, n)
-    hi = lo * _BRACKET_FACTOR
-    while scaled_energy_derivative(p, hi, n) <= 0.0:
-        lo = hi
-        hi *= _BRACKET_FACTOR
-        if hi > sigma_floor * _BRACKET_SPAN:
-            raise BracketFailure(
-                f"no sign change of the split objective derivative in "
-                f"[{sigma_floor / _BRACKET_SPAN:.3e}, {sigma_floor * _BRACKET_SPAN:.3e}]"
-            )
-
-    while hi / lo - 1.0 > _BISECT_RTOL:
-        mid = math.sqrt(lo * hi)
-        if scaled_energy_derivative(p, mid, n) < 0.0:
-            lo = mid
+        g, slope, sol = _critical_terms(p, u, n)
+    lo, hi = u, math.inf
+    last_step = math.inf
+    for _ in range(_MAX_SOLVES):
+        step = -g / slope if slope > 0.0 else math.nan
+        if abs(step) <= _LOG_SIGMA_TOL or _NOISE_STEP >= abs(step) > 0.5 * abs(last_step):
+            break
+        last_step = math.inf
+        if hi == math.inf:
+            # Newton in sigma, exact where E1 is affine in sigma; at least x4
+            u += max(math.log1p(step), max_step) if step > 0.0 else max_step
+            if u > log_floor + math.log(_BRACKET_SPAN):
+                raise BracketFailure(
+                    "no sign change of the split objective derivative in "
+                    f"[{math.exp(log_floor) / _BRACKET_SPAN:.3e}, "
+                    f"{math.exp(log_floor) * _BRACKET_SPAN:.3e}]"
+                )
+        elif lo < u + step < hi:
+            u += step
+            last_step = step
         else:
-            hi = mid
-    sigma_star = math.sqrt(lo * hi)
-
-    sol = _ball1_solution(p, sigma_star, n)
+            u = 0.5 * (lo + hi)
+        g, slope, sol = _critical_terms(p, u, n)
+        if g < 0.0:
+            lo = u
+        elif g > 0.0:
+            hi = u
+        if hi - lo <= _LOG_SIGMA_TOL:
+            break
+    else:
+        raise NonConvergence(
+            f"critical-point search did not settle in {_MAX_SOLVES} radial solves"
+        )
+    sigma_star = math.exp(u)
     t_star = split_of_coupling(p, sigma_star, n)
     lam = t_star ** (-2.0 / p.d1) * sol.energy
-
-    # curvature of F at the critical point, central differences with step
-    # halving to confirm the sign
-    def _curvature(delta: float) -> float:
-        d_plus = scaled_energy_derivative(p, sigma_star * (1.0 + delta), n)
-        d_minus = scaled_energy_derivative(p, sigma_star * (1.0 - delta), n)
-        return (d_plus - d_minus) / (2.0 * delta * sigma_star)
-
-    f_second = _curvature(1e-4)
-    f_second_half = _curvature(5e-5)
-    if math.copysign(1.0, f_second) != math.copysign(1.0, f_second_half):
-        f_second = f_second_half
+    a = _objective_exponent(p)
+    # sigma^(-a-2) (sigma^2 E1'' - 2 a sigma E1' + a (a+1) E1), without sigma^2
+    f_second = math.exp(-a * u) * (
+        sol.second_derivative
+        + a * ((a + 1.0) * sol.energy / sigma_star - 2.0 * sol.hf_derivative) / sigma_star
+    )
 
     prob = RadialProblem(d1=p.d1, s=p.s, mu=sigma_star, R=ball1_radius(p.d1), n=n)
     grad = gradient_integral(sol, prob)

@@ -34,6 +34,14 @@ The derivative of the energy with respect to the coupling mu is
     dE/dmu = integral_0^R r^(2s+d1-1) v(r)^2 dr
 
 for v normalized by integral_0^R r^(d1-1) v^2 dr = 1 (Hellmann-Feynman).
+Every solve also returns the exact second derivative of the discrete
+eigenvalue.  In congruence coordinates the pencil is T(mu) = T0 + mu W with
+W = diag(r^(2s)) (zero where POTENTIAL_CAP clips the potential, which then no
+longer depends on mu).  For the unit eigenvector x, second-order perturbation
+theory gives E' = x'Wx and E'' = 2 x'Wy, where y is orthogonal to x and solves
+(T - E) y = -(W - E') x.  T - E is singular only along x, and the right-hand
+side is orthogonal to x, so one tridiagonal solve followed by projecting out
+x gives y at O(n) cost.
 """
 
 from __future__ import annotations
@@ -44,6 +52,7 @@ from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
+from scipy.linalg.lapack import dgtsv
 
 from .errors import InvalidProblem, NonConvergence
 
@@ -74,11 +83,17 @@ def _rpow(r: np.ndarray, p: float) -> np.ndarray:
     return out
 
 
-def _potential_samples(r: np.ndarray, s: float, mu: float) -> np.ndarray:
-    """Sampled potential mu * r^(2s), capped at POTENTIAL_CAP."""
-    if mu == 0.0:
-        return np.zeros_like(r)
-    return np.minimum(mu * _rpow(r, 2.0 * s), POTENTIAL_CAP)
+def _potential_samples(r: np.ndarray, s: float, mu: float) -> tuple[np.ndarray, np.ndarray]:
+    """Sampled potential mu * r^(2s), capped at POTENTIAL_CAP, and its mu-derivative.
+
+    The derivative is r^(2s) where the cap is inactive and 0 where it clips.
+    """
+    weight = _rpow(r, 2.0 * s)
+    pot = mu * weight
+    clipped = pot >= POTENTIAL_CAP
+    pot[clipped] = POTENTIAL_CAP
+    weight[clipped] = 0.0
+    return pot, weight
 
 
 def _trapezoid_weights(m: int) -> np.ndarray:
@@ -139,7 +154,10 @@ class RadialSolution:
            is clamped to zero to keep the sign convention exact.
         boundary_slope: one-sided second order estimate of v'(R),
            (3 v_n - 4 v_{n-1} + v_{n-2}) / (2h) with v_n = 0.
-        hf_derivative: dE/dmu via the Hellmann-Feynman quadrature.
+        hf_derivative: dE/dmu (Hellmann-Feynman), the exact derivative of
+           the discrete eigenvalue.
+        second_derivative: d2E/dmu2 of the discrete eigenvalue, by second
+           order perturbation theory (see the module docstring); <= 0.
         norm_weight: human readable description of the norm quadrature.
     """
 
@@ -147,23 +165,25 @@ class RadialSolution:
     v: np.ndarray
     boundary_slope: float
     hf_derivative: float
+    second_derivative: float
     norm_weight: str
 
 
 def _assemble(p: RadialProblem):
     """Build the symmetric tridiagonal pencil (A, D) for the problem.
 
-    Returns (h, r, lo, a_diag, a_off, d_w, a_half, pot) where the unknowns are
-    the grid nodes lo..n-1, a_diag/a_off define A = K + diag(potential), d_w is
-    the diagonal of D, and a_half and pot are the flux coefficients at the half
-    points and the potential samples at the nodes.
+    Returns (h, r, lo, a_diag, a_off, d_w, a_half, pot, dpot) where the
+    unknowns are the grid nodes lo..n-1, a_diag/a_off define A = K +
+    diag(potential), d_w is the diagonal of D, a_half are the flux
+    coefficients at the half points, and pot and dpot are the potential
+    samples at the nodes and their derivative in mu.
     """
     n = p.n
     h = p.h
     r = p.grid()
     half = 0.5 * (r[:-1] + r[1:])
     a_half = _rpow(half, p.d1 - 1.0)  # conservative flux coefficients
-    pot = _potential_samples(r, p.s, p.mu)
+    pot, dpot = _potential_samples(r, p.s, p.mu)
 
     if p.d1 == 1:
         lo = 0
@@ -187,17 +207,18 @@ def _assemble(p: RadialProblem):
         off_k = -a_half[1 : n - 1]
         a_diag = diag_k / h**2 + d_w * pot[1:n]
     a_off = off_k / h**2
-    return h, r, lo, a_diag, a_off, d_w, a_half, pot
+    return h, r, lo, a_diag, a_off, d_w, a_half, pot, dpot
 
 
 def solve_radial(p: RadialProblem) -> RadialSolution:
     """Solve for the lowest eigenpair of the radial problem.
 
-    Raises NonConvergence if the tridiagonal eigensolver fails, and
-    InvalidProblem (via RadialProblem) for bad inputs.
+    Raises NonConvergence if the tridiagonal eigensolver or the second
+    derivative's solve fails, and InvalidProblem (via RadialProblem) for bad
+    inputs.
     """
     # the congruence D^(-1/2) A D^(-1/2) overwrites A's entries in place
-    h, r, lo, t_diag, t_off, d_w, a_half, pot = _assemble(p)
+    h, _, lo, t_diag, t_off, d_w, a_half, pot, dpot = _assemble(p)
     sqrt_d = np.sqrt(d_w)
     t_diag /= d_w
     t_off /= sqrt_d[:-1] * sqrt_d[1:]
@@ -228,6 +249,22 @@ def solve_radial(p: RadialProblem) -> RadialSolution:
     if not math.isfinite(energy) or energy <= 0.0:
         raise NonConvergence(f"nonpositive or non-finite energy: {energy}")
 
+    # E' = x'Wx and E'' = 2 x'Wy with (T - E) y = -(W - E') x, y orthogonal
+    # to x (module docstring).  Both are formed for W / c, c the power of two
+    # just above max W, so no intermediate overflows (r^(2s) reaches 1e290
+    # where the cap is off); the solve overwrites t_off and its inputs.
+    w = dpot[lo : p.n]
+    c = math.ldexp(1.0, math.frexp(float(np.max(w)))[1])
+    wx = (w / c) * x
+    e_dot = float(x @ wx) / nx2
+    _, _, _, z, info = dgtsv(t_off, t_diag - energy, t_off.copy(), e_dot * x - wx,
+                             overwrite_dl=1, overwrite_d=1, overwrite_du=1, overwrite_b=1)
+    if info != 0:
+        raise NonConvergence(f"second-derivative solve failed (LAPACK gtsv info={info})")
+    z = z.ravel()
+    z -= (float(x @ z) / nx2) * x
+    e_ddot = 2.0 * float(wx @ z) / nx2
+
     # normalize: h * sum(d_w * v^2) = 1
     v_unknown = v_unknown / math.sqrt(h * mass)
     if float(np.sum(v_unknown)) < 0.0:
@@ -249,7 +286,8 @@ def solve_radial(p: RadialProblem) -> RadialSolution:
         energy=energy,
         v=v,
         boundary_slope=slope,
-        hf_derivative=_weighted_integral(v**2, r, 2.0 * p.s + p.d1 - 1.0, h),
+        hf_derivative=c * e_dot,
+        second_derivative=c * (c * e_ddot),
         norm_weight=f"trapezoid, weight r^{p.d1 - 1}, h={h!r}",
     )
 
@@ -258,17 +296,6 @@ def _weighted_integral(values: np.ndarray, r: np.ndarray, p_exp: float, h: float
     """Trapezoid quadrature of values * r^p_exp over the grid."""
     w = _trapezoid_weights(values.size)
     return float(h * np.sum(w * _rpow(r, p_exp) * values))
-
-
-def hf_derivative(sol: RadialSolution, p: RadialProblem) -> float:
-    """dE/dmu = integral r^(2s+d1-1) v^2 dr (Hellmann-Feynman).
-
-    Uses the same trapezoid weights as the solver's normalization, so the
-    value is the exact derivative of the discrete eigenvalue wherever the
-    potential cap is inactive.
-    """
-    r = p.grid()
-    return _weighted_integral(sol.v**2, r, 2.0 * p.s + p.d1 - 1.0, p.h)
 
 
 def gradient_integral(sol: RadialSolution, p: RadialProblem) -> float:
@@ -299,24 +326,16 @@ def identity_residuals(sol: RadialSolution, p: RadialProblem) -> tuple[float, fl
     return res1, res2, res3
 
 
-def second_derivative_sign(p: RadialProblem, h: float | None = None) -> float:
+def second_derivative_sign(p: RadialProblem) -> float:
     """The certified-nonnegative combination s*dE/dmu + mu*(1+s)*d2E/dmu2.
 
-    The second derivative is a central difference of the Hellmann-Feynman
-    first derivative with step h (default mu * 1e-3).  Requires mu > 0.
+    Both derivatives are the exact ones of the discrete eigenvalue that
+    solve_radial returns.  Requires mu > 0.
     """
     if p.mu <= 0.0:
         raise InvalidProblem("second_derivative_sign requires mu > 0")
-    if h is None:
-        h = 1e-3 * p.mu
-    if not (0.0 < h < p.mu):
-        raise InvalidProblem(f"step h must lie in (0, mu), got {h}")
-    sol0 = solve_radial(p)
-    plus = solve_radial(RadialProblem(p.d1, p.s, p.mu + h, p.R, p.n))
-    minus = solve_radial(RadialProblem(p.d1, p.s, p.mu - h, p.R, p.n))
-    e_dot = sol0.hf_derivative
-    e_ddot = (plus.hf_derivative - minus.hf_derivative) / (2.0 * h)
-    return p.s * e_dot + p.mu * (1.0 + p.s) * e_ddot
+    sol = solve_radial(p)
+    return p.s * sol.hf_derivative + p.mu * (1.0 + p.s) * sol.second_derivative
 
 
 @lru_cache(maxsize=None)
@@ -331,13 +350,3 @@ def mu1_ball(d: int, volume: float, n: int = DEFAULT_N) -> float:
         raise InvalidProblem(f"volume must be finite and > 0, got {volume}")
     return _mu1_ball_cached(int(d), float(volume), int(n))
 
-
-def refined_energy(p: RadialProblem) -> tuple[float, float, float]:
-    """Richardson extrapolated energy from grids n and 2n.
-
-    Returns (extrapolated, energy_n, energy_2n); the scheme is second order so
-    the extrapolation weight is (4 E_2n - E_n) / 3.
-    """
-    e_n = solve_radial(p).energy
-    e_2n = solve_radial(RadialProblem(p.d1, p.s, p.mu, p.R, 2 * p.n)).energy
-    return (4.0 * e_2n - e_n) / 3.0, e_n, e_2n

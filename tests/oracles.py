@@ -20,7 +20,8 @@ from scipy import sparse
 from scipy.linalg import eigh
 from scipy.sparse.linalg import eigsh
 
-from grushin.radial import RadialProblem
+from grushin.minimizer import ball1_radius
+from grushin.radial import RadialProblem, solve_radial
 from grushin.radial import _assemble
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -63,7 +64,7 @@ def dense_lowest_eigenvalue(p: RadialProblem) -> float:
     it with a dense generalized symmetric eigendecomposition instead of the
     tridiagonal bisection path.  Only sensible for small n.
     """
-    _, _, _, a_diag, a_off, d_w, _, _ = _assemble(p)
+    _, _, _, a_diag, a_off, d_w, _, _, _ = _assemble(p)
     m = a_diag.size
     a = np.zeros((m, m))
     idx = np.arange(m)
@@ -71,6 +72,17 @@ def dense_lowest_eigenvalue(p: RadialProblem) -> float:
     a[idx[:-1], idx[:-1] + 1] = a_off
     a[idx[:-1] + 1, idx[:-1]] = a_off
     return float(eigh(a, np.diag(d_w), eigvals_only=True)[0])
+
+
+def scaled_energy(p, sigma: float, n: int) -> float:
+    """F(sigma) = sigma^(-a) E1(sigma, B1), a = d2 / (d1 + (1+s) d2).
+
+    The split objective whose critical point `minimize` locates, for the
+    identity and finite-difference checks of its derivatives.
+    """
+    a = p.d2 / (p.d1 + (1.0 + p.s) * p.d2)
+    prob = RadialProblem(d1=p.d1, s=p.s, mu=sigma, R=ball1_radius(p.d1), n=n)
+    return math.exp(-a * math.log(sigma)) * solve_radial(prob).energy
 
 
 def full_grid_lowest_eigenvalue(mask: np.ndarray, c_row: np.ndarray, hx: float, hy: float) -> float:

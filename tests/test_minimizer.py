@@ -23,11 +23,11 @@ from grushin.minimizer import (
     log_coupling_of_split,
     lower_bounds,
     minimize,
-    scaled_energy,
     scaled_energy_derivative,
     split_of_coupling,
     whole_space_energy,
 )
+from oracles import scaled_energy
 
 PI2_4 = math.pi**2 / 4.0
 TWO_PI_SQUARED = 2.0 * math.pi**2
@@ -147,6 +147,36 @@ def test_derivative_matches_finite_differences():
         assert abs(an - fd) <= 1e-5 * max(abs(fd), 1e-3)
 
 
+def test_exact_curvature_matches_finite_differences():
+    # F_second is exact at sigma*; compare a Richardson combination of
+    # central differences of the Hellmann-Feynman F'
+    for d1, d2, s in [(1, 1, 0.5), (2, 3, 1.0), (1, 1, 150.0)]:
+        p = ProblemParams(d1, d2, s)
+        r = minimize(p, 1024)
+
+        def central(h):
+            plus = scaled_energy_derivative(p, r.sigma_star * (1.0 + h), 1024)
+            minus = scaled_energy_derivative(p, r.sigma_star * (1.0 - h), 1024)
+            return (plus - minus) / (2.0 * h * r.sigma_star)
+
+        richardson = (4.0 * central(5e-4) - central(1e-3)) / 3.0
+        assert abs(r.F_second - richardson) / richardson < 1e-5
+
+
+@pytest.mark.parametrize("s", [0.001, 0.5, 1.0, 3.0, 150.0])
+def test_minimize_solve_budget(monkeypatch, s):
+    # safeguarded Newton: at most 20 radial solves per call, counted with
+    # the ball-constant and whole-space caches already warm
+    p = ProblemParams(1, 1, s)
+    lower_bounds(p)
+    solve = minimizer.solve_radial
+    couplings = []
+    monkeypatch.setattr(minimizer, "solve_radial",
+                        lambda prob: couplings.append(prob.mu) or solve(prob))
+    minimize(p)
+    assert 0 < len(couplings) <= 20
+
+
 def test_objective_divergence_at_both_ends():
     p = ProblemParams(1, 1, 1.0)
     r = minimize(p, 1024)
@@ -225,13 +255,13 @@ def test_whole_space_validation_and_budget():
 
 
 def test_bracket_failure_when_derivative_never_positive(monkeypatch):
-    monkeypatch.setattr(minimizer, "scaled_energy_derivative", lambda *a, **k: -1.0)
+    monkeypatch.setattr(minimizer, "_critical_terms", lambda *a, **k: (-1.0, 1.0, None))
     with pytest.raises(BracketFailure):
         minimize(ProblemParams(1, 1, 1.0), 256)
 
 
 def test_bracket_failure_when_derivative_never_negative(monkeypatch):
-    monkeypatch.setattr(minimizer, "scaled_energy_derivative", lambda *a, **k: 1.0)
+    monkeypatch.setattr(minimizer, "_critical_terms", lambda *a, **k: (1.0, 1.0, None))
     with pytest.raises(BracketFailure):
         minimize(ProblemParams(1, 1, 1.0), 256)
 
