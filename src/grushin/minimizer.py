@@ -45,6 +45,7 @@ from .radial import (
     DEFAULT_N,
     RadialProblem,
     RadialSolution,
+    _positive_integer,
     ball_volume_constant,
     gradient_integral,
     mu1_ball,
@@ -62,7 +63,8 @@ _BRACKET_SPAN = 1e12
 _LOG_SIGMA_TOL = 1e-11
 
 #: A Newton step this short that does not halve the previous one is rounding
-#: noise: E1' carries ~1e-10 relative noise, ~2e-10 in log(sigma) at s = 150.
+#: noise: at n = 4096 E1' carries ~6e-11 relative noise, which is ~1e-10 in
+#: log(sigma) at s = 1 and 3 and ~1e-11 at s = 150.
 _NOISE_STEP = 1e-8
 
 #: Largest log(sigma) the search may reach: sigma^2 E1'' is O(E1), so E1''
@@ -90,10 +92,8 @@ class ProblemParams:
     V: float = 1.0
 
     def __post_init__(self) -> None:
-        if int(self.d1) != self.d1 or self.d1 < 1:
-            raise InvalidProblem(f"d1 must be a positive integer, got {self.d1}")
-        if int(self.d2) != self.d2 or self.d2 < 1:
-            raise InvalidProblem(f"d2 must be a positive integer, got {self.d2}")
+        _positive_integer("d1", self.d1)
+        _positive_integer("d2", self.d2)
         if not (self.s > 0.0) or not math.isfinite(self.s):
             raise InvalidProblem(f"s must be finite and > 0, got {self.s}")
         if not (self.V > 0.0) or not math.isfinite(self.V):
@@ -172,7 +172,9 @@ def _ball_constants_cached(d1: int, d2: int, n: int) -> BallConstants:
 
 def ball_constants(d1: int, d2: int, n: int = DEFAULT_N) -> BallConstants:
     """Unit-ball constants for the pair of factor dimensions (cached)."""
-    return _ball_constants_cached(int(d1), int(d2), int(n))
+    return _ball_constants_cached(
+        _positive_integer("d1", d1), _positive_integer("d2", d2), _positive_integer("n", n)
+    )
 
 
 def _split_exponent(p: ProblemParams) -> float:
@@ -187,7 +189,7 @@ def _objective_exponent(p: ProblemParams) -> float:
 
 def ball1_radius(d1: int) -> float:
     """Radius of the unit-volume ball in R^d1."""
-    return ball_volume_constant(d1) ** (-1.0 / d1)
+    return ball_volume_constant(d1) ** (-1.0 / _positive_integer("d1", d1))
 
 
 def log_coupling_of_split(p: ProblemParams, t: float, n: int = DEFAULT_N) -> float:

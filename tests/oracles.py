@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 from scipy import sparse
-from scipy.linalg import eigh
+from scipy.linalg import eigh, eigh_tridiagonal
 from scipy.sparse.linalg import eigsh
 
 from grushin.minimizer import ball1_radius
@@ -62,7 +62,7 @@ def dense_lowest_eigenvalue(p: RadialProblem) -> float:
 
     Builds the same (A, D) pencil the production solver assembles, but solves
     it with a dense generalized symmetric eigendecomposition instead of the
-    tridiagonal bisection path.  Only sensible for small n.
+    production inverse iteration.  Only sensible for small n.
     """
     _, _, _, a_diag, a_off, d_w, _, _, _ = _assemble(p)
     m = a_diag.size
@@ -72,6 +72,31 @@ def dense_lowest_eigenvalue(p: RadialProblem) -> float:
     a[idx[:-1], idx[:-1] + 1] = a_off
     a[idx[:-1] + 1, idx[:-1]] = a_off
     return float(eigh(a, np.diag(d_w), eigvals_only=True)[0])
+
+
+def tridiagonal_reference_energy(p: RadialProblem) -> float:
+    """Lowest eigenvalue of the assembled pencil by LAPACK bisection, for any n.
+
+    Reduces the pencil by the congruence D^(-1/2) A D^(-1/2), as the
+    production solver does, and takes the lowest eigenvector from scipy's
+    eigh_tridiagonal (Sturm bisection, then inverse iteration: LAPACK
+    stebz/stein).  It reports that vector's Rayleigh quotient in physical
+    variables with the sum-of-squares stiffness form, since the bisection
+    eigenvalue itself is only accurate to eps * ||T||, which POTENTIAL_CAP
+    rows raise to 1e14.  The stein vector limits the result: at n = 1e6
+    (d1 = 1, s = mu = R = 1) it is 1.0e-10 from a long-double inverse
+    iteration.
+    """
+    h, _, lo, a_diag, a_off, d_w, a_half, pot, _ = _assemble(p)
+    sqrt_d = np.sqrt(d_w)
+    _, vec = eigh_tridiagonal(
+        a_diag / d_w, a_off / (sqrt_d[:-1] * sqrt_d[1:]), select="i", select_range=(0, 0)
+    )
+    v = np.zeros(p.n + 1 - lo)
+    v[:-1] = vec[:, 0] / sqrt_d
+    stiffness = float(np.sum(a_half[lo:] * np.diff(v) ** 2)) / h**2
+    potential = float(np.sum(d_w * pot[lo : p.n] * v[:-1] ** 2))
+    return (stiffness + potential) / float(np.sum(d_w * v[:-1] ** 2))
 
 
 def scaled_energy(p, sigma: float, n: int) -> float:

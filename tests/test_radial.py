@@ -4,7 +4,9 @@ Oracle self-checks come first; everything later leans on them.  The anchors
 are closed-form eigenvalues (interval, disk, 3-ball, harmonic oscillator),
 the property section uses hypothesis to sweep the parameter box, and the
 final section confirms the production eigensolve against a dense
-brute-force decomposition of the identical pencil.
+brute-force decomposition of the identical pencil (LAPACK bisection where n
+is too large for it), checks its certified shift, and breaks its LAPACK
+factor and solve to see it raise instead of loop.
 """
 
 import math
@@ -14,8 +16,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import eigvalsh_tridiagonal
 
+from grushin import radial
+from grushin.asymptotics import large_s_limit
 from grushin.errors import InvalidProblem, NonConvergence
+from grushin.minimizer import ball1_radius, ball_constants, whole_space_energy
 from grushin.radial import (
     DEFAULT_N,
     RadialProblem,
@@ -26,7 +32,13 @@ from grushin.radial import (
     second_derivative_sign,
     solve_radial,
 )
-from oracles import J01, J01_SQUARED, bessel_j0, dense_lowest_eigenvalue
+from oracles import (
+    J01,
+    J01_SQUARED,
+    bessel_j0,
+    dense_lowest_eigenvalue,
+    tridiagonal_reference_energy,
+)
 
 PI2_4 = math.pi**2 / 4.0
 
@@ -203,6 +215,23 @@ def test_identity_residuals_refine_second_order():
                 assert fine < coarse / 1.8 or fine < 1e-12
 
 
+def test_hf_derivative_matches_richardson_differences_on_a_fine_grid():
+    # E' = x'Wx is only as accurate as the eigenvector x; a Richardson
+    # combination of central differences of the energy (error O(h^4)) checks
+    # it at n = 65536, where the residual floor is ~2e-7 E
+    d1, s, mu, radius, n = 1, 1.0, 195.5, 0.5, 65536
+    sol = solve_radial(RadialProblem(d1, s, mu, radius, n))
+
+    def central(h):
+        plus = solve_radial(RadialProblem(d1, s, mu + h, radius, n)).energy
+        minus = solve_radial(RadialProblem(d1, s, mu - h, radius, n)).energy
+        return (plus - minus) / (2.0 * h)
+
+    h = 1e-2 * mu
+    richardson = (4.0 * central(h / 2.0) - central(h)) / 3.0
+    assert abs(sol.hf_derivative - richardson) / richardson < 1e-8
+
+
 def test_gradient_integral_energy_split():
     # g + mu q = E is one of the residual identities; check it directly
     p = RadialProblem(1, 1.0, 2.0, 1.0, 2048)
@@ -244,6 +273,8 @@ def test_second_derivative_sign_validation():
         dict(d1=1, s=1.0, mu=1.0, R=0.0),
         dict(d1=1, s=1.0, mu=1.0, R=1.0, n=8),
         dict(d1=1, s=math.inf, mu=1.0, R=1.0),
+        dict(d1=math.nan, s=1.0, mu=1.0, R=1.0),
+        dict(d1=1, s=1.0, mu=1.0, R=1.0, n=math.nan),
     ],
 )
 def test_invalid_problems_rejected(kwargs):
@@ -258,15 +289,143 @@ def test_mu1_ball_rejects_bad_volume():
         mu1_ball(2, math.inf)
 
 
+@pytest.mark.parametrize(
+    "fn,args",
+    [
+        (mu1_ball, (0, 1.0)),
+        (ball_constants, (0, 1)),
+        (ball1_radius, (0,)),
+        (large_s_limit, (0, 1.0)),
+        (whole_space_energy, (0, 1.0)),
+        (mu1_ball, (1.5, 1.0)),
+        (ball_constants, (1.5, 2.5)),
+        (large_s_limit, (1.5, 2.0)),
+        (mu1_ball, (1, 1.0, 16.7)),
+        (mu1_ball, (math.inf, 1.0)),
+        (ball_constants, (1, math.nan)),
+    ],
+    ids=lambda v: v.__name__ if callable(v) else repr(v),
+)
+def test_ball_constants_reject_bad_dimensions(fn, args):
+    # a zero dimension used to divide by zero, a fractional dimension or grid
+    # size was truncated to the integer below, and nan or inf failed to
+    # convert to an integer
+    with pytest.raises(InvalidProblem):
+        fn(*args)
+
+
 # ------------------------------------------------------- dense agreement
 
 
 @pytest.mark.parametrize(
     "d1,s,mu,radius,n",
-    [(1, 0.5, 3.0, 1.0, 48), (2, 2.0, 5.0, 1.0, 64), (3, 1.0, 0.0, 1.5, 32)],
+    [
+        (1, 0.5, 3.0, 1.0, 48),
+        (2, 2.0, 5.0, 1.0, 64),
+        (3, 1.0, 0.0, 1.5, 32),
+        # POTENTIAL_CAP rows put ||T|| near 1e14: a stop at eps ||T|| is early
+        (1, 300.0, 1e200, 1.3, 64),
+        # the start profile is the exact discrete eigenvector (residual 2e-14 E)
+        (1, 0.5, 0.0, 0.5, 16),
+        (5, 2.0, 100.0, 1.2, 64),
+        (8, 1.0, 10.0, 1.0, 64),
+        (8, 150.0, 1e96, 1.0, 128),
+    ],
 )
 def test_matches_dense_eigendecomposition(d1, s, mu, radius, n):
     p = RadialProblem(d1, s, mu, radius, n)
     fast = solve_radial(p).energy
     dense = dense_lowest_eigenvalue(p)
     assert abs(fast - dense) / dense < 1e-10
+
+
+@pytest.mark.parametrize(
+    "d1,s,mu,radius,n",
+    [
+        (1, 300.0, 1e200, 1.3, 4096),
+        (8, 150.0, 1e96, 1.0, 4096),
+        (1, 1.0, 1.0, 1.0, 65536),
+        # the grid the whole-space truncation loop reaches at s = 0.001
+        (1, 0.001, 1.0, 216.0, 110592),
+        (3, 1.0, 195.5, 0.5, 10**6),
+    ],
+)
+def test_matches_tridiagonal_reference(d1, s, mu, radius, n):
+    # grids too large for the dense oracle
+    p = RadialProblem(d1, s, mu, radius, n)
+    fast = solve_radial(p).energy
+    reference = tridiagonal_reference_energy(p)
+    assert abs(fast - reference) / reference < 1e-10
+
+
+def _congruence_operator(p):
+    """(t_diag, t_off, start) exactly as solve_radial builds them."""
+    _, r, lo, a_diag, a_off, d_w, _, _, _ = radial._assemble(p)
+    sqrt_d = np.sqrt(d_w)
+    start = np.cos((0.5 * math.pi / p.R) * r[lo : p.n]) * sqrt_d
+    return a_diag / d_w, a_off / (sqrt_d[:-1] * sqrt_d[1:]), start
+
+
+@pytest.mark.parametrize(
+    "d1,s,mu,radius,n",
+    [
+        (1, 0.5, 0.0, 0.5, 16),
+        (1, 300.0, 1e200, 1.3, 4096),
+        (8, 150.0, 1e96, 1.0, 4096),
+        # the residual floor is ~8e-5 E here, so a stop at a fixed relative
+        # residual such as 1e-6 would never fire
+        (1, 1.0, 1.0, 1.0, 10**6),
+    ],
+)
+def test_ground_state_certificate(d1, s, mu, radius, n):
+    p = RadialProblem(d1, s, mu, radius, n)
+    t_diag, t_off, start = _congruence_operator(p)
+    x, shift = radial._ground_state(t_diag, t_off, start)
+    tx = t_diag * x
+    tx[:-1] += t_off * x[1:]
+    tx[1:] += t_off * x[:-1]
+    lam = float(x @ tx) / float(x @ x)
+    res = float(np.linalg.norm(tx - lam * x)) / float(np.linalg.norm(x))
+    # no eigenvalue at or below the shift, by LAPACK's own Sturm count
+    below = eigvalsh_tridiagonal(t_diag, t_off, select="v", select_range=(-math.inf, shift))
+    assert below.size == 0
+    assert 0.0 < shift < lam
+    # the shift is within a few residual norms of the Rayleigh quotient,
+    # each counted with its rounding level eps || |T||x| + lam |x| ||
+    ax = np.abs(x)
+    level = (t_diag + lam) * ax
+    level[:-1] -= t_off * ax[1:]
+    level[1:] -= t_off * ax[:-1]
+    rounding = np.finfo(float).eps * float(np.linalg.norm(level)) / float(np.linalg.norm(x))
+    assert lam - shift <= 4.0 * (res + rounding)
+    if n == 10**6:
+        assert res > 1e-6 * lam
+    assert shift < tridiagonal_reference_energy(p) <= lam + rounding
+
+
+def test_factorization_that_always_fails_raises(monkeypatch):
+    calls = []
+
+    def failing(d, e, **kwargs):
+        calls.append(1)
+        return d, e, 1
+
+    monkeypatch.setattr(radial, "dpttrf", failing)
+    with pytest.raises(NonConvergence):
+        solve_radial(RadialProblem(2, 1.0, 10.0, 1.0, 256))
+    assert len(calls) <= radial._MAX_HALVINGS
+
+
+def test_solve_that_returns_its_input_raises(monkeypatch):
+    # the iterate never improves, so its residual never reaches the rounding
+    # level and no stagnation may be taken for convergence
+    calls = []
+
+    def identity(d, e, b, **kwargs):
+        calls.append(1)
+        return b, 0
+
+    monkeypatch.setattr(radial, "dpttrs", identity)
+    with pytest.raises(NonConvergence):
+        solve_radial(RadialProblem(2, 1.0, 10.0, 1.0, 256))
+    assert len(calls) <= radial._MAX_STEPS
