@@ -94,34 +94,34 @@ class LimitProfile:
         object.__setattr__(self, "values", values)
 
 
-def small_s_limit(p: ProblemParams, t: float, n: int = DEFAULT_N) -> float:
+def small_s_limit(p: ProblemParams, t: float) -> float:
     """Limit curve as the exponent tends to zero, evaluated at split t."""
     if not (t > 0.0) or not math.isfinite(t):
         raise InvalidProblem(f"t must be finite and > 0, got {t}")
-    c = ball_constants(p.d1, p.d2, n)
+    c = ball_constants(p.d1, p.d2)
     return (
         t ** (-2.0 / p.d1) * c.mu1_b1
         + t ** (2.0 / p.d2) * p.V ** (-2.0 / p.d2) * c.mu1_b2
     )
 
 
-def small_s_argmin(p: ProblemParams, n: int = DEFAULT_N) -> float:
+def small_s_argmin(p: ProblemParams) -> float:
     """Closed-form minimizer of the zero-exponent limit curve."""
-    c = ball_constants(p.d1, p.d2, n)
+    c = ball_constants(p.d1, p.d2)
     d = p.d1 + p.d2
     ratio = (p.d2 * c.mu1_b1) / (p.d1 * c.mu1_b2)
     return ratio ** (p.d1 * p.d2 / (2.0 * d)) * p.V ** (p.d1 / d)
 
 
-def small_s_min_value(p: ProblemParams, n: int = DEFAULT_N) -> float:
+def small_s_min_value(p: ProblemParams) -> float:
     """Closed-form minimum of the zero-exponent limit curve."""
-    c = ball_constants(p.d1, p.d2, n)
+    c = ball_constants(p.d1, p.d2)
     d = p.d1 + p.d2
     ratio = (p.d1 * c.mu1_b2) / (p.d2 * c.mu1_b1)
     return p.V ** (-2.0 / d) * (d / p.d1) * c.mu1_b1 * ratio ** (p.d2 / d)
 
 
-def large_s_limit(d1: int, t: float, n: int = DEFAULT_N) -> float:
+def large_s_limit(d1: int, t: float) -> float:
     """Limit curve as the exponent tends to infinity, evaluated at split t.
 
     Below the unit-ball volume tau(d1) the first factor itself is the
@@ -131,16 +131,20 @@ def large_s_limit(d1: int, t: float, n: int = DEFAULT_N) -> float:
     if not (t > 0.0) or not math.isfinite(t):
         raise InvalidProblem(f"t must be finite and > 0, got {t}")
     tau = ball_volume_constant(d1)
-    mu1 = mu1_ball(d1, 1.0, n)
+    mu1 = mu1_ball(d1, 1.0)
     cap = min(t, tau)
     return mu1 * cap ** (-2.0 / d1)
 
 
 def upper_envelope(p: ProblemParams, t: float, n: int = DEFAULT_N) -> float:
-    """Test-function upper bound for the finite-exponent curve at split t."""
-    c = ball_constants(p.d1, p.d2, n)
+    """Test-function upper bound for the finite-exponent curve at split t.
+
+    n is unused: the bound is closed form.  It stays only because
+    bench/workloads.py passes a grid size, and goes when that file next changes.
+    """
+    c = ball_constants(p.d1, p.d2)
     log_term = (
-        log_coupling_of_split(p, t, n)
+        log_coupling_of_split(p, t)
         - (2.0 * p.s / p.d1) * math.log(c.tau_d1)
         - (2.0 / p.d1) * math.log(t)
     )
@@ -151,22 +155,20 @@ def upper_envelope(p: ProblemParams, t: float, n: int = DEFAULT_N) -> float:
 
 def lower_envelope(p: ProblemParams, t: float, n: int = DEFAULT_N) -> float:
     """Whole-space lower bound for the finite-exponent curve at split t."""
-    log_sigma = log_coupling_of_split(p, t, n)
+    log_sigma = log_coupling_of_split(p, t)
     e_inf = _whole_space_cached(int(p.d1), float(p.s), int(n))
     return math.exp(
         log_sigma / (1.0 + p.s) + math.log(e_inf) - (2.0 / p.d1) * math.log(t)
     )
 
 
-def limit_profile(
-    p: ProblemParams, kind: LimitKind, t_grid, n: int = DEFAULT_N
-) -> LimitProfile:
+def limit_profile(p: ProblemParams, kind: LimitKind, t_grid) -> LimitProfile:
     """Sample the selected limit curve on a grid of split volumes."""
     t_grid = tuple(float(t) for t in t_grid)
     if kind is LimitKind.S_TO_ZERO:
-        values = tuple(small_s_limit(p, t, n) for t in t_grid)
+        values = tuple(small_s_limit(p, t) for t in t_grid)
     else:
-        values = tuple(large_s_limit(p.d1, t, n) for t in t_grid)
+        values = tuple(large_s_limit(p.d1, t) for t in t_grid)
     return LimitProfile(kind=kind, params=p, t_grid=t_grid, values=values)
 
 
@@ -216,9 +218,9 @@ def convergence_report(
     rows = []
     for (d1, d2, s, V, t, _), value in zip(points, values):
         if kind is LimitKind.S_TO_ZERO:
-            ref = small_s_limit(p, t, n)
+            ref = small_s_limit(p, t)
         else:
-            ref = large_s_limit(p.d1, t, n)
+            ref = large_s_limit(p.d1, t)
         rows.append((s, t, value, ref, abs(value - ref)))
     return SweepTable(headers=REPORT_HEADERS, rows=tuple(rows))
 

@@ -28,7 +28,7 @@ from .errors import (BaselineMissing, BracketFailure, GrushinError, InvalidProbl
                      NonConvergence, UsageError)
 from .minimizer import (MinimizeResult, ProblemParams, ball1_radius, coupling_of_split,
                         minimize)
-from .radial import DEFAULT_N, RadialProblem, solve_radial
+from .radial import DEFAULT_N, RadialProblem, _bind_lapack, solve_radial
 from .tables import SweepTable, emit_csv, emit_svg
 
 __all__ = ["BASELINE_HEADERS", "DEFAULT_BASELINE", "RunConfig", "console_entry", "main",
@@ -123,10 +123,15 @@ _FLAGS = {f.metadata["flag"]: f for f in fields(RunConfig) if f.metadata}
 
 @contextmanager
 def _pool_map(jobs: int):
-    """`map`, or the map of a pool of `jobs` worker processes when jobs > 1."""
+    """`map`, or the map of a pool of `jobs` worker processes when jobs > 1.
+
+    SciPy's LAPACK is bound before the pool starts, so that forked workers
+    inherit it instead of each importing it.
+    """
     if jobs == 1:
         yield map
     else:
+        _bind_lapack()
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             yield pool.map
 
@@ -139,7 +144,7 @@ def _emit(cfg: RunConfig, table: SweepTable) -> None:
 
 def _cmd_solve1d(cfg: RunConfig) -> None:
     p: ProblemParams = cfg.params
-    sigma = coupling_of_split(p, cfg.t, cfg.grid_n)
+    sigma = coupling_of_split(p, cfg.t)
     prob = RadialProblem(d1=p.d1, s=p.s, mu=sigma, R=ball1_radius(p.d1), n=cfg.grid_n)
     sol = solve_radial(prob)
     lam = cfg.t ** (-2.0 / p.d1) * sol.energy
@@ -162,7 +167,7 @@ def _cmd_sweep(cfg: RunConfig) -> None:
 
 def _cmd_limits(cfg: RunConfig) -> None:
     kind = cfg.limit if cfg.limit is not None else LimitKind.S_TO_INFINITY
-    profile = limit_profile(cfg.params, kind, cfg.t_grid, cfg.grid_n)
+    profile = limit_profile(cfg.params, kind, cfg.t_grid)
     rows = tuple(zip(profile.t_grid, profile.values))
     _emit(cfg, SweepTable(headers=("t", "G_limit"), rows=rows))
 
@@ -213,7 +218,7 @@ _COMMANDS = {
     "sweep-s": (_cmd_sweep, "objective versus a limit curve over an exponent ladder",
                 "d1 d2 V s-list t-grid limit n out svg jobs".split(), False),
     "limits": (_cmd_limits, "sample a closed-form limit curve",
-               "d1 d2 V t-grid limit n out svg".split(), False),
+               "d1 d2 V t-grid limit out svg".split(), False),
     "disk": (_cmd_disk, "direct 2-D disk eigenvalue", "rho s n out".split(), True),
     "rectangle": (_cmd_rectangle, "direct 2-D rectangle eigenvalue",
                   "t V s n out".split(), True),

@@ -161,20 +161,22 @@ class MinimizeResult:
 
 
 @lru_cache(maxsize=None)
-def _ball_constants_cached(d1: int, d2: int, n: int) -> BallConstants:
+def _ball_constants_cached(d1: int, d2: int) -> BallConstants:
     return BallConstants(
         tau_d1=ball_volume_constant(d1),
         tau_d2=ball_volume_constant(d2),
-        mu1_b1=mu1_ball(d1, 1.0, n),
-        mu1_b2=mu1_ball(d2, 1.0, n),
+        mu1_b1=mu1_ball(d1, 1.0),
+        mu1_b2=mu1_ball(d2, 1.0),
     )
 
 
 def ball_constants(d1: int, d2: int, n: int = DEFAULT_N) -> BallConstants:
-    """Unit-ball constants for the pair of factor dimensions (cached)."""
-    return _ball_constants_cached(
-        _positive_integer("d1", d1), _positive_integer("d2", d2), _positive_integer("n", n)
-    )
+    """Unit-ball constants for the pair of factor dimensions (cached, exact).
+
+    n is unused: the constants are closed forms.  It stays only because
+    bench/workloads.py passes a grid size, and goes when that file next changes.
+    """
+    return _ball_constants_cached(_positive_integer("d1", d1), _positive_integer("d2", d2))
 
 
 def _split_exponent(p: ProblemParams) -> float:
@@ -192,11 +194,11 @@ def ball1_radius(d1: int) -> float:
     return ball_volume_constant(d1) ** (-1.0 / _positive_integer("d1", d1))
 
 
-def log_coupling_of_split(p: ProblemParams, t: float, n: int = DEFAULT_N) -> float:
+def log_coupling_of_split(p: ProblemParams, t: float) -> float:
     """log sigma(t); stays finite even where sigma overflows a float."""
     if not (t > 0.0) or not math.isfinite(t):
         raise InvalidProblem(f"t must be finite and > 0, got {t}")
-    c = ball_constants(p.d1, p.d2, n)
+    c = ball_constants(p.d1, p.d2)
     return (
         math.log(c.mu1_b2)
         - (2.0 / p.d2) * math.log(p.V)
@@ -204,17 +206,17 @@ def log_coupling_of_split(p: ProblemParams, t: float, n: int = DEFAULT_N) -> flo
     )
 
 
-def coupling_of_split(p: ProblemParams, t: float, n: int = DEFAULT_N) -> float:
+def coupling_of_split(p: ProblemParams, t: float) -> float:
     """sigma(t) = mu1(B2) V^(-2/d2) t^(2/d1 + 2/d2 + 2s/d1)."""
-    log_sigma = log_coupling_of_split(p, t, n)
+    log_sigma = log_coupling_of_split(p, t)
     if log_sigma > 690.0:
         raise InvalidProblem(f"coupling overflows for t={t}, s={p.s}")
     return math.exp(log_sigma)
 
 
-def split_of_coupling(p: ProblemParams, sigma: float, n: int = DEFAULT_N) -> float:
+def split_of_coupling(p: ProblemParams, sigma: float) -> float:
     """Inverse of coupling_of_split."""
-    c = ball_constants(p.d1, p.d2, n)
+    c = ball_constants(p.d1, p.d2)
     log_t = (
         math.log(sigma) - math.log(c.mu1_b2) + (2.0 / p.d2) * math.log(p.V)
     ) / _split_exponent(p)
@@ -232,7 +234,7 @@ def lambda1_product(p: ProblemParams, t: float, n: int = DEFAULT_N) -> float:
     Both factors are balls; t is the volume of the degenerate factor and
     V/t the volume of the second factor.
     """
-    sigma = coupling_of_split(p, t, n)
+    sigma = coupling_of_split(p, t)
     e1 = _ball1_solution(p, sigma, n).energy
     return t ** (-2.0 / p.d1) * e1
 
@@ -294,7 +296,7 @@ def whole_space_energy(
     if not (s > 0.0) or not math.isfinite(s):
         raise InvalidProblem(f"s must be finite and > 0, got {s}")
     # crude upper estimate of the energy gives a turning-point radius guess
-    e_guess = mu1_ball(d1, ball_volume_constant(d1), n_base) + 1.0
+    e_guess = mu1_ball(d1, ball_volume_constant(d1)) + 1.0
     growth = math.exp(min(math.log(e_guess) / (2.0 * s), math.log(16.0)))
     radius = max(8.0, min(4.0 * growth, 64.0))
     h0 = 8.0 / n_base
@@ -328,7 +330,7 @@ def lower_bounds(p: ProblemParams, n: int = DEFAULT_N) -> tuple[float, float]:
     E1(1, R^d1) and the scaling E1(sigma, R^d1) = sigma^(1/(1+s)) E1(1, R^d1).
     All powers are assembled in log space so extreme exponents stay finite.
     """
-    c = ball_constants(p.d1, p.d2, n)
+    c = ball_constants(p.d1, p.d2)
     denom = p.d1 + (1.0 + p.s) * p.d2
     log_core = _log_sigma_floor(p, c) - math.log(c.mu1_b2)
     log_vol = (log_core + (2.0 / p.d2) * math.log(p.V)) * p.d1 * p.d2 / (2.0 * denom)
@@ -363,7 +365,7 @@ def minimize(p: ProblemParams, n: int = DEFAULT_N) -> MinimizeResult:
     the floor, InvalidProblem if the critical coupling leaves the float
     range (sigma^2 > float max), and NonConvergence after 100 steps.
     """
-    c = ball_constants(p.d1, p.d2, n)
+    c = ball_constants(p.d1, p.d2)
     log_floor = _log_sigma_floor(p, c)
     max_step = math.log(_BRACKET_FACTOR)
     u = log_floor
@@ -411,7 +413,7 @@ def minimize(p: ProblemParams, n: int = DEFAULT_N) -> MinimizeResult:
             f"critical-point search did not settle in {_MAX_SOLVES} radial solves"
         )
     sigma_star = math.exp(u)
-    t_star = split_of_coupling(p, sigma_star, n)
+    t_star = split_of_coupling(p, sigma_star)
     lam = t_star ** (-2.0 / p.d1) * sol.energy
     a = _objective_exponent(p)
     # sigma^(-a-2) (sigma^2 E1'' - 2 a sigma E1' + a (a+1) E1), without sigma^2

@@ -71,12 +71,32 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from decimal import Decimal, localcontext
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg.lapack import dgtsv, dpttrf, dpttrs
 
 from .errors import InvalidProblem, NonConvergence
+
+#: LAPACK routines that `_bind_lapack` binds here on the first solve, so that
+#: importing the package and the closed-form ball constants never load SciPy.
+_LAPACK_NAMES = ("dgtsv", "dpttrf", "dpttrs")
+
+
+def _bind_lapack() -> None:
+    """Bind the LAPACK names here, keeping any binding already made."""
+    from scipy.linalg import lapack
+
+    for name in _LAPACK_NAMES:
+        globals().setdefault(name, getattr(lapack, name))
+
+
+def __getattr__(name: str):
+    if name in _LAPACK_NAMES:
+        _bind_lapack()
+        return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 #: Default number of grid cells for production solves.
 DEFAULT_N = 4096
@@ -319,6 +339,7 @@ def solve_radial(p: RadialProblem) -> RadialSolution:
     when), or if the second derivative's solve fails; InvalidProblem (via
     RadialProblem) for bad inputs.
     """
+    _bind_lapack()
     # the congruence D^(-1/2) A D^(-1/2) overwrites A's entries in place
     h, r, lo, t_diag, t_off, d_w, a_half, pot, dpot = _assemble(p)
     sqrt_d = np.sqrt(d_w)
@@ -434,15 +455,68 @@ def second_derivative_sign(p: RadialProblem) -> float:
     return p.s * sol.hf_derivative + p.mu * (1.0 + p.s) * sol.second_derivative
 
 
+#: Qu and Wong (Trans. AMS 351, 1999) bound the first zero of J_nu, nu > 0,
+#: by nu + c nu^(1/3) < j_(nu,1) < nu + c nu^(1/3) + c' nu^(-1/3), with
+#: c = -a1 / 2^(1/3) and c' = (3/20) a1^2 2^(1/3), a1 the first zero of Ai.
+_QW_LOWER = 1.8557570814892386
+_QW_UPPER = 1.0331503250716468
+
+
 @lru_cache(maxsize=None)
-def _mu1_ball_cached(d: int, volume: float, n: int) -> float:
-    radius = (volume / ball_volume_constant(d)) ** (1.0 / d)
-    return solve_radial(RadialProblem(d1=d, s=1.0, mu=0.0, R=radius, n=n)).energy
+def _first_bessel_zero(d: int) -> float:
+    """j_(d/2-1,1), the first positive zero of J_(d/2-1): mu1 of the unit ball is its square.
+
+    pi/2 and pi for d = 1 and 3.  Otherwise the zero of the entire function
+    f(x) = Gamma(d/2) (2/x)^(d/2-1) J_(d/2-1)(x) = sum_k (-x^2)^k / prod_(i<=k)
+    2i(2i + d - 2), by bisection on a bracket that holds no other zero of f:
+    Qu and Wong's bounds for d >= 4, and sqrt(5) < j_(0,1) < 1 + sqrt(2)
+    (Watson; Chambers) for d = 2.  The series cancels: near the zero its
+    terms exceed x f'(x) by ~d/8 digits (16 at d = 128), so it is summed in
+    decimal arithmetic with 30 + d/4 digits.
+    """
+    if d in (1, 3):
+        return math.pi / 2.0 if d == 1 else math.pi
+    if d == 2:
+        lo, hi = math.sqrt(5.0), 1.0 + math.sqrt(2.0)
+    else:
+        nu = 0.5 * d - 1.0
+        lo = nu + _QW_LOWER * nu ** (1.0 / 3.0)
+        hi = lo + _QW_UPPER / nu ** (1.0 / 3.0)
+    with localcontext() as ctx:
+        ctx.prec = 30 + d // 4
+        tiny = Decimal(10) ** -ctx.prec
+
+        def f(x: Decimal) -> Decimal:
+            q = -x * x
+            term = total = Decimal(1)
+            k = 0
+            while True:
+                k += 1
+                den = 2 * k * (2 * k + d - 2)
+                term = term * q / den
+                total += term
+                if den > -q and abs(term) < tiny:
+                    return total
+
+        lo, hi = Decimal(lo), Decimal(hi)
+        if not f(lo) > 0 > f(hi):
+            raise NonConvergence(f"the first zero of J_{0.5 * d - 1.0} left its bracket")
+        while hi - lo > hi * Decimal("1e-20"):
+            mid = (lo + hi) / 2
+            if f(mid) > 0:
+                lo = mid
+            else:
+                hi = mid
+        return float((lo + hi) / 2)
 
 
-def mu1_ball(d: int, volume: float, n: int = DEFAULT_N) -> float:
-    """First Dirichlet eigenvalue of the Laplacian on the ball of given volume."""
+def mu1_ball(d: int, volume: float) -> float:
+    """First Dirichlet eigenvalue of the Laplacian on the d-ball of given volume.
+
+    Exact: j_(d/2-1,1)^2 / R^2, R the radius of the ball.
+    """
     if not (volume > 0.0) or not math.isfinite(volume):
         raise InvalidProblem(f"volume must be finite and > 0, got {volume}")
-    return _mu1_ball_cached(_positive_integer("d", d), float(volume), _positive_integer("n", n))
-
+    d = _positive_integer("d", d)
+    radius = (volume / ball_volume_constant(d)) ** (1.0 / d)
+    return (_first_bessel_zero(d) / radius) ** 2

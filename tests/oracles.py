@@ -19,6 +19,7 @@ import numpy as np
 from scipy import sparse
 from scipy.linalg import eigh, eigh_tridiagonal
 from scipy.sparse.linalg import eigsh
+from scipy.special import jn_zeros, jv
 
 from grushin.minimizer import ball1_radius
 from grushin.radial import RadialProblem, solve_radial
@@ -55,6 +56,28 @@ def first_bessel_root() -> float:
 
 J01 = first_bessel_root()
 J01_SQUARED = J01 * J01
+
+
+def first_bessel_zero(d: int) -> float:
+    """j_(d/2-1,1): scipy's jn_zeros for integer order, else bisection on scipy's jv.
+
+    For half-integer order nu >= -1/2 the first zero lies above max(nu, 1/2)
+    and zeros are at least pi apart, so steps of 1/2 from there bracket it.
+    """
+    nu = 0.5 * d - 1.0
+    if nu == int(nu):
+        return float(jn_zeros(int(nu), 1)[0])
+    lo = max(nu, 0.5)
+    hi = lo + 0.5
+    while jv(nu, hi) > 0.0:
+        lo, hi = hi, hi + 0.5
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if jv(nu, mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
 def dense_lowest_eigenvalue(p: RadialProblem) -> float:
@@ -183,7 +206,12 @@ def golden_minimize(fn, lo: float, hi: float, tol: float = 1e-12) -> float:
 
 def run_cli(args, cwd=None, env=None, timeout: float = 600.0):
     """Run the package CLI of this checkout in a subprocess; returns CompletedProcess."""
-    cmd = [sys.executable, "-m", "grushin", *args]
+    return run_python(["-m", "grushin", *args], cwd, env, timeout)
+
+
+def run_python(args, cwd=None, env=None, timeout: float = 600.0):
+    """A fresh interpreter with this checkout's package on its path; returns CompletedProcess."""
+    cmd = [sys.executable, *args]
     if env is None:
         paths = [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH")]
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))

@@ -44,10 +44,10 @@ def _grid(lo: float, hi: float, count: int) -> tuple[float, ...]:
 def test_small_s_argmin_against_golden_section_oracle():
     for d1, d2, vol in [(1, 1, 1.0), (2, 1, 1.0), (1, 2, 3.0)]:
         p = ProblemParams(d1=d1, d2=d2, s=1.0, V=vol)
-        oracle = golden_minimize(lambda t: small_s_limit(p, t, 1024), 0.05, 20.0)
-        assert abs(oracle - small_s_argmin(p, 1024)) < 1e-6
+        oracle = golden_minimize(lambda t: small_s_limit(p, t), 0.05, 20.0)
+        assert abs(oracle - small_s_argmin(p)) < 1e-6
         assert (
-            abs(small_s_min_value(p, 1024) - small_s_limit(p, small_s_argmin(p, 1024), 1024))
+            abs(small_s_min_value(p) - small_s_limit(p, small_s_argmin(p)))
             < 1e-10
         )
 
@@ -64,13 +64,13 @@ def test_small_s_square_case_value():
 
 
 def test_large_s_limit_branches_and_continuity():
-    mu1 = mu1_ball(1, 1.0, 1024)
+    mu1 = mu1_ball(1, 1.0)
     # below the unit-ball volume the curve follows mu1 * t^(-2)
-    assert abs(large_s_limit(1, 1.0, 1024) - mu1) < 1e-12
+    assert abs(large_s_limit(1, 1.0) - mu1) < 1e-12
     # past it the curve is flat at mu1 / 4 = pi^2/4
-    assert abs(large_s_limit(1, 3.0, 1024) - large_s_limit(1, 4.0, 1024)) < 1e-15
-    assert abs(large_s_limit(1, 3.0, 1024) - PI2_4) / PI2_4 < 1e-6
-    gap = large_s_limit(1, 2.0 - 1e-12, 1024) - large_s_limit(1, 2.0 + 1e-12, 1024)
+    assert abs(large_s_limit(1, 3.0) - large_s_limit(1, 4.0)) < 1e-15
+    assert abs(large_s_limit(1, 3.0) - PI2_4) / PI2_4 < 1e-6
+    gap = large_s_limit(1, 2.0 - 1e-12) - large_s_limit(1, 2.0 + 1e-12)
     assert abs(gap) < 1e-9
 
 
@@ -139,7 +139,7 @@ def test_report_reference_column_matches_limit_functions():
     table = convergence_report(p, (0.5, 0.25), t_grid, n=512)
     for row in table.rows:
         s, t, value, ref, dev = row
-        assert ref == small_s_limit(p, t, 512)
+        assert ref == small_s_limit(p, t)
         assert dev == abs(value - ref)
         assert value == lambda1_product(ProblemParams(1, 2, s), t, 512)
 
@@ -148,11 +148,11 @@ def test_report_kind_inference_and_override():
     p = ProblemParams(1, 1, 1.0)
     t_grid = (2.5,)
     descending = convergence_report(p, (1.0, 0.5), t_grid, n=512)
-    assert descending.rows[0][3] == small_s_limit(p, 2.5, 512)
+    assert descending.rows[0][3] == small_s_limit(p, 2.5)
     ascending = convergence_report(p, (0.5, 1.0), t_grid, n=512)
-    assert ascending.rows[0][3] == large_s_limit(1, 2.5, 512)
+    assert ascending.rows[0][3] == large_s_limit(1, 2.5)
     forced = convergence_report(p, (1.0, 0.5), t_grid, kind=LimitKind.S_TO_INFINITY, n=512)
-    assert forced.rows[0][3] == large_s_limit(1, 2.5, 512)
+    assert forced.rows[0][3] == large_s_limit(1, 2.5)
 
 
 def test_report_validation():
@@ -179,10 +179,10 @@ def test_report_accepts_parallel_map():
 def test_limit_profile_values_match_pointwise_functions():
     p = ProblemParams(1, 1, 1.0)
     t_grid = (0.5, 1.0, 2.0, 3.0)
-    zero = limit_profile(p, LimitKind.S_TO_ZERO, t_grid, 512)
-    assert zero.values == tuple(small_s_limit(p, t, 512) for t in t_grid)
-    inf_profile = limit_profile(p, LimitKind.S_TO_INFINITY, t_grid, 512)
-    assert inf_profile.values == tuple(large_s_limit(1, t, 512) for t in t_grid)
+    zero = limit_profile(p, LimitKind.S_TO_ZERO, t_grid)
+    assert zero.values == tuple(small_s_limit(p, t) for t in t_grid)
+    inf_profile = limit_profile(p, LimitKind.S_TO_INFINITY, t_grid)
+    assert inf_profile.values == tuple(large_s_limit(1, t) for t in t_grid)
 
 
 def test_limit_profile_validation():

@@ -23,7 +23,7 @@ from grushin.cli import (
 from grushin.errors import NonConvergence, UsageError
 from grushin.minimizer import ProblemParams, lambda1_product
 from grushin.planar import DiskProblem
-from oracles import read_csv_text, run_cli
+from oracles import read_csv_text, run_cli, run_python
 
 
 @pytest.fixture(autouse=True)
@@ -107,6 +107,10 @@ def test_config_file_errors(tmp_path):
         foreign.write_text(line + "\n")
         with pytest.raises(UsageError):
             parse_config(["minimize", "--config", str(foreign)])
+    # closed-form limit curves take no grid size
+    foreign.write_text("n = 512\n")
+    with pytest.raises(UsageError):
+        parse_config(["limits", "--config", str(foreign)])
 
 
 def test_flag_validation(tmp_path):
@@ -140,8 +144,8 @@ def test_exit_code_missing_subcommand():
 
 @pytest.mark.parametrize(
     "argv",
-    [["disk", "--jobs", "2"], ["limits", "--s", "2"], ["sweep-s", "--s", "2"],
-     ["regress", "--n", "64"], ["regress", "--out", "x.csv"]],
+    [["disk", "--jobs", "2"], ["limits", "--s", "2"], ["limits", "--n", "512"],
+     ["sweep-s", "--s", "2"], ["regress", "--n", "64"], ["regress", "--out", "x.csv"]],
 )
 def test_flags_that_would_be_ignored_are_rejected(argv):
     assert main(argv) == 2
@@ -207,7 +211,7 @@ def test_disk_and_rectangle_rows(capsys):
 
 
 def test_limits_table(capsys):
-    assert main(["limits", "--t-grid", "2.5,3.0", "--n", "512"]) == 0
+    assert main(["limits", "--t-grid", "2.5,3.0"]) == 0
     headers, rows = read_csv_text(capsys.readouterr().out)
     assert headers == ["t", "G_limit"]
     # default limit is the large-exponent curve, flat past tau=2
@@ -327,3 +331,47 @@ def test_module_entry_point_smoke(tmp_path):
     assert out.exists()
     empty = run_cli([])
     assert empty.returncode == 2
+
+
+_NO_SCIPY_SCRIPT = """
+import sys
+import grushin, grushin.cli
+from grushin.cli import main
+loaded = lambda: sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+assert not loaded(), loaded()
+assert main(["limits"]) == 0
+assert main(["limits", "--limit", "inf", "--d1", "2", "--t-grid", "1:5:4"]) == 0
+assert main(["limits", "--limit", "zero", "--d1", "3", "--d2", "6", "--t-grid", "1:5:4"]) == 0
+assert not loaded(), loaded()
+"""
+
+
+def test_limits_never_imports_scipy():
+    # the closed-form path, d = 1, 2, 3 and 6 alike, runs without SciPy
+    result = run_python(["-c", _NO_SCIPY_SCRIPT])
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.count("G_limit") == 3
+
+
+_POOL_SCRIPT = """
+import sys
+from grushin import cli
+
+def loaded(_):
+    return "scipy.linalg" in sys.modules
+
+assert not loaded(0)
+with cli._pool_map(2) as map_fn:
+    assert all(map_fn(loaded, range(4)))
+"""
+
+
+def test_workers_inherit_lapack_and_jobs_two_matches_one():
+    # the pool's forked workers find SciPy already loaded, and a fresh
+    # `--jobs 2` sweep prints the bytes of a `--jobs 1` one
+    result = run_python(["-c", _POOL_SCRIPT])
+    assert result.returncode == 0, result.stderr
+    args = ["sweep-s", "--s-list", "0.5,1", "--t-grid", "1:2:3", "--n", "256"]
+    one, two = run_cli([*args, "--jobs", "1"]), run_cli([*args, "--jobs", "2"])
+    assert one.returncode == two.returncode == 0
+    assert one.stdout.count("\n") == 7 and one.stdout == two.stdout

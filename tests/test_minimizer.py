@@ -49,7 +49,7 @@ def test_objective_substitution_identity():
     # lambda1 = K^a F(sigma*) with K the second-factor constant; exact
     p = ProblemParams(d1=1, d2=2, s=1.5)
     r = minimize(p, 1024)
-    c = ball_constants(1, 2, 1024)
+    c = ball_constants(1, 2)
     a = p.d2 / (p.d1 + (1.0 + p.s) * p.d2)
     k = c.mu1_b2 * p.V ** (-2.0 / p.d2)
     assert abs(k**a * scaled_energy(p, r.sigma_star, 1024) - r.lambda1) / r.lambda1 < 1e-12
@@ -69,17 +69,17 @@ def test_total_volume_rescaling_law():
 def test_split_coupling_roundtrip():
     p = ProblemParams(1, 1, 1.0)
     for t in (0.5, 1.0, 2.5):
-        sigma = coupling_of_split(p, t, 512)
-        assert abs(split_of_coupling(p, sigma, 512) - t) / t < 1e-12
-        assert abs(math.log(sigma) - log_coupling_of_split(p, t, 512)) < 1e-12
+        sigma = coupling_of_split(p, t)
+        assert abs(split_of_coupling(p, sigma) - t) / t < 1e-12
+        assert abs(math.log(sigma) - log_coupling_of_split(p, t)) < 1e-12
 
 
 def test_coupling_overflow_guarded():
     p = ProblemParams(1, 1, 150.0)
     # the log form stays finite where the plain value would overflow
-    assert log_coupling_of_split(p, 10.0, 512) > 690.0
+    assert log_coupling_of_split(p, 10.0) > 690.0
     with pytest.raises(InvalidProblem):
-        coupling_of_split(p, 10.0, 512)
+        coupling_of_split(p, 10.0)
 
 
 # --------------------------------------------------------------- anchors

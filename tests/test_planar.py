@@ -134,7 +134,7 @@ def test_disk_laplacian_matches_radial_oracle():
     # s=0 disk of radius 1: both routes must deliver j01^2
     solve = solve_disk(DiskProblem(rho=1.0, s=0.0, n=256))
     assert abs(solve.extrapolated - J01_SQUARED) / J01_SQUARED < 0.01
-    oracle = mu1_ball(2, math.pi, 2048)
+    oracle = mu1_ball(2, math.pi)
     assert abs(solve.extrapolated - oracle) / oracle < 0.01
 
 

@@ -37,6 +37,7 @@ from oracles import (
     J01_SQUARED,
     bessel_j0,
     dense_lowest_eigenvalue,
+    first_bessel_zero,
     tridiagonal_reference_energy,
 )
 
@@ -69,9 +70,28 @@ def test_interval_ground_energy():
 
 
 def test_ball_constants_match_closed_forms():
-    assert abs(mu1_ball(1, 2.0) - PI2_4) < 1e-6
-    assert abs(mu1_ball(2, math.pi) - J01_SQUARED) / J01_SQUARED < 1e-6
-    assert abs(mu1_ball(3, 4.0 * math.pi / 3.0) - math.pi**2) / math.pi**2 < 1e-6
+    assert abs(mu1_ball(1, 2.0) - PI2_4) / PI2_4 < 1e-15
+    assert abs(mu1_ball(2, math.pi) - J01_SQUARED) / J01_SQUARED < 1e-14
+    assert abs(mu1_ball(3, 4.0 * math.pi / 3.0) - math.pi**2) / math.pi**2 < 1e-14
+
+
+@pytest.mark.parametrize("d", range(1, 129))
+def test_mu1_ball_zero_matches_scipy_oracle(d):
+    # on the unit ball mu1 is the square of the first zero of J_(d/2-1)
+    zero = first_bessel_zero(d)
+    assert abs(math.sqrt(mu1_ball(d, ball_volume_constant(d))) - zero) / zero <= 1e-13
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_radial_discretization_converges_to_exact_ball_value(d):
+    # the second-order FD eigenvalue of the unit ball approaches j^2 at 4x
+    # per grid doubling
+    exact = mu1_ball(d, ball_volume_constant(d))
+    errors = [solve_radial(RadialProblem(d1=d, s=1.0, mu=0.0, R=1.0, n=n)).energy - exact
+              for n in (256, 512, 1024, 2048)]
+    for coarse, fine in zip(errors, errors[1:]):
+        assert abs(coarse / fine - 4.0) < 0.01
+    assert abs(errors[-1]) / exact < 1e-6
 
 
 def test_ball_volume_constant():
@@ -300,16 +320,15 @@ def test_mu1_ball_rejects_bad_volume():
         (mu1_ball, (1.5, 1.0)),
         (ball_constants, (1.5, 2.5)),
         (large_s_limit, (1.5, 2.0)),
-        (mu1_ball, (1, 1.0, 16.7)),
         (mu1_ball, (math.inf, 1.0)),
         (ball_constants, (1, math.nan)),
     ],
     ids=lambda v: v.__name__ if callable(v) else repr(v),
 )
 def test_ball_constants_reject_bad_dimensions(fn, args):
-    # a zero dimension used to divide by zero, a fractional dimension or grid
-    # size was truncated to the integer below, and nan or inf failed to
-    # convert to an integer
+    # a zero dimension used to divide by zero, a fractional dimension was
+    # truncated to the integer below, and nan or inf failed to convert to an
+    # integer
     with pytest.raises(InvalidProblem):
         fn(*args)
 
