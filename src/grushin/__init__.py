@@ -45,6 +45,15 @@ from .minimizer import (
     split_of_coupling,
     whole_space_energy,
 )
+from .planar import (
+    DEFAULT_N_2D,
+    DiskProblem,
+    DiskSolve,
+    decoupled_rectangle_value,
+    segment_limit_probe,
+    solve_disk,
+    solve_rectangle_full,
+)
 from .radial import (
     DEFAULT_N,
     RadialProblem,
@@ -59,27 +68,6 @@ from .radial import (
 from .tables import SweepTable, emit_csv, emit_svg, render_csv, render_svg
 
 __version__ = "0.1.0"
-
-#: names loaded from `planar` on first use, so that 1-D work never imports
-#: the sparse 2-D solver
-_PLANAR_NAMES = (
-    "DEFAULT_N_2D",
-    "DiskProblem",
-    "DiskSolve",
-    "decoupled_rectangle_value",
-    "segment_limit_probe",
-    "solve_disk",
-    "solve_rectangle_full",
-)
-
-
-def __getattr__(name: str):
-    if name in _PLANAR_NAMES:
-        from . import planar
-
-        return getattr(planar, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
 
 __all__ = [
     "BallConstants",

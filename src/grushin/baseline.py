@@ -3,9 +3,10 @@
 A baseline CSV has the columns of BASELINE_HEADERS.  `kind` selects the
 computation (`minimize`, `gs` for the split objective at a given `t`, `disk`,
 `rectangle`); `d1`, `d2` and `V` may be left empty (1, 1 and 1.0), the other
-inputs the kind uses may not.  Numbers must be finite, `expected` nonzero
-and `rel_tol` >= 0.  `regression_suite` recomputes every row and reports
-its relative deviation from `expected` next to the row's `rel_tol`.
+inputs the kind uses may not.  Numbers must be finite, `d1`, `d2` and `n`
+positive integers, `expected` nonzero and `rel_tol` >= 0.  `regression_suite`
+recomputes every row and reports its relative deviation from `expected` next
+to the row's `rel_tol`.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from pathlib import Path
 
 from .errors import BaselineMissing, UsageError
 from .minimizer import ProblemParams, lambda1_product, minimize
+from .planar import DiskProblem, solve_disk, solve_rectangle_full
 
 __all__ = ["BASELINE_HEADERS", "DEFAULT_BASELINE", "RegressionReport", "regression_suite"]
 
@@ -67,6 +69,14 @@ def _row_value(row: dict, key: str, default: float | None = None) -> float:
     return value
 
 
+def _row_count(row: dict, key: str, default: int | None = None) -> int:
+    value = _row_value(row, key, default)
+    if not (value >= 1) or value != int(value):
+        name = row.get("name")
+        raise UsageError(f"baseline row {name!r}: {key} = {value!r} is not a positive integer")
+    return int(value)
+
+
 def _accepted(row: dict) -> tuple[str, float, float]:
     name = (row.get("name") or "").strip() or "<unnamed>"
     expected, tol = _row_value(row, "expected"), _row_value(row, "rel_tol")
@@ -77,11 +87,11 @@ def _accepted(row: dict) -> tuple[str, float, float]:
 
 def _evaluate_baseline_row(row: dict) -> float:
     kind = (row.get("kind") or "").strip()
-    n = int(_row_value(row, "n"))
+    n = _row_count(row, "n")
     if kind in ("minimize", "gs"):
         p = ProblemParams(
-            d1=int(_row_value(row, "d1", 1)),
-            d2=int(_row_value(row, "d2", 1)),
+            d1=_row_count(row, "d1", 1),
+            d2=_row_count(row, "d2", 1),
             s=_row_value(row, "s"),
             V=_row_value(row, "V", 1.0),
         )
@@ -89,13 +99,9 @@ def _evaluate_baseline_row(row: dict) -> float:
             return minimize(p, n).lambda1
         return lambda1_product(p, _row_value(row, "t"), n)
     if kind == "disk":
-        from .planar import DiskProblem, solve_disk
-
         problem = DiskProblem(rho=_row_value(row, "rho"), s=_row_value(row, "s"), n=n)
         return solve_disk(problem).extrapolated
     if kind == "rectangle":
-        from .planar import solve_rectangle_full
-
         return solve_rectangle_full(
             _row_value(row, "t"), _row_value(row, "V", 1.0), _row_value(row, "s"), n
         ).extrapolated

@@ -28,32 +28,13 @@ from .errors import (BaselineMissing, BracketFailure, GrushinError, InvalidProbl
                      NonConvergence, UsageError)
 from .minimizer import (MinimizeResult, ProblemParams, ball1_radius, coupling_of_split,
                         minimize)
-from .radial import DEFAULT_N, RadialProblem, _bind_lapack, solve_radial
+from .planar import (DEFAULT_N_2D, DiskProblem, segment_limit_probe, solve_disk,
+                     solve_rectangle_full)
+from .radial import DEFAULT_N, RadialProblem, solve_radial
 from .tables import SweepTable, emit_csv, emit_svg
 
 __all__ = ["BASELINE_HEADERS", "DEFAULT_BASELINE", "RunConfig", "console_entry", "main",
            "parse_config", "regression_suite"]
-
-#: Names of the 2-D solver that `_bind_planar` binds here on first use, so
-#: that 1-D commands never import it.
-_PLANAR_NAMES = ("DEFAULT_N_2D", "DiskProblem", "segment_limit_probe", "solve_disk",
-                 "solve_rectangle_full")
-
-
-def _bind_planar() -> None:
-    """Bind the 2-D names here, keeping any binding already made."""
-    from . import planar
-
-    for name in _PLANAR_NAMES:
-        globals().setdefault(name, getattr(planar, name))
-
-
-def __getattr__(name: str):
-    if name in _PLANAR_NAMES:
-        _bind_planar()
-        return globals()[name]
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
 
 DEFAULT_S_LADDER_ZERO = (0.1, 0.01, 0.001)
 DEFAULT_S_LADDER_INF = (10.0, 50.0, 150.0)
@@ -125,13 +106,13 @@ _FLAGS = {f.metadata["flag"]: f for f in fields(RunConfig) if f.metadata}
 def _pool_map(jobs: int):
     """`map`, or the map of a pool of `jobs` worker processes when jobs > 1.
 
-    SciPy's LAPACK is bound before the pool starts, so that forked workers
+    SciPy's LAPACK is imported before the pool starts, so that forked workers
     inherit it instead of each importing it.
     """
     if jobs == 1:
         yield map
     else:
-        _bind_lapack()
+        import scipy.linalg.lapack
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             yield pool.map
 
@@ -209,8 +190,8 @@ def _cmd_regress(cfg: RunConfig) -> int:
     return 0
 
 
-#: command -> (handler, help, the flags it takes besides --config, whether it
-#: runs the 2-D solver, whose DEFAULT_N_2D replaces DEFAULT_N as its --n)
+#: command -> (handler, help, the flags it takes besides --config, whether
+#: its default --n is DEFAULT_N_2D rather than DEFAULT_N)
 _COMMANDS = {
     "solve1d": (_cmd_solve1d, "radial eigenfunction at a given split",
                 "d1 d2 s V t n out svg".split(), False),
@@ -279,8 +260,6 @@ def parse_config(argv) -> RunConfig:
     values = vars(parser.parse_args(argv))
     command, config_path = values["command"], values.pop("config", None)
     _, _, flags, planar = _COMMANDS[command]
-    if planar:
-        _bind_planar()
     if config_path:
         # the file's values become defaults, which argparse converts like flags
         subparsers[command].set_defaults(**_load_config_file(config_path, command))

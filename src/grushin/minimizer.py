@@ -74,6 +74,12 @@ _LOG_SIGMA_MAX = 0.5 * math.log(sys.float_info.max)
 #: Radial solves the critical-point search may spend before giving up.
 _MAX_SOLVES = 100
 
+#: `whole_space_energy` stops once one growth of the truncation radius moves
+#: the energy by less than this relative amount, and gives up after this
+#: many rounds.
+_WHOLE_SPACE_TOL = 1e-8
+_WHOLE_SPACE_ROUNDS = 40
+
 
 @dataclass(frozen=True)
 class ProblemParams:
@@ -278,20 +284,14 @@ def _log_sigma_floor(p: ProblemParams, c: BallConstants) -> float:
     )
 
 
-def whole_space_energy(
-    d1: int,
-    s: float,
-    n_base: int = DEFAULT_N,
-    tol: float = 1e-8,
-    max_rounds: int = 40,
-) -> float:
+def whole_space_energy(d1: int, s: float, n_base: int = DEFAULT_N) -> float:
     """Ground energy E1(1, R^d1) of -Laplace + |x|^(2s) on the whole space.
 
     Computed by Dirichlet truncation to balls of growing radius (the
     truncated energies decrease monotonically to the limit).  The grid
     spacing is held fixed while the radius grows by factors of 1.5, so the
     change between rounds tracks the truncation error alone; iteration stops
-    once that change drops below tol.
+    once that change drops below _WHOLE_SPACE_TOL.
     """
     if not (s > 0.0) or not math.isfinite(s):
         raise InvalidProblem(f"s must be finite and > 0, got {s}")
@@ -301,19 +301,19 @@ def whole_space_energy(
     radius = max(8.0, min(4.0 * growth, 64.0))
     h0 = 8.0 / n_base
     prev = None
-    for _ in range(max_rounds):
+    for _ in range(_WHOLE_SPACE_ROUNDS):
         n = int(round(radius / h0))
         if n > 4_000_000:
             raise NonConvergence(
                 f"whole-space truncation for d1={d1}, s={s} exceeded the grid budget"
             )
         energy = solve_radial(RadialProblem(d1=d1, s=s, mu=1.0, R=radius, n=n)).energy
-        if prev is not None and abs(prev - energy) < tol * max(1.0, abs(energy)):
+        if prev is not None and abs(prev - energy) < _WHOLE_SPACE_TOL * max(1.0, abs(energy)):
             return energy
         prev = energy
         radius *= 1.5
     raise NonConvergence(
-        f"whole-space truncation for d1={d1}, s={s} did not settle in {max_rounds} rounds"
+        f"whole-space truncation for d1={d1}, s={s} did not settle in {_WHOLE_SPACE_ROUNDS} rounds"
     )
 
 

@@ -31,6 +31,8 @@ quotient.  Every eigenpair must pass the a-posteriori check
 ||S v - lambda v|| <= RESIDUAL_RTOL lambda ||v|| on the solved matrix S, or
 NonConvergence is raised.  A solve's `interior_count` is the size of S on
 the fine grid and its `iterations` the number of LU solves spent there.
+The functions that call SciPy's sparse solvers import them, so importing
+this module loads no SciPy.
 """
 
 from __future__ import annotations
@@ -39,18 +41,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse.linalg import (
-    ArpackError,
-    ArpackNoConvergence,
-    LinearOperator,
-    eigsh,
-    splu,
-)
 
 from .errors import DegenerateGrid, InvalidProblem, NonConvergence
 from .minimizer import ProblemParams, lambda1_product
-from .radial import DEFAULT_N
+from .radial import DEFAULT_N, _positive_integer
 from .tables import SweepTable
 
 __all__ = ["DEFAULT_N_2D", "DiskProblem", "DiskSolve", "decoupled_rectangle_value",
@@ -88,7 +82,7 @@ class DiskProblem:
             raise InvalidProblem(f"rho must be finite and > 0, got {self.rho}")
         if self.s < 0.0 or not math.isfinite(self.s):
             raise InvalidProblem(f"s must be finite and >= 0, got {self.s}")
-        if int(self.n) != self.n or self.n < 64:
+        if _positive_integer("n", self.n) < 64:
             raise InvalidProblem(f"n must be an integer >= 64, got {self.n}")
 
 
@@ -166,6 +160,8 @@ def _assemble(mask: np.ndarray, c_row: np.ndarray, h: float, on_axis: bool):
     M^(-1/2) K M^(-1/2), with K the stencil folded onto the quadrant and M
     the nodes' mass (1/2 per axis a node lies on).
     """
+    from scipy import sparse
+
     copies = np.full(mask.shape[0], 2)
     if on_axis:
         copies[0] = 1
@@ -204,6 +200,9 @@ def _smallest_eig(matrix) -> tuple[float, int]:
 
     Returns the eigenvalue and the number of LU solves spent.
     """
+    from scipy.sparse.linalg import (ArpackError, ArpackNoConvergence, LinearOperator,
+                                     eigsh, splu)
+
     lu = splu(matrix.tocsc(), permc_spec="MMD_AT_PLUS_A")
     solves = 0
 
@@ -251,6 +250,8 @@ def _disk_eig(rho: float, s: float, n: int) -> tuple[float, int, int]:
 
 
 def _rectangle_eig(t: float, V: float, s: float, n: int) -> tuple[float, int, int]:
+    from scipy import sparse
+
     # Kx + mu diag(|x|^(2s)) on the x half-axis without its boundary node,
     # folded at the mirror axis as `_links` folds it; k = 1/hx^2, and
     # mu = (4/hy^2) sin^2(pi/(2(n-1))) with hy = V/(t(n-1))
@@ -306,7 +307,7 @@ def solve_rectangle_full(
             raise InvalidProblem(f"{name} must be finite and > 0, got {value}")
     if s < 0.0 or not math.isfinite(s):
         raise InvalidProblem(f"s must be finite and >= 0, got {s}")
-    if int(n) != n or n < 64:
+    if _positive_integer("n", n) < 64:
         raise InvalidProblem(f"n must be an integer >= 64, got {n}")
     return _richardson(lambda m: _rectangle_eig(t, V, s, m), n, t / (n - 1), 2)
 

@@ -35,7 +35,8 @@ shift that factored, which starts at 0 because T is positive definite.  Below
 E1 every factor is an M-matrix with a positive inverse, so the iterates stay
 positive.  Since lam bounds E1 from above, up to its rounding level, a
 factored shift brackets E1 in (sigma, lam]; a solve returns only once the
-last factored shift is within 4 rho of lam.
+last factored shift is within 4 rho of lam.  The solving functions import
+SciPy's LAPACK themselves, so the ball constants below load no SciPy.
 
 The stop rule is stagnation: the iteration ends when the residual stops
 contracting (it exceeds half the previous one), provided it has reached its
@@ -77,26 +78,6 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import InvalidProblem, NonConvergence
-
-#: LAPACK routines that `_bind_lapack` binds here on the first solve, so that
-#: importing the package and the closed-form ball constants never load SciPy.
-_LAPACK_NAMES = ("dgtsv", "dpttrf", "dpttrs")
-
-
-def _bind_lapack() -> None:
-    """Bind the LAPACK names here, keeping any binding already made."""
-    from scipy.linalg import lapack
-
-    for name in _LAPACK_NAMES:
-        globals().setdefault(name, getattr(lapack, name))
-
-
-def __getattr__(name: str):
-    if name in _LAPACK_NAMES:
-        _bind_lapack()
-        return globals()[name]
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
 
 #: Default number of grid cells for production solves.
 DEFAULT_N = 4096
@@ -220,7 +201,6 @@ class RadialSolution:
            the discrete eigenvalue.
         second_derivative: d2E/dmu2 of the discrete eigenvalue, by second
            order perturbation theory (see the module docstring); <= 0.
-        norm_weight: human readable description of the norm quadrature.
     """
 
     energy: float
@@ -228,7 +208,6 @@ class RadialSolution:
     boundary_slope: float
     hf_derivative: float
     second_derivative: float
-    norm_weight: str
 
 
 def _assemble(p: RadialProblem):
@@ -286,6 +265,8 @@ def _ground_state(t_diag: np.ndarray, t_off: np.ndarray, x: np.ndarray):
     factors within _MAX_HALVINGS halvings, or if the residual has not settled
     at its rounding level within _MAX_STEPS steps.
     """
+    from scipy.linalg.lapack import dpttrf, dpttrs
+
     shift = 0.0  # T is symmetric positive definite
     prev = math.inf
     for _ in range(_MAX_STEPS):
@@ -339,7 +320,8 @@ def solve_radial(p: RadialProblem) -> RadialSolution:
     when), or if the second derivative's solve fails; InvalidProblem (via
     RadialProblem) for bad inputs.
     """
-    _bind_lapack()
+    from scipy.linalg.lapack import dgtsv
+
     # the congruence D^(-1/2) A D^(-1/2) overwrites A's entries in place
     h, r, lo, t_diag, t_off, d_w, a_half, pot, dpot = _assemble(p)
     sqrt_d = np.sqrt(d_w)
@@ -405,7 +387,6 @@ def solve_radial(p: RadialProblem) -> RadialSolution:
         boundary_slope=slope,
         hf_derivative=c * e_dot,
         second_derivative=c * (c * e_ddot),
-        norm_weight=f"trapezoid, weight r^{p.d1 - 1}, h={h!r}",
     )
 
 

@@ -19,6 +19,9 @@ from .errors import InvalidProblem
 
 __all__ = ["SweepTable", "emit_csv", "emit_svg", "render_csv", "render_svg"]
 
+#: Size of a rendered plot in pixels.
+_WIDTH, _HEIGHT = 800, 560
+
 _SERIES_COLORS = (
     "#1f77b4",
     "#d62728",
@@ -126,7 +129,7 @@ def _series(table: SweepTable) -> list[tuple[str, list[tuple[float, float]]]]:
     return [(f"{table.headers[y]}", pts)]
 
 
-def render_svg(table: SweepTable, width: int = 800, height: int = 560) -> str:
+def render_svg(table: SweepTable) -> str:
     """A minimal line plot: one polyline per series, axis box, legend."""
     series = _series(table)
     xs = [x for _, pts in series for x, _ in pts]
@@ -138,8 +141,8 @@ def render_svg(table: SweepTable, width: int = 800, height: int = 560) -> str:
     if y_hi == y_lo:
         y_lo, y_hi = y_lo - 1.0, y_hi + 1.0
     left, right, top, bottom = 70.0, 20.0, 20.0, 50.0
-    span_x = width - left - right
-    span_y = height - top - bottom
+    span_x = _WIDTH - left - right
+    span_y = _HEIGHT - top - bottom
 
     def px(x: float) -> float:
         return left + (x - x_lo) / (x_hi - x_lo) * span_x
@@ -148,8 +151,8 @@ def render_svg(table: SweepTable, width: int = 800, height: int = 560) -> str:
         return top + (y_hi - y) / (y_hi - y_lo) * span_y
 
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
+        f'viewBox="0 0 {_WIDTH} {_HEIGHT}">',
         f'<rect x="{left}" y="{top}" width="{span_x}" height="{span_y}" '
         'fill="none" stroke="#000000"/>',
     ]
@@ -160,14 +163,14 @@ def render_svg(table: SweepTable, width: int = 800, height: int = 560) -> str:
             f'<polyline fill="none" stroke="{color}" stroke-width="1.5" points="{coords}"/>'
         )
         parts.append(
-            f'<text x="{width - right - 5:.0f}" y="{top + 16 * (k + 1):.0f}" '
+            f'<text x="{_WIDTH - right - 5:.0f}" y="{top + 16 * (k + 1):.0f}" '
             f'text-anchor="end" font-family="monospace" font-size="12" '
             f'fill="{color}">{label}</text>'
         )
     labels = (
-        (left, height - bottom + 18.0, "start", f"{x_lo:.6g}"),
-        (width - right, height - bottom + 18.0, "end", f"{x_hi:.6g}"),
-        (left - 6.0, height - bottom, "end", f"{y_lo:.6g}"),
+        (left, _HEIGHT - bottom + 18.0, "start", f"{x_lo:.6g}"),
+        (_WIDTH - right, _HEIGHT - bottom + 18.0, "end", f"{x_hi:.6g}"),
+        (left - 6.0, _HEIGHT - bottom, "end", f"{y_lo:.6g}"),
         (left - 6.0, top + 10.0, "end", f"{y_hi:.6g}"),
     )
     for x, y, anchor, text in labels:
@@ -179,6 +182,6 @@ def render_svg(table: SweepTable, width: int = 800, height: int = 560) -> str:
     return "\n".join(parts) + "\n"
 
 
-def emit_svg(table: SweepTable, path, width: int = 800, height: int = 560) -> None:
+def emit_svg(table: SweepTable, path) -> None:
     """Write the line plot of the table to a file path, or stdout for '-'."""
-    _write(path, render_svg(table, width, height))
+    _write(path, render_svg(table))

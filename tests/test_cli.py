@@ -300,13 +300,25 @@ def test_regress_unknown_kind(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "expected, rel_tol, column",
-    [("abc", 0.1, "expected"), ("0", 0.1, "expected"), (6.0, "nan", "rel_tol"), (6.0, -1, "rel_tol")],
+    "column, text",
+    [
+        pytest.param("expected", "abc", id="abc-0.1-expected"),
+        pytest.param("expected", "0", id="0-0.1-expected"),
+        pytest.param("rel_tol", "nan", id="6.0-nan-rel_tol"),
+        pytest.param("rel_tol", -1, id="6.0--1-rel_tol"),
+        ("d1", 1.5),
+        ("d2", 0),
+        ("n", 16.7),
+        ("n", -512),
+    ],
 )
-def test_regress_unusable_number(tmp_path, capsys, expected, rel_tol, column):
-    # expected divides the deviation and rel_tol bounds it
+def test_regress_unusable_number(tmp_path, capsys, column, text):
+    # expected divides the deviation and rel_tol bounds it; d1, d2 and n
+    # count dimensions and grid cells, so they are never rounded to one
+    row = dict(zip(BASELINE_HEADERS, ("x", "gs", 1, 1, 1.0, 1.0, 2.0, "", 512, 6.0, 0.1)))
+    row[column] = text
     bad = tmp_path / "bad.csv"
-    _write_baseline(bad, [("x", "gs", 1, 1, 1.0, 1.0, 2.0, "", 512, expected, rel_tol)])
+    _write_baseline(bad, [tuple(row.values())])
     assert main(["regress", "--baseline", str(bad)]) == 2
     err = capsys.readouterr().err
     assert "'x'" in err and column in err
@@ -335,7 +347,7 @@ def test_module_entry_point_smoke(tmp_path):
 
 _NO_SCIPY_SCRIPT = """
 import sys
-import grushin, grushin.cli
+import grushin, grushin.cli, grushin.planar, grushin.baseline
 from grushin.cli import main
 loaded = lambda: sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 assert not loaded(), loaded()
@@ -343,11 +355,15 @@ assert main(["limits"]) == 0
 assert main(["limits", "--limit", "inf", "--d1", "2", "--t-grid", "1:5:4"]) == 0
 assert main(["limits", "--limit", "zero", "--d1", "3", "--d2", "6", "--t-grid", "1:5:4"]) == 0
 assert not loaded(), loaded()
+assert main(["minimize", "--n", "256"]) == 0
+assert "scipy.linalg" in loaded(), loaded()
+assert not [m for m in loaded() if m.startswith("scipy.sparse")], loaded()
 """
 
 
 def test_limits_never_imports_scipy():
-    # the closed-form path, d = 1, 2, 3 and 6 alike, runs without SciPy
+    # importing every module and the closed-form path, d = 1, 2, 3 and 6
+    # alike, load no SciPy; a 1-D solve loads LAPACK but not the sparse solver
     result = run_python(["-c", _NO_SCIPY_SCRIPT])
     assert result.returncode == 0, result.stderr
     assert result.stdout.count("G_limit") == 3

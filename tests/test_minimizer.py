@@ -244,11 +244,12 @@ def test_whole_space_slow_flattening_is_real():
     assert (PI2_4 - e) / PI2_4 > 0.10
 
 
-def test_whole_space_validation_and_budget():
+def test_whole_space_validation_and_budget(monkeypatch):
     with pytest.raises(InvalidProblem):
         whole_space_energy(1, 0.0)
+    monkeypatch.setattr(minimizer, "_WHOLE_SPACE_ROUNDS", 1)
     with pytest.raises(NonConvergence):
-        whole_space_energy(1, 1.0, 2048, max_rounds=1)
+        whole_space_energy(1, 1.0, 2048)
 
 
 # ------------------------------------------------------- failure handling

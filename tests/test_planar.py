@@ -13,9 +13,9 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 from scipy.sparse.linalg import ArpackError, ArpackNoConvergence
 
-import grushin.planar as planar
 from grushin.errors import DegenerateGrid, InvalidProblem, NonConvergence
 from grushin.planar import (
     DiskProblem,
@@ -248,8 +248,9 @@ def test_disk_problem_validation():
         DiskProblem(rho=0.0, s=1.0, n=128)
     with pytest.raises(InvalidProblem):
         DiskProblem(rho=1.0, s=-0.5, n=128)
-    with pytest.raises(InvalidProblem):
-        DiskProblem(rho=1.0, s=1.0, n=32)
+    for n in (32, math.nan, math.inf):
+        with pytest.raises(InvalidProblem):
+            DiskProblem(rho=1.0, s=1.0, n=n)
 
 
 def test_disk_solve_consistency_guard():
@@ -274,7 +275,7 @@ def test_nonconvergence_when_lanczos_fails(monkeypatch, failure):
     def fail(*args, **kwargs):
         raise failure
 
-    monkeypatch.setattr(planar, "eigsh", fail)
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", fail)
     with pytest.raises(NonConvergence):
         solve_disk(DiskProblem(rho=1.0, s=1.0, n=64))
 
@@ -289,8 +290,9 @@ def test_nonconvergence_when_lanczos_fails(monkeypatch, failure):
     ids=["shifted", "start-vector", "zero"],
 )
 def test_nonconvergence_on_bad_eigenpair(monkeypatch, corrupt):
-    real = planar.eigsh
-    monkeypatch.setattr(planar, "eigsh", lambda *a, **kw: (None, corrupt(real(*a, **kw)[1])))
+    real = scipy.sparse.linalg.eigsh
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh",
+                        lambda *a, **kw: (None, corrupt(real(*a, **kw)[1])))
     with pytest.raises(NonConvergence):
         solve_rectangle_full(1.0, 1.0, 1.0, 64)
 
@@ -302,3 +304,6 @@ def test_rectangle_input_validation():
         solve_rectangle_full(1.0, -1.0, 1.0, 64)
     with pytest.raises(InvalidProblem):
         solve_rectangle_full(1.0, 1.0, -0.5, 64)
+    for n in (math.nan, math.inf):
+        with pytest.raises(InvalidProblem):
+            solve_rectangle_full(1.0, 1.0, 1.0, n)

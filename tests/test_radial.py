@@ -14,6 +14,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg.lapack
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import eigvalsh_tridiagonal
@@ -429,7 +430,7 @@ def test_factorization_that_always_fails_raises(monkeypatch):
         calls.append(1)
         return d, e, 1
 
-    monkeypatch.setattr(radial, "dpttrf", failing)
+    monkeypatch.setattr(scipy.linalg.lapack, "dpttrf", failing)
     with pytest.raises(NonConvergence):
         solve_radial(RadialProblem(2, 1.0, 10.0, 1.0, 256))
     assert len(calls) <= radial._MAX_HALVINGS
@@ -444,7 +445,7 @@ def test_solve_that_returns_its_input_raises(monkeypatch):
         calls.append(1)
         return b, 0
 
-    monkeypatch.setattr(radial, "dpttrs", identity)
+    monkeypatch.setattr(scipy.linalg.lapack, "dpttrs", identity)
     with pytest.raises(NonConvergence):
         solve_radial(RadialProblem(2, 1.0, 10.0, 1.0, 256))
     assert len(calls) <= radial._MAX_STEPS
