@@ -3,10 +3,11 @@
 A baseline CSV has the columns of BASELINE_HEADERS.  `kind` selects the
 computation (`minimize`, `gs` for the split objective at a given `t`, `disk`,
 `rectangle`); `d1`, `d2` and `V` may be left empty (1, 1 and 1.0), the other
-inputs the kind uses may not.  Numbers must be finite, `d1`, `d2` and `n`
-positive integers, `expected` nonzero and `rel_tol` >= 0.  `regression_suite`
-recomputes every row and reports its relative deviation from `expected` next
-to the row's `rel_tol`.
+inputs the kind uses may not.  The 2-D kinds solve d1 = d2 = 1 only, so
+their `d1` and `d2` must be empty or 1.  Numbers must be finite, `d1`, `d2`
+and `n` positive integers, `expected` nonzero and `rel_tol` >= 0.
+`regression_suite` recomputes every row and reports its relative deviation
+from `expected` next to the row's `rel_tol`.
 """
 
 from __future__ import annotations
@@ -98,6 +99,13 @@ def _evaluate_baseline_row(row: dict) -> float:
         if kind == "minimize":
             return minimize(p, n).lambda1
         return lambda1_product(p, _row_value(row, "t"), n)
+    if kind in ("disk", "rectangle"):
+        for key in ("d1", "d2"):
+            if _row_count(row, key, 1) != 1:
+                raise UsageError(
+                    f"baseline row {row.get('name')!r}: {kind} rows solve d1 = d2 = 1, "
+                    f"got {key} = {row[key]!r}"
+                )
     if kind == "disk":
         problem = DiskProblem(rho=_row_value(row, "rho"), s=_row_value(row, "s"), n=n)
         return solve_disk(problem).extrapolated

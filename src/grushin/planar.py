@@ -23,14 +23,16 @@ eigenvalue is that of the line operator Kx + mu diag(|x|^(2s)), with mu the
 smallest eigenvalue (4/hy^2) sin^2(pi/(2(n-1))) of Ky (fast diagonalization,
 Lynch, Rice & Thomas 1964): rectangles are never assembled in 2-D.
 
-The smallest eigenvalue comes from shift-invert Lanczos (ARPACK, sigma = 0)
-on one sparse LU factorization per grid, started from the constant vector
-so that repeated solves are bit-identical, followed by one inverse-iteration
-step from the Ritz vector; the reported value is that vector's Rayleigh
-quotient.  Every eigenpair must pass the a-posteriori check
-||S v - lambda v|| <= RESIDUAL_RTOL lambda ||v|| on the solved matrix S, or
-NonConvergence is raised.  A solve's `interior_count` is the size of S on
-the fine grid and its `iterations` the number of LU solves spent there.
+The smallest eigenvalue comes from shift-invert Lanczos on one sparse LU
+factorization per grid: full reorthogonalization, a convergence test after
+every LU solve, and a thick restart that keeps the leading half of the basis
+(Wu & Simon, SIAM J. Matrix Anal. Appl. 22 (2000) 602-616).  It starts from
+the constant vector, so repeated solves are bit-identical, and one
+inverse-iteration step from its Ritz vector follows; the reported value is
+that vector's Rayleigh quotient.  Every eigenpair must pass the a-posteriori
+check ||S v - lambda v|| <= RESIDUAL_RTOL lambda ||v|| on the solved matrix
+S, or NonConvergence is raised.  A solve's `interior_count` is the size of S
+on the fine grid and its `iterations` the number of LU solves spent there.
 The functions that call SciPy's sparse solvers import them, so importing
 this module loads no SciPy.
 """
@@ -56,13 +58,19 @@ DEFAULT_N_2D = 512
 #: eigenpair of the solved matrix S.
 RESIDUAL_RTOL = 1e-8
 
-#: ARPACK convergence tolerance for the shift-invert Ritz value.
-_ARPACK_TOL = 1e-10
+#: Lanczos stops once its Ritz pair (theta, y) of the inverse has the
+#: residual bound beta |y_last| <= _RITZ_RTOL theta.
+_RITZ_RTOL = 1e-10
 
-#: Lanczos basis size.  ARPACK's default of 20 for one eigenvalue restarts
-#: thousands of times on the near-degenerate chord-mode clusters of large s
-#: (46k solves for rho=1, s=300, n=129, against 201 with 40).
+#: Lanczos basis size; a restart keeps the _LANCZOS_NCV // 2 Ritz vectors of
+#: largest theta.  Near-degenerate chord-mode clusters at large s need a wide
+#: basis and a deep restart: rho=1.3, s=1000, n=128 takes 797 LU solves, but
+#: keeping 30 of 40 vectors, or 12 of 24, fails to converge in 20 000.
 _LANCZOS_NCV = 40
+
+#: LU solves Lanczos may spend before it raises NonConvergence, ~8x the most
+#: a disk has been seen to take (1229 at rho=1.3, s=1000, n=129).
+_LANCZOS_SOLVES = 10_000
 
 
 @dataclass(frozen=True)
@@ -195,13 +203,52 @@ def _assemble(mask: np.ndarray, c_row: np.ndarray, h: float, on_axis: bool):
     return matrix
 
 
+def _lanczos(solve, m: int) -> np.ndarray:
+    """Ritz vector of the largest eigenvalue of the inverse that solve applies.
+
+    Thick-restart Lanczos from the constant vector, with two Gram-Schmidt
+    passes against the whole basis.  The projected matrix holds the
+    orthogonalization coefficients, so after a restart its leading block is
+    diag(theta) of the kept Ritz vectors, coupled only to the residual vector.
+    """
+    ncv = min(_LANCZOS_NCV, m)
+    keep = ncv // 2
+    basis = np.empty((ncv, m))
+    basis[0] = 1.0 / math.sqrt(m)
+    projected = np.zeros((ncv, ncv))
+    j = 0
+    for _ in range(_LANCZOS_SOLVES):
+        w = solve(basis[j])
+        h = np.zeros(j + 1)
+        for _ in range(2):
+            c = basis[: j + 1] @ w
+            w -= c @ basis[: j + 1]
+            h += c
+        projected[: j + 1, j] = projected[j, : j + 1] = h
+        beta = np.linalg.norm(w)
+        if not math.isfinite(beta):
+            raise NonConvergence("an LU solve returned a non-finite vector")
+        theta, y = np.linalg.eigh(projected[: j + 1, : j + 1])
+        # theta > 0 since S is positive definite, so beta = 0 also stops here
+        if beta * abs(y[-1, -1]) <= _RITZ_RTOL * theta[-1] or j + 1 == m:
+            return y[:, -1] @ basis[: j + 1]
+        if j + 1 == ncv:
+            basis[:keep] = y[:, -keep:].T @ basis
+            projected[:] = 0.0
+            np.fill_diagonal(projected[:keep, :keep], theta[-keep:])
+            j = keep
+        else:
+            j += 1
+        basis[j] = w / beta
+    raise NonConvergence(f"shift-invert Lanczos did not converge in {_LANCZOS_SOLVES} LU solves")
+
+
 def _smallest_eig(matrix) -> tuple[float, int]:
     """Shift-invert Lanczos at sigma = 0, gated by an a-posteriori residual.
 
     Returns the eigenvalue and the number of LU solves spent.
     """
-    from scipy.sparse.linalg import (ArpackError, ArpackNoConvergence, LinearOperator,
-                                     eigsh, splu)
+    from scipy.sparse.linalg import splu
 
     lu = splu(matrix.tocsc(), permc_spec="MMD_AT_PLUS_A")
     solves = 0
@@ -211,24 +258,12 @@ def _smallest_eig(matrix) -> tuple[float, int]:
         solves += 1
         return lu.solve(b)
 
-    m = matrix.shape[0]
-    try:
-        _, ritz = eigsh(
-            matrix,
-            k=1,
-            sigma=0.0,
-            OPinv=LinearOperator((m, m), matvec=inverse, dtype=float),
-            ncv=min(_LANCZOS_NCV, m),
-            v0=np.ones(m),
-            tol=_ARPACK_TOL,
-        )
-    except (ArpackNoConvergence, ArpackError) as exc:
-        raise NonConvergence(f"shift-invert Lanczos failed: {exc}") from exc
+    ritz = _lanczos(inverse, matrix.shape[0])
     # The Ritz vector carries rounding of order eps ||v|| in rows whose
     # diagonal is huge (|x|^(2s) >> 1 on wide domains), which dominates its
     # residual; one inverse-iteration step removes it.  The reported value
     # is the Rayleigh quotient of the refined vector.
-    v = inverse(ritz[:, 0])
+    v = inverse(ritz)
     sv = matrix @ v
     vv = v @ v
     with np.errstate(invalid="ignore", divide="ignore"):

@@ -324,6 +324,19 @@ def test_regress_unusable_number(tmp_path, capsys, column, text):
     assert "'x'" in err and column in err
 
 
+@pytest.mark.parametrize("kind", ["disk", "rectangle"])
+@pytest.mark.parametrize("column, text", [("d1", 3), ("d2", 2)])
+def test_regress_planar_row_with_higher_dimension(tmp_path, capsys, kind, column, text):
+    # the 2-D solver is d1 = d2 = 1 only; such a row would silently run as 1+1
+    row = dict(zip(BASELINE_HEADERS, ("x", kind, "", "", 1.0, 1.0, 1.0, 0.56, 64, 8.9, 0.5)))
+    row[column] = text
+    bad = tmp_path / "bad.csv"
+    _write_baseline(bad, [tuple(row.values())])
+    assert main(["regress", "--baseline", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert "'x'" in err and column in err
+
+
 def test_regression_suite_api(tmp_path):
     value = lambda1_product(ProblemParams(1, 1, 1.0), 2.0, 512)
     path = tmp_path / "one.csv"

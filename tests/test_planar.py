@@ -14,8 +14,8 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse.linalg
-from scipy.sparse.linalg import ArpackError, ArpackNoConvergence
 
+import grushin.planar
 from grushin.errors import DegenerateGrid, InvalidProblem, NonConvergence
 from grushin.planar import (
     DiskProblem,
@@ -82,7 +82,7 @@ def _full_axis(a, n):
 
 
 @pytest.mark.parametrize("n", [64, 65])
-@pytest.mark.parametrize("s", [0.0, 1.0, 150.0])
+@pytest.mark.parametrize("s", [0.0, 1.0, 150.0, 300.0])
 def test_disk_quadrant_matches_full_grid(n, s):
     xs = _full_axis(UNIT_AREA_RHO, n)
     mask = xs[:, None] ** 2 + xs[None, :] ** 2 < UNIT_AREA_RHO**2
@@ -266,34 +266,56 @@ def test_repeated_solves_bit_identical():
     assert solve_disk(p).extrapolated == solve_disk(p).extrapolated
 
 
+def test_lanczos_checks_convergence_at_every_solve():
+    # the s=0 disk converges in 7 Lanczos steps plus the refinement solve;
+    # a fixed 40-vector basis would cost 42
+    assert solve_disk(DiskProblem(rho=1.0, s=0.0, n=128)).iterations <= 12
+
+
+def test_lanczos_thick_restart_on_clustered_chord_modes():
+    # rho=1.3, s=1000: the near-degenerate chord modes take 797 LU solves
+    # with a thick restart that keeps half the basis
+    lam, _, solves = _disk_eig(1.3, 1000.0, 128)
+    assert solves <= 1200
+    assert 2.0 < lam < 2.5
+
+
+class _NanSolve:
+    def __init__(self, matrix, **kwargs):
+        pass
+
+    def solve(self, b):
+        return np.full_like(b, np.nan)
+
+
 @pytest.mark.parametrize(
-    "failure",
-    [ArpackNoConvergence("no convergence", np.empty(0), np.empty((0, 0))), ArpackError(-9999)],
+    "module, name, value, message",
+    [
+        (grushin.planar, "_LANCZOS_SOLVES", 3, "did not converge in 3 LU solves"),
+        (scipy.sparse.linalg, "splu", _NanSolve, "non-finite"),
+    ],
     ids=["no-convergence", "arpack-error"],
 )
-def test_nonconvergence_when_lanczos_fails(monkeypatch, failure):
-    def fail(*args, **kwargs):
-        raise failure
-
-    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", fail)
-    with pytest.raises(NonConvergence):
-        solve_disk(DiskProblem(rho=1.0, s=1.0, n=64))
+def test_nonconvergence_when_lanczos_fails(monkeypatch, module, name, value, message):
+    # too few LU solves for the s=150 cluster, or an LU solve that returns nan
+    monkeypatch.setattr(module, name, value)
+    with pytest.raises(NonConvergence, match=message):
+        solve_disk(DiskProblem(rho=UNIT_AREA_RHO, s=150.0, n=64))
 
 
 @pytest.mark.parametrize(
     "corrupt",
     [
-        lambda vecs: np.roll(vecs, 1, axis=0),
-        lambda vecs: np.ones_like(vecs),
-        lambda vecs: np.zeros_like(vecs),
+        lambda vec: np.roll(vec, 1),
+        lambda vec: np.ones_like(vec),
+        lambda vec: np.zeros_like(vec),
     ],
     ids=["shifted", "start-vector", "zero"],
 )
 def test_nonconvergence_on_bad_eigenpair(monkeypatch, corrupt):
-    real = scipy.sparse.linalg.eigsh
-    monkeypatch.setattr(scipy.sparse.linalg, "eigsh",
-                        lambda *a, **kw: (None, corrupt(real(*a, **kw)[1])))
-    with pytest.raises(NonConvergence):
+    real = grushin.planar._lanczos
+    monkeypatch.setattr(grushin.planar, "_lanczos", lambda *a: corrupt(real(*a)))
+    with pytest.raises(NonConvergence, match="eigenpair residual"):
         solve_rectangle_full(1.0, 1.0, 1.0, 64)
 
 
