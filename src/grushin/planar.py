@@ -24,17 +24,33 @@ smallest eigenvalue (4/hy^2) sin^2(pi/(2(n-1))) of Ky (fast diagonalization,
 Lynch, Rice & Thomas 1964): rectangles are never assembled in 2-D.
 
 The smallest eigenvalue comes from shift-invert Lanczos on one sparse LU
-factorization per grid: full reorthogonalization, a convergence test after
-every LU solve, and a thick restart that keeps the leading half of the basis
-(Wu & Simon, SIAM J. Matrix Anal. Appl. 22 (2000) 602-616).  It starts from
-the constant vector, so repeated solves are bit-identical, and one
-inverse-iteration step from its Ritz vector follows; the reported value is
-that vector's Rayleigh quotient.  Every eigenpair must pass the a-posteriori
-check ||S v - lambda v|| <= RESIDUAL_RTOL lambda ||v|| on the solved matrix
-S, or NonConvergence is raised.  A solve's `interior_count` is the size of S
-on the fine grid and its `iterations` the number of LU solves spent there.
-The functions that call SciPy's sparse solvers import them, so importing
-this module loads no SciPy.
+factorization of S - sigma I per grid, at a shift the factor certifies.
+SuperLU factors it with one symmetric ordering and diagonal pivots, so
+U = D L^T and, by Sylvester's law of inertia, the pivots <= 0 count the
+eigenvalues <= sigma; a count of zero certifies sigma < lambda1 (the
+inertia check of Grimes, Lewis & Simon, SIAM J. Matrix Anal. Appl. 15
+(1994) 228-272).  A residual alone cannot do this: on the s=150, n=256
+unit-area disk sixteen chord modes lie within 1e-9 of lambda1.  The shifts
+come from a coarse-to-fine cascade over the grids n//2^k >= 64 (k >= 2),
+n//2 and n, solved coarsest first.  The coarsest factors at sigma = 0, and
+each finer grid first at (1 - 1e-3) times the eigenvalue of the grid before.
+The masked disk eigenvalue is not monotone in n, so that factor may count
+an eigenvalue at or below its shift; the margin then grows 8-fold until the
+count is zero, ending at the shift 0, and NonConvergence is raised if even
+that factor counts one.
+
+Lanczos reorthogonalizes fully, tests convergence after every LU solve, and
+restarts thick, keeping the leading half of the basis (Wu & Simon, SIAM J.
+Matrix Anal. Appl. 22 (2000) 602-616).  It starts from the constant vector,
+so repeated solves are bit-identical, and one inverse-iteration step from
+its Ritz vector follows; the reported value lambda is that vector's Rayleigh
+quotient, so lambda1 lies in (sigma, lambda].  Every eigenpair must pass the
+a-posteriori check ||S v - lambda v|| <= RESIDUAL_RTOL lambda ||v|| on the
+solved matrix S, or NonConvergence is raised.  A solve's `interior_count` is
+the size of S on the fine grid, its `iterations` the number of LU solves
+spent there, and its `sigma` the fine grid's certified shift.  The
+functions that call SciPy's sparse solvers import them, so importing this
+module loads no SciPy.
 """
 
 from __future__ import annotations
@@ -63,14 +79,26 @@ RESIDUAL_RTOL = 1e-8
 _RITZ_RTOL = 1e-10
 
 #: Lanczos basis size; a restart keeps the _LANCZOS_NCV // 2 Ritz vectors of
-#: largest theta.  Near-degenerate chord-mode clusters at large s need a wide
-#: basis and a deep restart: rho=1.3, s=1000, n=128 takes 797 LU solves, but
-#: keeping 30 of 40 vectors, or 12 of 24, fails to converge in 20 000.
-_LANCZOS_NCV = 40
+#: largest theta.  The width is set by the near-degenerate chord-mode cluster
+#: of rho=1.3, s=1000 at n=128 factored at the shift 0: 60 vectors take
+#: 221-241 LU solves there, while 40 take 1113-1196 or more than 3000 and 30
+#: more than 3000, the count turning on rounding alone (BLAS threads, how
+#: S - 0 I is formed).  On the cascade's shifts the width hardly matters:
+#: that disk's n=128 and 129 levels take 115 and 143 solves with 60 vectors,
+#: 132 and 181 with 40, 210 and 398 with 20; the unit-area disks never
+#: restart.
+_LANCZOS_NCV = 60
 
-#: LU solves Lanczos may spend before it raises NonConvergence, ~8x the most
-#: a disk has been seen to take (1229 at rho=1.3, s=1000, n=129).
+#: LU solves Lanczos may spend before it raises NonConvergence, ~40x the most
+#: a disk has been seen to take (241 at rho=1.3, s=1000, n=128, shift 0; at
+#: most 143 on a cascade level).
 _LANCZOS_SOLVES = 10_000
+
+#: A grid is first factored at guess (1 - _SHIFT_MARGIN), guess the next
+#: coarser grid's eigenvalue; each factor that counts an eigenvalue at or
+#: below its shift multiplies the margin by _SHIFT_GROWTH.
+_SHIFT_MARGIN = 1e-3
+_SHIFT_GROWTH = 8.0
 
 
 @dataclass(frozen=True)
@@ -100,7 +128,9 @@ class DiskSolve:
 
     interior_count is the number of unknowns solved on the fine grid (the
     quadrant nodes of a disk, the line nodes of a rectangle), and iterations
-    the number of shift-invert (LU) solves spent there.
+    the number of shift-invert (LU) solves spent there.  sigma is the fine
+    grid's certified shift: its factor counts no eigenvalue at or below it,
+    so the fine grid's smallest eigenvalue lies in (sigma, lambda1].
     """
 
     lambda1: float
@@ -108,10 +138,15 @@ class DiskSolve:
     interior_count: int
     extrapolated: float
     iterations: int
+    sigma: float
 
     def __post_init__(self) -> None:
         if not (self.lambda1 > 0.0):
             raise InvalidProblem("lambda1 must be positive")
+        if not (0.0 <= self.sigma < self.lambda1):
+            raise InvalidProblem(
+                f"certified shift {self.sigma!r} is outside [0, lambda1 = {self.lambda1!r})"
+            )
         if abs(self.extrapolated - self.lambda1) > 0.1 * self.lambda1:
             raise InvalidProblem(
                 "extrapolated value strays more than 10% from the grid value; "
@@ -243,14 +278,55 @@ def _lanczos(solve, m: int) -> np.ndarray:
     raise NonConvergence(f"shift-invert Lanczos did not converge in {_LANCZOS_SOLVES} LU solves")
 
 
-def _smallest_eig(matrix) -> tuple[float, int]:
-    """Shift-invert Lanczos at sigma = 0, gated by an a-posteriori residual.
+def _shifted_factor(matrix, sigma: float):
+    """LU factor of matrix - sigma I and the number of eigenvalues <= sigma.
 
-    Returns the eigenvalue and the number of LU solves spent.
+    SuperLU factors P (S - sigma I) P^T = L U with one symmetric ordering P
+    and diagonal pivots, so U = D L^T and, by Sylvester's law of inertia, the
+    pivots <= 0 count the eigenvalues of S at or below sigma.  Raises
+    NonConvergence if the row and column permutations differ, which voids
+    that count.
     """
+    from scipy import sparse
     from scipy.sparse.linalg import splu
 
-    lu = splu(matrix.tocsc(), permc_spec="MMD_AT_PLUS_A")
+    shifted = matrix - sigma * sparse.identity(matrix.shape[0], format="csr")
+    lu = splu(shifted.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+              options={"SymmetricMode": True})
+    if not np.array_equal(lu.perm_r, lu.perm_c):
+        raise NonConvergence(
+            f"the factor at the shift {sigma!r} pivoted off the diagonal: its inertia is unknown"
+        )
+    # U is built as a copy on access; keep only its diagonal.  A nan pivot
+    # certifies nothing, so it counts as non-positive.
+    pivots = lu.U.diagonal()
+    return lu, int(np.count_nonzero(~(pivots > 0.0)))
+
+
+def _smallest_eig(matrix, guess: float) -> tuple[float, float, int]:
+    """Shift-invert Lanczos at a certified shift, gated by an a-posteriori residual.
+
+    guess estimates the smallest eigenvalue (the next coarser grid's value,
+    or 0.0).  The first shift is guess (1 - _SHIFT_MARGIN); while a factor
+    counts an eigenvalue at or below its shift, the margin grows
+    _SHIFT_GROWTH-fold, and once it reaches 1 the shift is 0.  S is positive
+    definite by construction, so NonConvergence is raised if even the factor
+    at 0 counts one.  Returns the eigenvalue lam (a Rayleigh quotient, so
+    lambda1 <= lam), the certified shift sigma < lambda1, and the number of
+    LU solves spent.
+    """
+    margin = _SHIFT_MARGIN
+    while True:
+        sigma = guess * (1.0 - margin) if margin < 1.0 else 0.0
+        lu, below = _shifted_factor(matrix, sigma)
+        if below == 0:
+            break
+        if sigma == 0.0:
+            raise NonConvergence(
+                f"{below} eigenvalues at or below 0: the factor's inertia contradicts "
+                "a positive definite matrix"
+            )
+        margin *= _SHIFT_GROWTH
     solves = 0
 
     def inverse(b: np.ndarray) -> np.ndarray:
@@ -273,18 +349,19 @@ def _smallest_eig(matrix) -> tuple[float, int]:
         raise NonConvergence(
             f"eigenpair residual {resid:.3e} exceeds {RESIDUAL_RTOL:g} relative"
         )
-    return lam, solves
+    return lam, sigma, solves
 
 
-def _disk_eig(rho: float, s: float, n: int) -> tuple[float, int, int]:
+def _disk_eig(rho: float, s: float, n: int, guess: float) -> tuple[float, int, int, float]:
     xs = _half_axis(rho, n)
     mask = xs[:, None] ** 2 + xs[None, :] ** 2 < rho * rho
     matrix = _assemble(mask, _coefficients(xs, s), 2.0 * rho / (n - 1), on_axis=n % 2 == 1)
-    lam, solves = _smallest_eig(matrix)
-    return lam, matrix.shape[0], solves
+    lam, sigma, solves = _smallest_eig(matrix, guess)
+    return lam, matrix.shape[0], solves, sigma
 
 
-def _rectangle_eig(t: float, V: float, s: float, n: int) -> tuple[float, int, int]:
+def _rectangle_eig(t: float, V: float, s: float, n: int,
+                   guess: float) -> tuple[float, int, int, float]:
     from scipy import sparse
 
     # Kx + mu diag(|x|^(2s)) on the x half-axis without its boundary node,
@@ -299,16 +376,26 @@ def _rectangle_eig(t: float, V: float, s: float, n: int) -> tuple[float, int, in
         diag[0] -= k
     else:
         off[0] *= math.sqrt(2.0)
-    lam, solves = _smallest_eig(sparse.diags([off, diag, off], [-1, 0, 1], format="csc"))
-    return lam, xs.size, solves
+    lam, sigma, solves = _smallest_eig(sparse.diags([off, diag, off], [-1, 0, 1], format="csr"),
+                                       guess)
+    return lam, xs.size, solves, sigma
 
 
 def _richardson(eig, n: int, h: float, order: int) -> DiskSolve:
-    """Fine grid n, coarse grid n//2, extrapolated at the given order in h."""
-    fine, count, iters = eig(n)
-    n_half = n // 2
-    coarse, _, _ = eig(n_half)
-    ratio = (n - 1) / (n_half - 1)
+    """Fine grid n, coarse grid n//2, extrapolated at the given order in h.
+
+    eig(m, guess) solves grid m shifted below guess.  The grids n//2^k >= 64
+    (k >= 2), then n//2 and n, are solved coarsest first, each guessing the
+    eigenvalue of the one before; the coarsest guesses 0.0.
+    """
+    levels = [n, n // 2]
+    while levels[-1] // 2 >= 64:
+        levels.append(levels[-1] // 2)
+    coarse = fine = 0.0
+    for m in reversed(levels):
+        coarse = fine
+        fine, count, iters, sigma = eig(m, coarse)
+    ratio = (n - 1) / (n // 2 - 1)
     weight = ratio - 1.0 if order == 1 else ratio * ratio - 1.0
     return DiskSolve(
         lambda1=fine,
@@ -316,17 +403,20 @@ def _richardson(eig, n: int, h: float, order: int) -> DiskSolve:
         interior_count=count,
         extrapolated=fine + (fine - coarse) / weight,
         iterations=iters,
+        sigma=sigma,
     )
 
 
 def solve_disk(p: DiskProblem) -> DiskSolve:
     """Smallest Dirichlet eigenvalue on the disk B(0, rho).
 
-    Solves on the requested grid and on the half-resolution grid, then
-    removes the first-order boundary-masking error by Richardson
-    extrapolation with the exact spacing ratio (n-1)/(n//2-1).
+    Solves the cascade's grids (module docstring), the requested grid last,
+    then removes the first-order boundary-masking error by Richardson
+    extrapolation from the requested and the half-resolution grid, with the
+    exact spacing ratio (n-1)/(n//2-1).
     """
-    return _richardson(lambda n: _disk_eig(p.rho, p.s, n), p.n, 2.0 * p.rho / (p.n - 1), 1)
+    return _richardson(lambda n, guess: _disk_eig(p.rho, p.s, n, guess), p.n,
+                       2.0 * p.rho / (p.n - 1), 1)
 
 
 def solve_rectangle_full(
@@ -344,7 +434,8 @@ def solve_rectangle_full(
         raise InvalidProblem(f"s must be finite and >= 0, got {s}")
     if _positive_integer("n", n) < 64:
         raise InvalidProblem(f"n must be an integer >= 64, got {n}")
-    return _richardson(lambda m: _rectangle_eig(t, V, s, m), n, t / (n - 1), 2)
+    return _richardson(lambda m, guess: _rectangle_eig(t, V, s, m, guess), n,
+                       t / (n - 1), 2)
 
 
 def decoupled_rectangle_value(

@@ -25,7 +25,15 @@ from grushin.planar import (
     solve_disk,
     solve_rectangle_full,
 )
-from grushin.planar import _assemble, _coefficients, _disk_eig, _half_axis, _rectangle_eig
+from grushin.planar import (
+    _assemble,
+    _coefficients,
+    _disk_eig,
+    _half_axis,
+    _rectangle_eig,
+    _shifted_factor,
+    _smallest_eig,
+)
 from grushin.radial import RadialProblem, mu1_ball, solve_radial
 from oracles import J01_SQUARED, full_grid_lowest_eigenvalue
 
@@ -88,7 +96,7 @@ def test_disk_quadrant_matches_full_grid(n, s):
     mask = xs[:, None] ** 2 + xs[None, :] ** 2 < UNIT_AREA_RHO**2
     h = 2.0 * UNIT_AREA_RHO / (n - 1)
     full = full_grid_lowest_eigenvalue(mask, _coefficients(xs, s), h, h)
-    quadrant, count, _ = _disk_eig(UNIT_AREA_RHO, s, n)
+    quadrant, count, _, _ = _disk_eig(UNIT_AREA_RHO, s, n, 0.0)
     assert abs(quadrant - full) / full <= 1e-10
     assert count == int(mask[n // 2 :, n // 2 :].sum())
 
@@ -107,7 +115,7 @@ def test_rectangle_quadrant_matches_full_grid(n, t, s):
     mask = np.zeros((n, n), dtype=bool)
     mask[1:-1, 1:-1] = True
     full = full_grid_lowest_eigenvalue(mask, _coefficients(xs, s), t / (n - 1), (V / t) / (n - 1))
-    line, count, _ = _rectangle_eig(t, V, s, n)
+    line, count, _, _ = _rectangle_eig(t, V, s, n, 0.0)
     assert abs(line - full) / full <= 1e-10
     assert count == (n - 1) // 2
 
@@ -122,7 +130,7 @@ def test_rectangle_line_operator_is_the_radial_scheme(n, s, t):
     V = 1.0
     hy = (V / t) / (n - 1)
     mu = (4.0 / hy**2) * math.sin(math.pi / (2 * (n - 1))) ** 2
-    line, _, _ = _rectangle_eig(t, V, s, n)
+    line, _, _, _ = _rectangle_eig(t, V, s, n, 0.0)
     radial = solve_radial(RadialProblem(d1=1, s=s, mu=mu, R=t / 2, n=(n - 1) // 2)).energy
     assert abs(line - radial) / radial <= 1e-10
 
@@ -160,7 +168,7 @@ def test_disk_mesh_refinement_first_order():
     # doubling rather than 4x
     errs = []
     for n in (64, 128, 256):
-        lam, _, _ = _disk_eig(1.0, 0.0, n)
+        lam, _, _, _ = _disk_eig(1.0, 0.0, n, 0.0)
         errs.append(abs(lam - J01_SQUARED))
     assert 1.3 < errs[0] / errs[1] < 2.6
     assert 1.3 < errs[1] / errs[2] < 2.6
@@ -255,9 +263,16 @@ def test_disk_problem_validation():
 
 def test_disk_solve_consistency_guard():
     with pytest.raises(InvalidProblem):
-        DiskSolve(lambda1=1.0, grid_h=0.1, interior_count=100, extrapolated=2.0, iterations=3)
+        DiskSolve(lambda1=1.0, grid_h=0.1, interior_count=100, extrapolated=2.0, iterations=3,
+                  sigma=0.0)
     with pytest.raises(InvalidProblem):
-        DiskSolve(lambda1=-1.0, grid_h=0.1, interior_count=100, extrapolated=-1.0, iterations=3)
+        DiskSolve(lambda1=-1.0, grid_h=0.1, interior_count=100, extrapolated=-1.0, iterations=3,
+                  sigma=0.0)
+    # the certified shift must lie in [0, lambda1)
+    for sigma in (-0.1, 1.0, 1.5, math.nan):
+        with pytest.raises(InvalidProblem):
+            DiskSolve(lambda1=1.0, grid_h=0.1, interior_count=100, extrapolated=1.0,
+                      iterations=3, sigma=sigma)
 
 
 def test_repeated_solves_bit_identical():
@@ -267,25 +282,47 @@ def test_repeated_solves_bit_identical():
 
 
 def test_lanczos_checks_convergence_at_every_solve():
-    # the s=0 disk converges in 7 Lanczos steps plus the refinement solve;
-    # a fixed 40-vector basis would cost 42
+    # the s=0 disk converges in 4 Lanczos steps plus the refinement solve at
+    # the cascade's shift (7 plus 1 at the shift 0); a fixed 40-vector basis
+    # would cost 42
     assert solve_disk(DiskProblem(rho=1.0, s=0.0, n=128)).iterations <= 12
 
 
 def test_lanczos_thick_restart_on_clustered_chord_modes():
-    # rho=1.3, s=1000: the near-degenerate chord modes take 797 LU solves
-    # with a thick restart that keeps half the basis
-    lam, _, solves = _disk_eig(1.3, 1000.0, 128)
+    # rho=1.3, s=1000 factored at the shift 0, right under the near-degenerate
+    # chord modes: 229-241 LU solves with a thick restart that keeps half the
+    # basis
+    lam, _, solves, sigma = _disk_eig(1.3, 1000.0, 128, 0.0)
+    assert sigma == 0.0
     assert solves <= 1200
     assert 2.0 < lam < 2.5
 
 
 class _NanSolve:
+    """A factor with a symmetric permutation and positive pivots whose
+    solve returns nan."""
+
+    pivot = 1.0
+
     def __init__(self, matrix, **kwargs):
-        pass
+        m = matrix.shape[0]
+        self.perm_r = self.perm_c = np.arange(m)
+        pivots = np.ones(m)
+        pivots[-1] = self.pivot
+        self.U = scipy.sparse.diags(pivots, format="csc")
 
     def solve(self, b):
         return np.full_like(b, np.nan)
+
+
+class _NonPositivePivot(_NanSolve):
+    pivot = 0.0
+
+
+class _UnsymmetricPermutation(_NanSolve):
+    def __init__(self, matrix, **kwargs):
+        super().__init__(matrix)
+        self.perm_r = self.perm_r[::-1]
 
 
 @pytest.mark.parametrize(
@@ -317,6 +354,94 @@ def test_nonconvergence_on_bad_eigenpair(monkeypatch, corrupt):
     monkeypatch.setattr(grushin.planar, "_lanczos", lambda *a: corrupt(real(*a)))
     with pytest.raises(NonConvergence, match="eigenpair residual"):
         solve_rectangle_full(1.0, 1.0, 1.0, 64)
+
+
+# ------------------------------------------------------------- inertia
+
+
+def _disk_matrix(rho, s, n):
+    xs = _half_axis(rho, n)
+    mask = xs[:, None] ** 2 + xs[None, :] ** 2 < rho * rho
+    return _assemble(mask, _coefficients(xs, s), 2.0 * rho / (n - 1), on_axis=n % 2 == 1)
+
+
+def test_inertia_count_on_the_s150_chord_cluster():
+    # sixteen chord modes sit within 1e-9 of the reported value, so a residual
+    # alone cannot tell lambda1 from its neighbours; the factor at the
+    # returned shift counts none below it
+    solve = solve_disk(DiskProblem(rho=UNIT_AREA_RHO, s=150.0, n=256))
+    matrix = _disk_matrix(UNIT_AREA_RHO, 150.0, 256)
+    assert _shifted_factor(matrix, solve.lambda1 * (1.0 + 1e-9))[1] == 16
+    assert _shifted_factor(matrix, solve.sigma)[1] == 0
+    assert 0.0 < solve.sigma < solve.lambda1
+
+
+def test_every_solve_carries_a_certified_shift():
+    # the enclosure (sigma, lambda1] holds the independent full-grid value
+    n = 64
+    xs = _full_axis(UNIT_AREA_RHO, n)
+    mask = xs[:, None] ** 2 + xs[None, :] ** 2 < UNIT_AREA_RHO**2
+    h = 2.0 * UNIT_AREA_RHO / (n - 1)
+    full = full_grid_lowest_eigenvalue(mask, _coefficients(xs, 150.0), h, h)
+    disk = solve_disk(DiskProblem(rho=UNIT_AREA_RHO, s=150.0, n=n))
+    assert 0.0 <= disk.sigma < full <= disk.lambda1 * (1.0 + 1e-10)
+
+    xs = _full_axis(0.5 * 1.645, n)
+    mask = np.zeros((n, n), dtype=bool)
+    mask[1:-1, 1:-1] = True
+    full = full_grid_lowest_eigenvalue(mask, _coefficients(xs, 1.0), 1.645 / (n - 1),
+                                       (1.0 / 1.645) / (n - 1))
+    rect = solve_rectangle_full(1.645, 1.0, 1.0, n)
+    assert 0.0 <= rect.sigma < full <= rect.lambda1 * (1.0 + 1e-10)
+
+
+def test_shift_above_the_ground_state_backs_off():
+    # a guess twice lambda1 is refused by the inertia count at margins 1e-3,
+    # 8e-3 and 0.064 and accepted at 0.512; the eigenvalue does not move
+    matrix = _disk_matrix(1.0, 1.0, 64)
+    lam, sigma, _ = _smallest_eig(matrix, 0.0)
+    backed, backed_sigma, _ = _smallest_eig(matrix, 2.0 * lam)
+    assert sigma == 0.0
+    assert backed_sigma == pytest.approx(2.0 * lam * (1.0 - 0.512), rel=1e-14)
+    assert backed_sigma < lam
+    assert backed == pytest.approx(lam, rel=1e-12)
+
+
+def test_rho13_s1000_disk_is_certified_across_non_monotone_levels():
+    # lambda at n=64 (2.4126) lies above lambda at n=128 (2.4024), so the
+    # n=128 level backs off once; the solve still ends certified
+    solve = solve_disk(DiskProblem(rho=1.3, s=1000.0, n=256))
+    assert 0.0 < solve.sigma < solve.lambda1
+    assert solve.iterations <= 100
+
+
+@pytest.mark.parametrize(
+    "factor, message",
+    [(_NonPositivePivot, "at or below 0"), (_UnsymmetricPermutation, "off the diagonal")],
+    ids=["non-positive-pivot", "unsymmetric-permutation"],
+)
+def test_wrong_inertia_raises(monkeypatch, factor, message):
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", factor)
+    with pytest.raises(NonConvergence, match=message):
+        solve_disk(DiskProblem(rho=UNIT_AREA_RHO, s=150.0, n=64))
+    with pytest.raises(NonConvergence, match=message):
+        solve_rectangle_full(1.0, 1.0, 1.0, 64)
+
+
+def test_non_positive_pivot_at_every_shift_stops_at_zero(monkeypatch):
+    # the margin grows 8-fold per refused shift and ends at the shift 0
+    matrix = _disk_matrix(1.0, 1.0, 64)
+    shifts = []
+
+    class _Recording(_NonPositivePivot):
+        def __init__(self, shifted, **kwargs):
+            shifts.append(matrix.diagonal()[0] - shifted.diagonal()[0])
+            super().__init__(shifted)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", _Recording)
+    with pytest.raises(NonConvergence, match="at or below 0"):
+        _smallest_eig(matrix, 10.0)
+    assert shifts == pytest.approx([10.0 * (1.0 - 1e-3 * 8.0**k) for k in range(4)] + [0.0])
 
 
 def test_rectangle_input_validation():

@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from grushin.errors import InvalidProblem
-from grushin.tables import SweepTable, emit_csv, emit_svg, render_csv, render_svg
+from grushin.tables import SweepTable, _format_cell, emit_csv, emit_svg, render_csv, render_svg
 
 
 # ------------------------------------------------------------ validation
@@ -67,6 +67,39 @@ def test_header_only_table_renders():
 def test_integers_render_bare():
     table = SweepTable(headers=("n",), rows=((np.int32(7),), (8,)))
     assert render_csv(table) == "n\n7\n8\n"
+
+
+def _per_cell_csv(table):
+    # the reference rendering: every cell through _format_cell
+    lines = [",".join(_format_cell(h) for h in table.headers)]
+    lines += [",".join(_format_cell(c) for c in row) for row in table.rows]
+    return "\n".join(lines) + "\n"
+
+
+_EDGE_FLOATS = (0.5, -0.0, 5e-324, 1.7976931348623157e308, math.pi, -1e-300, 123456789.0)
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        tuple((x, y) for x in _EDGE_FLOATS for y in _EDGE_FLOATS),
+        ((0.5, 2), (1.0, 2.0)),
+        ((True, 0.25), (1.0, False)),
+        ((np.int64(3), 0.25), (1.0, 2.0)),
+        ((np.float64(0.1), 0.25), (0.5, 0.5)),
+        (("a,b", 0.25), ('say "hi"', 1.0), (1.0, 2.0)),
+    ],
+    ids=["float", "int", "bool", "np.int64", "np.float64", "quoted-str"],
+)
+def test_csv_bytes_match_per_cell_rendering(rows):
+    table = SweepTable(headers=("x,1", 'y "2"'), rows=rows)
+    assert render_csv(table) == _per_cell_csv(table)
+
+
+@given(st.lists(st.tuples(*[st.floats(allow_nan=False, allow_infinity=False)] * 3), max_size=20))
+def test_float_table_bytes_match_per_cell_rendering(rows):
+    table = SweepTable(headers=("a", "b", "c"), rows=tuple(rows))
+    assert render_csv(table) == _per_cell_csv(table)
 
 
 def test_emit_csv_to_file_and_stdout(tmp_path, capsys):
