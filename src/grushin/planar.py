@@ -21,9 +21,11 @@ exact symmetry.  On the rectangle that matrix is exactly
 Kx (x) I + diag(|x|^(2s)) (x) Ky with |x|^(2s) >= 0, so its smallest
 eigenvalue is that of the line operator Kx + mu diag(|x|^(2s)), with mu the
 smallest eigenvalue (4/hy^2) sin^2(pi/(2(n-1))) of Ky (fast diagonalization,
-Lynch, Rice & Thomas 1964): rectangles are never assembled in 2-D.
+Lynch, Rice & Thomas 1964): rectangles are never assembled in 2-D.  With its
+potential clipped at POTENTIAL_CAP it is the d1=1 radial scheme, which the
+certified LDL^T inverse iteration of grushin.radial solves on grids n, n//2.
 
-The smallest eigenvalue comes from shift-invert Lanczos on one sparse LU
+A disk's smallest eigenvalue comes from shift-invert Lanczos on one sparse LU
 factorization of S - sigma I per grid, at a shift the factor certifies.
 SuperLU factors it with one symmetric ordering and diagonal pivots, so
 U = D L^T and, by Sylvester's law of inertia, the pivots <= 0 count the
@@ -32,25 +34,20 @@ inertia check of Grimes, Lewis & Simon, SIAM J. Matrix Anal. Appl. 15
 (1994) 228-272).  A residual alone cannot do this: on the s=150, n=256
 unit-area disk sixteen chord modes lie within 1e-9 of lambda1.  The shifts
 come from a coarse-to-fine cascade over the grids n//2^k >= 64 (k >= 2),
-n//2 and n, solved coarsest first.  The coarsest factors at sigma = 0, and
-each finer grid first at (1 - 1e-3) times the eigenvalue of the grid before.
-The masked disk eigenvalue is not monotone in n, so that factor may count
-an eigenvalue at or below its shift; the margin then grows 8-fold until the
-count is zero, ending at the shift 0, and NonConvergence is raised if even
-that factor counts one.
+n//2 and n, each just below the eigenvalue of the grid before; the masked
+eigenvalue is not monotone in n, so a refused shift backs off
+(`_smallest_eig`).  Lanczos reorthogonalizes fully, tests convergence after
+every LU solve, and restarts thick, keeping the leading half of the basis
+(Wu & Simon, SIAM J. Matrix Anal. Appl. 22 (2000) 602-616).  It starts from
+the constant vector, so repeated solves are bit-identical, and one
+inverse-iteration step from its Ritz vector follows.
 
-Lanczos reorthogonalizes fully, tests convergence after every LU solve, and
-restarts thick, keeping the leading half of the basis (Wu & Simon, SIAM J.
-Matrix Anal. Appl. 22 (2000) 602-616).  It starts from the constant vector,
-so repeated solves are bit-identical, and one inverse-iteration step from
-its Ritz vector follows; the reported value lambda is that vector's Rayleigh
-quotient, so lambda1 lies in (sigma, lambda].  Every eigenpair must pass the
-a-posteriori check ||S v - lambda v|| <= RESIDUAL_RTOL lambda ||v|| on the
-solved matrix S, or NonConvergence is raised.  A solve's `interior_count` is
-the size of S on the fine grid, its `iterations` the number of LU solves
-spent there, and its `sigma` the fine grid's certified shift.  The
-functions that call SciPy's sparse solvers import them, so importing this
-module loads no SciPy.
+On either geometry the reported value lambda is the Rayleigh quotient of the
+final vector, so lambda1 lies in (sigma, lambda] (DiskSolve), and the pair
+must pass ||S v - lambda v|| <= RESIDUAL_RTOL lambda ||v|| on the solved
+matrix S, or NonConvergence is raised.  The functions that call SciPy
+import it, so importing this module loads no SciPy, and a rectangle loads
+no scipy.sparse.
 """
 
 from __future__ import annotations
@@ -62,7 +59,7 @@ import numpy as np
 
 from .errors import DegenerateGrid, InvalidProblem, NonConvergence
 from .minimizer import ProblemParams, lambda1_product
-from .radial import DEFAULT_N, _positive_integer
+from .radial import DEFAULT_N, POTENTIAL_CAP, _ground_state, _positive_integer
 from .tables import SweepTable
 
 __all__ = ["DEFAULT_N_2D", "DiskProblem", "DiskSolve", "decoupled_rectangle_value",
@@ -128,9 +125,9 @@ class DiskSolve:
 
     interior_count is the number of unknowns solved on the fine grid (the
     quadrant nodes of a disk, the line nodes of a rectangle), and iterations
-    the number of shift-invert (LU) solves spent there.  sigma is the fine
-    grid's certified shift: its factor counts no eigenvalue at or below it,
-    so the fine grid's smallest eigenvalue lies in (sigma, lambda1].
+    the number of LU (disk) or LDL^T (rectangle) solves spent there.  sigma
+    is the fine grid's certified shift: its factor counts no eigenvalue at or
+    below it, so the fine grid's smallest eigenvalue lies in (sigma, lambda1].
     """
 
     lambda1: float
@@ -337,10 +334,13 @@ def _smallest_eig(matrix, guess: float) -> tuple[float, float, int]:
     ritz = _lanczos(inverse, matrix.shape[0])
     # The Ritz vector carries rounding of order eps ||v|| in rows whose
     # diagonal is huge (|x|^(2s) >> 1 on wide domains), which dominates its
-    # residual; one inverse-iteration step removes it.  The reported value
-    # is the Rayleigh quotient of the refined vector.
+    # residual; one inverse-iteration step removes it.
     v = inverse(ritz)
-    sv = matrix @ v
+    return _rayleigh(v, matrix @ v), sigma, solves
+
+
+def _rayleigh(v: np.ndarray, sv: np.ndarray) -> float:
+    """Rayleigh quotient lam of v given sv = S v, if ||sv - lam v|| <= RESIDUAL_RTOL lam ||v||."""
     vv = v @ v
     with np.errstate(invalid="ignore", divide="ignore"):
         lam = float(v @ sv / vv)
@@ -349,7 +349,7 @@ def _smallest_eig(matrix, guess: float) -> tuple[float, float, int]:
         raise NonConvergence(
             f"eigenpair residual {resid:.3e} exceeds {RESIDUAL_RTOL:g} relative"
         )
-    return lam, sigma, solves
+    return lam
 
 
 def _disk_eig(rho: float, s: float, n: int, guess: float) -> tuple[float, int, int, float]:
@@ -360,29 +360,32 @@ def _disk_eig(rho: float, s: float, n: int, guess: float) -> tuple[float, int, i
     return lam, matrix.shape[0], solves, sigma
 
 
-def _rectangle_eig(t: float, V: float, s: float, n: int,
-                   guess: float) -> tuple[float, int, int, float]:
-    from scipy import sparse
-
+def _rectangle_eig(t: float, V: float, s: float, n: int) -> tuple[float, int, int, float]:
     # Kx + mu diag(|x|^(2s)) on the x half-axis without its boundary node,
     # folded at the mirror axis as `_links` folds it; k = 1/hx^2, and
     # mu = (4/hy^2) sin^2(pi/(2(n-1))) with hy = V/(t(n-1))
     xs = _half_axis(0.5 * t, n)[:-1]
     k = ((n - 1) / t) ** 2
     mu = (2.0 * (n - 1) * t / V * math.sin(0.5 * math.pi / (n - 1))) ** 2
-    diag = 2.0 * k + mu * _coefficients(xs, s)
+    with np.errstate(over="ignore"):
+        diag = 2.0 * k + np.minimum(mu * _coefficients(xs, s), POTENTIAL_CAP)
     off = np.full(xs.size - 1, -k)
+    # the s=0 eigenvector, in the coordinates of the solved matrix M^(1/2) v
+    start = np.cos((math.pi / t) * xs)
     if n % 2 == 0:
         diag[0] -= k
     else:
         off[0] *= math.sqrt(2.0)
-    lam, sigma, solves = _smallest_eig(sparse.diags([off, diag, off], [-1, 0, 1], format="csr"),
-                                       guess)
-    return lam, xs.size, solves, sigma
+        start[0] /= math.sqrt(2.0)
+    x, sigma, solves = _ground_state(diag, off, start)
+    tx = diag * x
+    tx[:-1] += off * x[1:]
+    tx[1:] += off * x[:-1]
+    return _rayleigh(x, tx), xs.size, solves, sigma
 
 
-def _richardson(eig, n: int, h: float, order: int) -> DiskSolve:
-    """Fine grid n, coarse grid n//2, extrapolated at the given order in h.
+def _richardson(eig, n: int, h: float) -> DiskSolve:
+    """Fine grid n, coarse grid n//2, extrapolated at first order in h.
 
     eig(m, guess) solves grid m shifted below guess.  The grids n//2^k >= 64
     (k >= 2), then n//2 and n, are solved coarsest first, each guessing the
@@ -395,16 +398,9 @@ def _richardson(eig, n: int, h: float, order: int) -> DiskSolve:
     for m in reversed(levels):
         coarse = fine
         fine, count, iters, sigma = eig(m, coarse)
-    ratio = (n - 1) / (n // 2 - 1)
-    weight = ratio - 1.0 if order == 1 else ratio * ratio - 1.0
-    return DiskSolve(
-        lambda1=fine,
-        grid_h=h,
-        interior_count=count,
-        extrapolated=fine + (fine - coarse) / weight,
-        iterations=iters,
-        sigma=sigma,
-    )
+    weight = (n - 1) / (n // 2 - 1) - 1.0
+    return DiskSolve(lambda1=fine, grid_h=h, interior_count=count, iterations=iters,
+                     extrapolated=fine + (fine - coarse) / weight, sigma=sigma)
 
 
 def solve_disk(p: DiskProblem) -> DiskSolve:
@@ -416,7 +412,7 @@ def solve_disk(p: DiskProblem) -> DiskSolve:
     exact spacing ratio (n-1)/(n//2-1).
     """
     return _richardson(lambda n, guess: _disk_eig(p.rho, p.s, n, guess), p.n,
-                       2.0 * p.rho / (p.n - 1), 1)
+                       2.0 * p.rho / (p.n - 1))
 
 
 def solve_rectangle_full(
@@ -424,8 +420,8 @@ def solve_rectangle_full(
 ) -> DiskSolve:
     """Smallest Dirichlet eigenvalue on the rectangle (-t/2, t/2) x (0, V/t).
 
-    Grid-aligned boundaries make the scheme second order, so the Richardson
-    step uses the squared spacing ratio.
+    Solves grids n and n//2; grid-aligned boundaries make the scheme second
+    order, so the Richardson step uses the squared spacing ratio.
     """
     for name, value in (("t", t), ("V", V)):
         if not (value > 0.0) or not math.isfinite(value):
@@ -434,8 +430,11 @@ def solve_rectangle_full(
         raise InvalidProblem(f"s must be finite and >= 0, got {s}")
     if _positive_integer("n", n) < 64:
         raise InvalidProblem(f"n must be an integer >= 64, got {n}")
-    return _richardson(lambda m, guess: _rectangle_eig(t, V, s, m, guess), n,
-                       t / (n - 1), 2)
+    coarse = _rectangle_eig(t, V, s, n // 2)[0]
+    fine, count, iters, sigma = _rectangle_eig(t, V, s, n)
+    weight = ((n - 1) / (n // 2 - 1)) ** 2 - 1.0
+    return DiskSolve(lambda1=fine, grid_h=t / (n - 1), interior_count=count, iterations=iters,
+                     extrapolated=fine + (fine - coarse) / weight, sigma=sigma)
 
 
 def decoupled_rectangle_value(

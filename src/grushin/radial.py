@@ -255,10 +255,10 @@ def _ground_state(t_diag: np.ndarray, t_off: np.ndarray, x: np.ndarray):
     """Lowest eigenvector of T = tridiag(t_off, t_diag, t_off), with its certificate.
 
     Shifted inverse iteration from the positive vector x (overwritten), as
-    the module docstring describes.  Returns (x, shift): x is the unit
-    eigenvector, and shift, at which T - shift I has a positive LDL^T factor,
-    is a certified lower bound on E1 within 4 rho of the Rayleigh quotient
-    lam of x.  So E1 lies in (shift, lam], up to the rounding level of lam.
+    the module docstring describes.  Returns (x, shift, solves): x is the unit
+    eigenvector, shift (T - shift I has a positive LDL^T factor) a certified
+    lower bound on E1 within 4 rho of the Rayleigh quotient lam of x, so E1
+    lies in (shift, lam] up to rounding, and solves the LDL^T solves spent.
 
     Raises NonConvergence if T is not positive definite (no factor at the
     shift 0), if no shift between the last certified one and lam - 2 rho
@@ -269,7 +269,7 @@ def _ground_state(t_diag: np.ndarray, t_off: np.ndarray, x: np.ndarray):
 
     shift = 0.0  # T is symmetric positive definite
     prev = math.inf
-    for _ in range(_MAX_STEPS):
+    for solves in range(_MAX_STEPS):
         x /= math.sqrt(float(x @ x))
         tx = t_diag * x
         tx[:-1] += t_off * x[1:]
@@ -286,7 +286,7 @@ def _ground_state(t_diag: np.ndarray, t_off: np.ndarray, x: np.ndarray):
         if not math.isfinite(rho):
             raise NonConvergence("inverse iteration lost the eigenvector to overflow")
         if res > 0.5 * prev and res <= _FLOOR_FACTOR * floor and lam - shift <= 4.0 * rho:
-            return x, shift
+            return x, shift, solves
         prev = res
         sigma = max(lam - 2.0 * rho, shift)
         for _ in range(_MAX_HALVINGS):
@@ -329,7 +329,7 @@ def solve_radial(p: RadialProblem) -> RadialSolution:
     t_off /= sqrt_d[:-1] * sqrt_d[1:]
     if not (np.all(np.isfinite(t_diag)) and np.all(np.isfinite(t_off))):
         raise InvalidProblem("assembled operator contains non-finite entries")
-    x, _ = _ground_state(t_diag, t_off, np.cos((0.5 * math.pi / p.R) * r[lo : p.n]) * sqrt_d)
+    x, _, _ = _ground_state(t_diag, t_off, np.cos((0.5 * math.pi / p.R) * r[lo : p.n]) * sqrt_d)
     nx2 = float(x @ x)
     v_unknown = x / sqrt_d
 

@@ -369,6 +369,7 @@ assert main(["limits", "--limit", "inf", "--d1", "2", "--t-grid", "1:5:4"]) == 0
 assert main(["limits", "--limit", "zero", "--d1", "3", "--d2", "6", "--t-grid", "1:5:4"]) == 0
 assert not loaded(), loaded()
 assert main(["minimize", "--n", "256"]) == 0
+assert main(["rectangle", "--n", "256"]) == 0
 assert "scipy.linalg" in loaded(), loaded()
 assert not [m for m in loaded() if m.startswith("scipy.sparse")], loaded()
 """
@@ -376,7 +377,8 @@ assert not [m for m in loaded() if m.startswith("scipy.sparse")], loaded()
 
 def test_limits_never_imports_scipy():
     # importing every module and the closed-form path, d = 1, 2, 3 and 6
-    # alike, load no SciPy; a 1-D solve loads LAPACK but not the sparse solver
+    # alike, load no SciPy; a 1-D solve and a rectangle load LAPACK but not
+    # the sparse solver
     result = run_python(["-c", _NO_SCIPY_SCRIPT])
     assert result.returncode == 0, result.stderr
     assert result.stdout.count("G_limit") == 3

@@ -115,22 +115,22 @@ def test_rectangle_quadrant_matches_full_grid(n, t, s):
     mask = np.zeros((n, n), dtype=bool)
     mask[1:-1, 1:-1] = True
     full = full_grid_lowest_eigenvalue(mask, _coefficients(xs, s), t / (n - 1), (V / t) / (n - 1))
-    line, count, _, _ = _rectangle_eig(t, V, s, n, 0.0)
+    line, count, _, _ = _rectangle_eig(t, V, s, n)
     assert abs(line - full) / full <= 1e-10
     assert count == (n - 1) // 2
 
 
 @pytest.mark.parametrize("n", [65, 129, 257, 513])
-@pytest.mark.parametrize("s", [0.0, 1.0, 150.0])
-@pytest.mark.parametrize("t", [1.0, 1.645, 2.0])
+@pytest.mark.parametrize("s", [0.0, 1.0, 150.0, 505.0])
+@pytest.mark.parametrize("t", [1.0, 1.645, 2.0, 3.0, 4.0])
 def test_rectangle_line_operator_is_the_radial_scheme(n, s, t):
     # For odd n the line operator is the d1=1 radial scheme on (0, t/2) with
-    # (n-1)/2 cells and coupling mu = lowest eigenvalue of the y stencil.
-    # t <= 2 keeps mu |x|^(2s) below POTENTIAL_CAP, so the two coincide.
+    # (n-1)/2 cells and coupling mu = lowest eigenvalue of the y stencil,
+    # down to the POTENTIAL_CAP wall (t=4, s=505 puts mu |x|^(2s) above 1e299)
     V = 1.0
     hy = (V / t) / (n - 1)
     mu = (4.0 / hy**2) * math.sin(math.pi / (2 * (n - 1))) ** 2
-    line, _, _, _ = _rectangle_eig(t, V, s, n, 0.0)
+    line, _, _, _ = _rectangle_eig(t, V, s, n)
     radial = solve_radial(RadialProblem(d1=1, s=s, mu=mu, R=t / 2, n=(n - 1) // 2)).energy
     assert abs(line - radial) / radial <= 1e-10
 
@@ -189,6 +189,14 @@ def test_disk_solve_metadata():
 def test_rectangle_laplacian_extrapolates_to_exact_value():
     full = solve_rectangle_full(1.0, 1.0, 0.0, 128)
     assert abs(full.extrapolated - TWO_PI_SQUARED) / TWO_PI_SQUARED < 1e-4
+
+
+@pytest.mark.parametrize("n", [65, 128, 129, 257, 1025])
+def test_rectangle_s0_starts_from_its_eigenvector(n):
+    # cos(pi x/t), with its axis entry scaled by 1/sqrt(2) as M^(1/2) scales
+    # it, is the s=0 ground state: one or two LDL^T solves, where the
+    # unscaled cosine takes four or five at odd n
+    assert _rectangle_eig(1.645, 1.0, 0.0, n)[2] <= 2
 
 
 def test_rectangle_mesh_refinement_second_order():
@@ -350,8 +358,19 @@ def test_nonconvergence_when_lanczos_fails(monkeypatch, module, name, value, mes
     ids=["shifted", "start-vector", "zero"],
 )
 def test_nonconvergence_on_bad_eigenpair(monkeypatch, corrupt):
-    real = grushin.planar._lanczos
-    monkeypatch.setattr(grushin.planar, "_lanczos", lambda *a: corrupt(real(*a)))
+    # the disk's Lanczos vector and the rectangle's inverse-iteration vector
+    # pass the same residual gate
+    lanczos = grushin.planar._lanczos
+    monkeypatch.setattr(grushin.planar, "_lanczos", lambda *a: corrupt(lanczos(*a)))
+    with pytest.raises(NonConvergence, match="eigenpair residual"):
+        solve_disk(DiskProblem(rho=UNIT_AREA_RHO, s=1.0, n=64))
+    ground_state = grushin.planar._ground_state
+
+    def corrupted(*args):
+        x, shift, solves = ground_state(*args)
+        return corrupt(x), shift, solves
+
+    monkeypatch.setattr(grushin.planar, "_ground_state", corrupted)
     with pytest.raises(NonConvergence, match="eigenpair residual"):
         solve_rectangle_full(1.0, 1.0, 1.0, 64)
 
@@ -424,8 +443,6 @@ def test_wrong_inertia_raises(monkeypatch, factor, message):
     monkeypatch.setattr(scipy.sparse.linalg, "splu", factor)
     with pytest.raises(NonConvergence, match=message):
         solve_disk(DiskProblem(rho=UNIT_AREA_RHO, s=150.0, n=64))
-    with pytest.raises(NonConvergence, match=message):
-        solve_rectangle_full(1.0, 1.0, 1.0, 64)
 
 
 def test_non_positive_pivot_at_every_shift_stops_at_zero(monkeypatch):

@@ -400,7 +400,7 @@ def _congruence_operator(p):
 def test_ground_state_certificate(d1, s, mu, radius, n):
     p = RadialProblem(d1, s, mu, radius, n)
     t_diag, t_off, start = _congruence_operator(p)
-    x, shift = radial._ground_state(t_diag, t_off, start)
+    x, shift, _ = radial._ground_state(t_diag, t_off, start)
     tx = t_diag * x
     tx[:-1] += t_off * x[1:]
     tx[1:] += t_off * x[:-1]
