@@ -21,9 +21,10 @@ exact symmetry.  On the rectangle that matrix is exactly
 Kx (x) I + diag(|x|^(2s)) (x) Ky with |x|^(2s) >= 0, so its smallest
 eigenvalue is that of the line operator Kx + mu diag(|x|^(2s)), with mu the
 smallest eigenvalue (4/hy^2) sin^2(pi/(2(n-1))) of Ky (fast diagonalization,
-Lynch, Rice & Thomas 1964): rectangles are never assembled in 2-D.  With its
-potential clipped at POTENTIAL_CAP it is the d1=1 radial scheme, which the
-certified LDL^T inverse iteration of grushin.radial solves on grids n, n//2.
+Lynch, Rice & Thomas 1964): rectangles are never assembled in 2-D.  Capped
+at POTENTIAL_CAP max(1, mu), its potential walls off just the nodes with
+|x|^(2s) > 1e14, as the d1=1 radial scheme does, and the certified LDL^T
+inverse iteration of grushin.radial solves it on grids n and n//2.
 
 A disk's smallest eigenvalue comes from shift-invert Lanczos on one sparse LU
 factorization of S - sigma I per grid, at a shift the factor certifies.
@@ -59,7 +60,7 @@ import numpy as np
 
 from .errors import DegenerateGrid, InvalidProblem, NonConvergence
 from .minimizer import ProblemParams, lambda1_product
-from .radial import DEFAULT_N, POTENTIAL_CAP, _ground_state, _positive_integer
+from .radial import DEFAULT_N, POTENTIAL_CAP, _ground_state, _positive_integer, _tridiag_matvec
 from .tables import SweepTable
 
 __all__ = ["DEFAULT_N_2D", "DiskProblem", "DiskSolve", "decoupled_rectangle_value",
@@ -368,7 +369,7 @@ def _rectangle_eig(t: float, V: float, s: float, n: int) -> tuple[float, int, in
     k = ((n - 1) / t) ** 2
     mu = (2.0 * (n - 1) * t / V * math.sin(0.5 * math.pi / (n - 1))) ** 2
     with np.errstate(over="ignore"):
-        diag = 2.0 * k + np.minimum(mu * _coefficients(xs, s), POTENTIAL_CAP)
+        diag = 2.0 * k + np.minimum(mu * _coefficients(xs, s), POTENTIAL_CAP * max(1.0, mu))
     off = np.full(xs.size - 1, -k)
     # the s=0 eigenvector, in the coordinates of the solved matrix M^(1/2) v
     start = np.cos((math.pi / t) * xs)
@@ -378,41 +379,33 @@ def _rectangle_eig(t: float, V: float, s: float, n: int) -> tuple[float, int, in
         off[0] *= math.sqrt(2.0)
         start[0] /= math.sqrt(2.0)
     x, sigma, solves = _ground_state(diag, off, start)
-    tx = diag * x
-    tx[:-1] += off * x[1:]
-    tx[1:] += off * x[:-1]
-    return _rayleigh(x, tx), xs.size, solves, sigma
+    return _rayleigh(x, _tridiag_matvec(diag, off, x)), xs.size, solves, sigma
 
 
-def _richardson(eig, n: int, h: float) -> DiskSolve:
-    """Fine grid n, coarse grid n//2, extrapolated at first order in h.
-
-    eig(m, guess) solves grid m shifted below guess.  The grids n//2^k >= 64
-    (k >= 2), then n//2 and n, are solved coarsest first, each guessing the
-    eigenvalue of the one before; the coarsest guesses 0.0.
-    """
-    levels = [n, n // 2]
-    while levels[-1] // 2 >= 64:
-        levels.append(levels[-1] // 2)
-    coarse = fine = 0.0
-    for m in reversed(levels):
-        coarse = fine
-        fine, count, iters, sigma = eig(m, coarse)
-    weight = (n - 1) / (n // 2 - 1) - 1.0
-    return DiskSolve(lambda1=fine, grid_h=h, interior_count=count, iterations=iters,
-                     extrapolated=fine + (fine - coarse) / weight, sigma=sigma)
+def _extrapolate(fine: tuple, coarse: float, n: int, h: float, order: int) -> DiskSolve:
+    """Grid n's (lambda1, count, iterations, sigma), Richardson-extrapolated from grid n//2."""
+    lam, count, iters, sigma = fine
+    weight = ((n - 1) / (n // 2 - 1)) ** order - 1.0
+    return DiskSolve(lambda1=lam, grid_h=h, interior_count=count, iterations=iters,
+                     extrapolated=lam + (lam - coarse) / weight, sigma=sigma)
 
 
 def solve_disk(p: DiskProblem) -> DiskSolve:
     """Smallest Dirichlet eigenvalue on the disk B(0, rho).
 
-    Solves the cascade's grids (module docstring), the requested grid last,
-    then removes the first-order boundary-masking error by Richardson
-    extrapolation from the requested and the half-resolution grid, with the
-    exact spacing ratio (n-1)/(n//2-1).
+    Solves the cascade's grids (module docstring), each guessing the
+    eigenvalue of the one before and the coarsest 0.0, the requested grid
+    last, then removes the first-order boundary-masking error by Richardson
+    extrapolation from the requested and the half-resolution grid.
     """
-    return _richardson(lambda n, guess: _disk_eig(p.rho, p.s, n, guess), p.n,
-                       2.0 * p.rho / (p.n - 1))
+    levels = [p.n // 2]
+    while levels[-1] // 2 >= 64:
+        levels.append(levels[-1] // 2)
+    coarse = 0.0
+    for m in reversed(levels):
+        coarse = _disk_eig(p.rho, p.s, m, coarse)[0]
+    return _extrapolate(_disk_eig(p.rho, p.s, p.n, coarse), coarse, p.n,
+                        2.0 * p.rho / (p.n - 1), 1)
 
 
 def solve_rectangle_full(
@@ -430,11 +423,8 @@ def solve_rectangle_full(
         raise InvalidProblem(f"s must be finite and >= 0, got {s}")
     if _positive_integer("n", n) < 64:
         raise InvalidProblem(f"n must be an integer >= 64, got {n}")
-    coarse = _rectangle_eig(t, V, s, n // 2)[0]
-    fine, count, iters, sigma = _rectangle_eig(t, V, s, n)
-    weight = ((n - 1) / (n // 2 - 1)) ** 2 - 1.0
-    return DiskSolve(lambda1=fine, grid_h=t / (n - 1), interior_count=count, iterations=iters,
-                     extrapolated=fine + (fine - coarse) / weight, sigma=sigma)
+    return _extrapolate(_rectangle_eig(t, V, s, n), _rectangle_eig(t, V, s, n // 2)[0], n,
+                        t / (n - 1), 2)
 
 
 def decoupled_rectangle_value(

@@ -39,14 +39,17 @@ last factored shift is within 4 rho of lam.  The solving functions import
 SciPy's LAPACK themselves, so the ball constants below load no SciPy.
 
 The stop rule is stagnation: the iteration ends when the residual stops
-contracting (it exceeds half the previous one), provided it has reached its
-rounding level.  A fixed tolerance cannot serve the whole parameter range.
-Under POTENTIAL_CAP walls ||T|| reaches 1e14 while the eigenvector vanishes
-there, so eps ||T|| lies far above the attainable residual and a stop at it
-quits early.  On fine grids the rounding floor itself is large, 8e-5 E at n =
-1e6, so a relative tolerance such as 1e-6 is never met.  Iterating until the
-residual stagnates also takes the last step that the eigenvector, and with it
-dE/dmu below, gains from a shift this close to E1.
+contracting (it exceeds half the previous one) or drops below eps times its
+rounding level, provided it has reached that level.  (A ground state pinned
+to one node by a potential gap ~1e12 times the kinetic scale never
+stagnates: its residual shrinks that much a step, down to 0.)  A fixed
+tolerance cannot serve the whole parameter range.  Under POTENTIAL_CAP walls
+||T|| reaches 1e14 while the eigenvector vanishes there, so eps ||T|| lies
+far above the attainable residual and a stop at it quits early.  On fine
+grids the rounding floor itself is large, 8e-5 E at n = 1e6, so a relative
+tolerance such as 1e-6 is never met.  Iterating until the residual
+stagnates also takes the last step that the eigenvector, and with it dE/dmu
+below, gains from a shift this close to E1.
 
 The reported energy is the Rayleigh quotient of the final iterate in physical
 variables, accurate to rounding; perturbation in mu is exact at the discrete
@@ -251,6 +254,14 @@ def _assemble(p: RadialProblem):
     return h, r, lo, a_diag, a_off, d_w, a_half, pot, dpot
 
 
+def _tridiag_matvec(t_diag: np.ndarray, t_off: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """T x for T = tridiag(t_off, t_diag, t_off), as a new array."""
+    tx = t_diag * x
+    tx[:-1] += t_off * x[1:]
+    tx[1:] += t_off * x[:-1]
+    return tx
+
+
 def _ground_state(t_diag: np.ndarray, t_off: np.ndarray, x: np.ndarray):
     """Lowest eigenvector of T = tridiag(t_off, t_diag, t_off), with its certificate.
 
@@ -271,9 +282,7 @@ def _ground_state(t_diag: np.ndarray, t_off: np.ndarray, x: np.ndarray):
     prev = math.inf
     for solves in range(_MAX_STEPS):
         x /= math.sqrt(float(x @ x))
-        tx = t_diag * x
-        tx[:-1] += t_off * x[1:]
-        tx[1:] += t_off * x[:-1]
+        tx = _tridiag_matvec(t_diag, t_off, x)
         lam = float(x @ tx)
         tx -= lam * x
         res = math.sqrt(float(tx @ tx))
@@ -285,7 +294,8 @@ def _ground_state(t_diag: np.ndarray, t_off: np.ndarray, x: np.ndarray):
         rho = res + floor
         if not math.isfinite(rho):
             raise NonConvergence("inverse iteration lost the eigenvector to overflow")
-        if res > 0.5 * prev and res <= _FLOOR_FACTOR * floor and lam - shift <= 4.0 * rho:
+        stalled = res > 0.5 * prev or res <= _EPS * floor
+        if stalled and res <= _FLOOR_FACTOR * floor and lam - shift <= 4.0 * rho:
             return x, shift, solves
         prev = res
         sigma = max(lam - 2.0 * rho, shift)

@@ -187,8 +187,22 @@ def test_disk_solve_metadata():
 
 
 def test_rectangle_laplacian_extrapolates_to_exact_value():
-    full = solve_rectangle_full(1.0, 1.0, 0.0, 128)
-    assert abs(full.extrapolated - TWO_PI_SQUARED) / TWO_PI_SQUARED < 1e-4
+    # V=1e-7 puts mu ~ 9.9e14 on every node, above POTENTIAL_CAP, which must
+    # not flatten it
+    for V in (1.0, 1e-7):
+        exact = decoupled_rectangle_value(1.0, V, 0.0)
+        full = solve_rectangle_full(1.0, V, 0.0, 128)
+        assert abs(full.extrapolated - exact) / exact < 1e-4
+
+
+def test_rectangle_ground_state_pinned_to_one_node():
+    # s=0.001 under mu ~ (pi t/V)^2 ~ 9.9e14: the potential gap ~2e12 between
+    # the two innermost nodes dwarfs k ~ 4e3, so the residual shrinks ~1e13-fold
+    # a step down to 0 without stagnating; the solve must still stop, and
+    # POTENTIAL_CAP must not flatten mu |x|^(2s) >= 0.99 mu
+    full = solve_rectangle_full(1.0, 1e-7, 0.001, 64)
+    assert 0.98 * (math.pi / 1e-7) ** 2 < full.sigma < full.lambda1
+    assert full.iterations < 20
 
 
 @pytest.mark.parametrize("n", [65, 128, 129, 257, 1025])
