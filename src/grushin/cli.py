@@ -17,7 +17,6 @@ import argparse
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
@@ -107,11 +106,14 @@ def _pool_map(jobs: int):
     """`map`, or the map of a pool of `jobs` worker processes when jobs > 1.
 
     SciPy's LAPACK is imported before the pool starts, so that forked workers
-    inherit it instead of each importing it.
+    inherit it instead of each importing it.  The pool itself is imported
+    only here, so a serial run never loads it.
     """
     if jobs == 1:
         yield map
     else:
+        from concurrent.futures import ProcessPoolExecutor
+
         import scipy.linalg.lapack
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             yield pool.map

@@ -23,8 +23,8 @@ eigenvalue is that of the line operator Kx + mu diag(|x|^(2s)), with mu the
 smallest eigenvalue (4/hy^2) sin^2(pi/(2(n-1))) of Ky (fast diagonalization,
 Lynch, Rice & Thomas 1964): rectangles are never assembled in 2-D.  Capped
 at POTENTIAL_CAP max(1, mu), its potential walls off just the nodes with
-|x|^(2s) > 1e14, as the d1=1 radial scheme does, and the certified LDL^T
-inverse iteration of grushin.radial solves it on grids n and n//2.
+|x|^(2s) > 1e14, and the certified LDL^T inverse iteration of grushin.radial
+solves it on grids n and n//2.
 
 A disk's smallest eigenvalue comes from shift-invert Lanczos on one sparse LU
 factorization of S - sigma I per grid, at a shift the factor certifies.
@@ -46,17 +46,15 @@ inverse-iteration step from its Ritz vector follows.
 On either geometry the reported value lambda is the Rayleigh quotient of the
 final vector, so lambda1 lies in (sigma, lambda] (DiskSolve), and the pair
 must pass ||S v - lambda v|| <= RESIDUAL_RTOL lambda ||v|| on the solved
-matrix S, or NonConvergence is raised.  The functions that call SciPy
-import it, so importing this module loads no SciPy, and a rectangle loads
-no scipy.sparse.
+matrix S, or NonConvergence is raised.  The functions that call NumPy or
+SciPy import them, so importing this module loads neither, and a rectangle
+loads no scipy.sparse.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import DegenerateGrid, InvalidProblem, NonConvergence
 from .minimizer import ProblemParams, lambda1_product
@@ -153,6 +151,8 @@ class DiskSolve:
 
 
 def _coefficients(xs: np.ndarray, s: float) -> np.ndarray:
+    import numpy as np
+
     with np.errstate(over="ignore"):
         c = np.abs(xs) ** (2.0 * s)
     if not np.all(np.isfinite(c)):
@@ -167,6 +167,8 @@ def _half_axis(a: float, n: int) -> np.ndarray:
     negatives and the last node is exactly a.  Entry 0 lies on the axis for
     odd n and half a step off it for even n.
     """
+    import numpy as np
+
     return a * (np.arange(1 - n % 2, n, 2) / (n - 1))
 
 
@@ -180,6 +182,8 @@ def _links(idx: np.ndarray, on_axis: bool):
     by M^(-1/2) (mass 1/2 on the axis) one link of weight sqrt(2) is left
     in each direction, which keeps the matrix exactly symmetric.
     """
+    import numpy as np
+
     nxt = np.full_like(idx, -1)
     nxt[:-1] = idx[1:]
     prv = np.full_like(idx, -1)
@@ -201,6 +205,7 @@ def _assemble(mask: np.ndarray, c_row: np.ndarray, h: float, on_axis: bool):
     M^(-1/2) K M^(-1/2), with K the stencil folded onto the quadrant and M
     the nodes' mass (1/2 per axis a node lies on).
     """
+    import numpy as np
     from scipy import sparse
 
     copies = np.full(mask.shape[0], 2)
@@ -244,6 +249,8 @@ def _lanczos(solve, m: int) -> np.ndarray:
     orthogonalization coefficients, so after a restart its leading block is
     diag(theta) of the kept Ritz vectors, coupled only to the residual vector.
     """
+    import numpy as np
+
     ncv = min(_LANCZOS_NCV, m)
     keep = ncv // 2
     basis = np.empty((ncv, m))
@@ -285,6 +292,7 @@ def _shifted_factor(matrix, sigma: float):
     NonConvergence if the row and column permutations differ, which voids
     that count.
     """
+    import numpy as np
     from scipy import sparse
     from scipy.sparse.linalg import splu
 
@@ -342,6 +350,8 @@ def _smallest_eig(matrix, guess: float) -> tuple[float, float, int]:
 
 def _rayleigh(v: np.ndarray, sv: np.ndarray) -> float:
     """Rayleigh quotient lam of v given sv = S v, if ||sv - lam v|| <= RESIDUAL_RTOL lam ||v||."""
+    import numpy as np
+
     vv = v @ v
     with np.errstate(invalid="ignore", divide="ignore"):
         lam = float(v @ sv / vv)
@@ -362,6 +372,8 @@ def _disk_eig(rho: float, s: float, n: int, guess: float) -> tuple[float, int, i
 
 
 def _rectangle_eig(t: float, V: float, s: float, n: int) -> tuple[float, int, int, float]:
+    import numpy as np
+
     # Kx + mu diag(|x|^(2s)) on the x half-axis without its boundary node,
     # folded at the mirror axis as `_links` folds it; k = 1/hx^2, and
     # mu = (4/hy^2) sin^2(pi/(2(n-1))) with hy = V/(t(n-1))

@@ -35,8 +35,9 @@ shift that factored, which starts at 0 because T is positive definite.  Below
 E1 every factor is an M-matrix with a positive inverse, so the iterates stay
 positive.  Since lam bounds E1 from above, up to its rounding level, a
 factored shift brackets E1 in (sigma, lam]; a solve returns only once the
-last factored shift is within 4 rho of lam.  The solving functions import
-SciPy's LAPACK themselves, so the ball constants below load no SciPy.
+last factored shift is within 4 rho of lam.  The functions that call NumPy
+or SciPy import them, so importing this module, or computing the ball
+constants below, loads neither.
 
 The stop rule is stagnation: the iteration ends when the residual stops
 contracting (it exceeds half the previous one) or drops below eps times its
@@ -74,19 +75,20 @@ x gives y at O(n) cost.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from functools import lru_cache
-
-import numpy as np
 
 from .errors import InvalidProblem, NonConvergence
 
 #: Default number of grid cells for production solves.
 DEFAULT_N = 4096
 
-#: Cap applied to the sampled potential mu*r^(2s); beyond this the node is a
-#: numerical Dirichlet wall.  Keeps huge exponents (s ~ 150 with R > 1) finite.
+#: The sampled potential mu*r^(2s) is capped at POTENTIAL_CAP times its
+#: smallest sample off the origin, mu*h^(2s), or at POTENTIAL_CAP if that is
+#: below 1; beyond the cap the node is a numerical Dirichlet wall.  Keeps huge
+#: exponents (s ~ 150 with R > 1) finite, and never flattens a large mu.
 POTENTIAL_CAP = 1e14
 
 #: Cap for plain power weights r^p, guarding float overflow in quadrature
@@ -105,7 +107,7 @@ _MAX_HALVINGS = 100
 #: rounding level; converged solves in that sweep read 0.1-2.2 of it.
 _FLOOR_FACTOR = 8.0
 
-_EPS = float(np.finfo(float).eps)
+_EPS = sys.float_info.epsilon
 
 
 def ball_volume_constant(d: int) -> float:
@@ -122,6 +124,8 @@ def _positive_integer(name: str, value) -> int:
 
 def _rpow(r: np.ndarray, p: float) -> np.ndarray:
     """r**p, elementwise, overflow-capped, with 0**0 = 1 and 0**p = 0 (p > 0)."""
+    import numpy as np
+
     if p == 0.0:
         return np.ones_like(r)
     with np.errstate(divide="ignore", over="ignore"):
@@ -131,19 +135,24 @@ def _rpow(r: np.ndarray, p: float) -> np.ndarray:
 
 
 def _potential_samples(r: np.ndarray, s: float, mu: float) -> tuple[np.ndarray, np.ndarray]:
-    """Sampled potential mu * r^(2s), capped at POTENTIAL_CAP, and its mu-derivative.
+    """Sampled potential mu * r^(2s), capped (see POTENTIAL_CAP), and its mu-derivative.
 
     The derivative is r^(2s) where the cap is inactive and 0 where it clips.
+    The cap scales with pot[1], not with mu: mu reaches 1e200 where r^(2s)
+    is tiny, and a cap of 1e14 mu would overflow the solver's norms.
     """
     weight = _rpow(r, 2.0 * s)
     pot = mu * weight
-    clipped = pot >= POTENTIAL_CAP
-    pot[clipped] = POTENTIAL_CAP
+    cap = POTENTIAL_CAP * max(1.0, float(pot[1]))
+    clipped = pot >= cap
+    pot[clipped] = cap
     weight[clipped] = 0.0
     return pot, weight
 
 
 def _trapezoid_weights(m: int) -> np.ndarray:
+    import numpy as np
+
     w = np.ones(m)
     w[0] = 0.5
     w[-1] = 0.5
@@ -185,6 +194,8 @@ class RadialProblem:
 
     def grid(self) -> np.ndarray:
         """Node coordinates r_i = i*h, i = 0..n."""
+        import numpy as np
+
         return np.linspace(0.0, self.R, self.n + 1)
 
 
@@ -222,6 +233,8 @@ def _assemble(p: RadialProblem):
     coefficients at the half points, and pot and dpot are the potential
     samples at the nodes and their derivative in mu.
     """
+    import numpy as np
+
     n = p.n
     h = p.h
     r = p.grid()
@@ -330,6 +343,7 @@ def solve_radial(p: RadialProblem) -> RadialSolution:
     when), or if the second derivative's solve fails; InvalidProblem (via
     RadialProblem) for bad inputs.
     """
+    import numpy as np
     from scipy.linalg.lapack import dgtsv
 
     # the congruence D^(-1/2) A D^(-1/2) overwrites A's entries in place
@@ -402,12 +416,16 @@ def solve_radial(p: RadialProblem) -> RadialSolution:
 
 def _weighted_integral(values: np.ndarray, r: np.ndarray, p_exp: float, h: float) -> float:
     """Trapezoid quadrature of values * r^p_exp over the grid."""
+    import numpy as np
+
     w = _trapezoid_weights(values.size)
     return float(h * np.sum(w * _rpow(r, p_exp) * values))
 
 
 def gradient_integral(sol: RadialSolution, p: RadialProblem) -> float:
     """integral (v')^2 r^(d1-1) dr with v' by second order differences."""
+    import numpy as np
+
     r = p.grid()
     vp = np.gradient(sol.v, p.h, edge_order=2)
     return _weighted_integral(vp**2, r, p.d1 - 1.0, p.h)

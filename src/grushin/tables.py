@@ -47,9 +47,15 @@ class SweepTable:
         if not headers:
             raise InvalidProblem("a table needs at least one column")
         object.__setattr__(self, "headers", headers)
-        rows = []
-        for i, row in enumerate(self.rows):
-            row = tuple(row)
+        rows = tuple(map(tuple, self.rows))
+        object.__setattr__(self, "rows", rows)
+        # an all-float table of the right width is checked in one pass; any
+        # other table cell by cell, which also names the offending row
+        cells = tuple(chain.from_iterable(rows))
+        if (set(map(len, rows)) <= {len(headers)} and set(map(type, cells)) <= {float}
+                and all(map(math.isfinite, cells))):
+            return
+        for i, row in enumerate(rows):
             if len(row) != len(headers):
                 raise InvalidProblem(
                     f"row {i} has {len(row)} cells, expected {len(headers)}"
@@ -63,8 +69,6 @@ class SweepTable:
                     raise InvalidProblem(f"row {i} has a non-numeric cell {cell!r}") from exc
                 if not math.isfinite(value):
                     raise InvalidProblem(f"row {i} contains a non-finite value")
-            rows.append(row)
-        object.__setattr__(self, "rows", tuple(rows))
 
 
 def _format_cell(cell) -> str:
@@ -104,14 +108,6 @@ def emit_csv(table: SweepTable, path) -> None:
     _write(path, render_csv(table))
 
 
-def _numeric_columns(table: SweepTable) -> list[int]:
-    cols = []
-    for j in range(len(table.headers)):
-        if all(not isinstance(row[j], str) for row in table.rows):
-            cols.append(j)
-    return cols
-
-
 def _series(table: SweepTable) -> list[tuple[str, list[tuple[float, float]]]]:
     """Group rows into polyline series.
 
@@ -122,7 +118,9 @@ def _series(table: SweepTable) -> list[tuple[str, list[tuple[float, float]]]]:
     """
     if not table.rows:
         raise InvalidProblem("cannot plot an empty table")
-    cols = _numeric_columns(table)
+    columns = tuple(zip(*table.rows))
+    cols = [j for j, column in enumerate(columns)
+            if not any(issubclass(kind, str) for kind in set(map(type, column)))]
     if {0, 1, 2} <= set(cols):
         groups: dict[float, list[tuple[float, float]]] = {}
         for row in table.rows:
@@ -133,7 +131,7 @@ def _series(table: SweepTable) -> list[tuple[str, list[tuple[float, float]]]]:
     if len(cols) < 2:
         raise InvalidProblem("plotting needs at least two numeric columns")
     x, y = cols[0], cols[1]
-    pts = [(float(row[x]), float(row[y])) for row in table.rows]
+    pts = list(zip(map(float, columns[x]), map(float, columns[y])))
     return [(f"{table.headers[y]}", pts)]
 
 
@@ -144,20 +142,18 @@ def render_svg(table: SweepTable) -> str:
     ys = [y for _, pts in series for _, y in pts]
     x_lo, x_hi = min(xs), max(xs)
     y_lo, y_hi = min(ys), max(ys)
+    # a constant axis is widened by 1, or by one ulp where 1 would round away
     if x_hi == x_lo:
-        x_lo, x_hi = x_lo - 1.0, x_hi + 1.0
+        pad = max(1.0, math.ulp(x_lo))
+        x_lo, x_hi = x_lo - pad, x_hi + pad
     if y_hi == y_lo:
-        y_lo, y_hi = y_lo - 1.0, y_hi + 1.0
+        pad = max(1.0, math.ulp(y_lo))
+        y_lo, y_hi = y_lo - pad, y_hi + pad
     left, right, top, bottom = 70.0, 20.0, 20.0, 50.0
     span_x = _WIDTH - left - right
     span_y = _HEIGHT - top - bottom
 
-    def px(x: float) -> float:
-        return left + (x - x_lo) / (x_hi - x_lo) * span_x
-
-    def py(y: float) -> float:
-        return top + (y_hi - y) / (y_hi - y_lo) * span_y
-
+    dx, dy = x_hi - x_lo, y_hi - y_lo
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
         f'viewBox="0 0 {_WIDTH} {_HEIGHT}">',
@@ -166,7 +162,13 @@ def render_svg(table: SweepTable) -> str:
     ]
     for k, (label, pts) in enumerate(series):
         color = _SERIES_COLORS[k % len(_SERIES_COLORS)]
-        coords = " ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in sorted(pts))
+        # one format string over every point gives the bytes of a per-point
+        # f"{px:.2f},{py:.2f}"
+        px, py = zip(*sorted(pts))
+        flat = [0.0] * (2 * len(pts))
+        flat[0::2] = [left + (x - x_lo) / dx * span_x for x in px]
+        flat[1::2] = [top + (y_hi - y) / dy * span_y for y in py]
+        coords = " ".join(["%.2f,%.2f"] * len(pts)) % tuple(flat)
         parts.append(
             f'<polyline fill="none" stroke="{color}" stroke-width="1.5" points="{coords}"/>'
         )

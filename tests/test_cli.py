@@ -5,6 +5,7 @@ couple of end-to-end smokes run the installed module in a subprocess.
 Every documented exit code is exercised.
 """
 
+import concurrent.futures
 import math
 import os
 
@@ -260,12 +261,12 @@ def test_regress_pass_and_fail(tmp_path, capsys):
 def test_regress_parallel_output_identical(tmp_path, capsys, monkeypatch):
     pools = []
 
-    class CountingPool(cli.ProcessPoolExecutor):
+    class CountingPool(concurrent.futures.ProcessPoolExecutor):
         def map(self, *args, **kwargs):
             pools.append(self._max_workers)
             return super().map(*args, **kwargs)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", CountingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
     rows = []
     for t in (1.5, 2.0):
         value = lambda1_product(ProblemParams(1, 1, 1.0), t, 512)
@@ -358,28 +359,38 @@ def test_module_entry_point_smoke(tmp_path):
     assert empty.returncode == 2
 
 
-_NO_SCIPY_SCRIPT = """
-import sys
-import grushin, grushin.cli, grushin.planar, grushin.baseline
+_NO_NUMERICS_SCRIPT = """
+import importlib, pkgutil, sys
+import grushin
+for info in pkgutil.iter_modules(grushin.__path__):
+    importlib.import_module("grushin." + info.name)
 from grushin.cli import main
-loaded = lambda: sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+def loaded():
+    return sorted(m for m in sys.modules if m.split(".")[0] in ("numpy", "scipy")
+                  or m == "concurrent.futures.process")
+
+def sparse():
+    return [m for m in loaded() if m.startswith("scipy.sparse")]
+
 assert not loaded(), loaded()
 assert main(["limits"]) == 0
 assert main(["limits", "--limit", "inf", "--d1", "2", "--t-grid", "1:5:4"]) == 0
 assert main(["limits", "--limit", "zero", "--d1", "3", "--d2", "6", "--t-grid", "1:5:4"]) == 0
 assert not loaded(), loaded()
 assert main(["minimize", "--n", "256"]) == 0
+assert "numpy" in loaded() and "scipy.linalg" in loaded(), loaded()
+assert not sparse(), sparse()
 assert main(["rectangle", "--n", "256"]) == 0
-assert "scipy.linalg" in loaded(), loaded()
-assert not [m for m in loaded() if m.startswith("scipy.sparse")], loaded()
+assert not sparse(), sparse()
 """
 
 
-def test_limits_never_imports_scipy():
+def test_limits_never_imports_numerics():
     # importing every module and the closed-form path, d = 1, 2, 3 and 6
-    # alike, load no SciPy; a 1-D solve and a rectangle load LAPACK but not
-    # the sparse solver
-    result = run_python(["-c", _NO_SCIPY_SCRIPT])
+    # alike, load neither NumPy, SciPy nor the process pool; a 1-D solve
+    # loads NumPy and LAPACK, and neither it nor a rectangle the sparse solver
+    result = run_python(["-c", _NO_NUMERICS_SCRIPT])
     assert result.returncode == 0, result.stderr
     assert result.stdout.count("G_limit") == 3
 

@@ -117,10 +117,17 @@ def test_stiff_oscillator_scaling():
 
 
 def test_vanishing_exponent_acts_as_constant_shift():
-    # r^(2s) -> 1 as s -> 0 away from the origin, so mu becomes an additive
-    # shift; the origin node samples the discontinuity, an O(h) effect
-    e = solve_radial(RadialProblem(d1=1, s=1e-12, mu=7.0, R=1.0, n=4096)).energy
-    assert abs(e - (PI2_4 + 7.0)) < 5e-3
+    for s, mu, radius, n, rel_tol in (
+        # r^(2s) -> 1 as s -> 0 away from the origin, so mu becomes an
+        # additive shift; the origin node samples the discontinuity, an O(h)
+        # effect
+        (1e-12, 7.0, 1.0, 4096, 5e-3 / (PI2_4 + 7.0)),
+        # a flat potential above POTENTIAL_CAP is a shift too, never a wall
+        (0.0, 1e15, 0.5, 1024, 1e-12),
+    ):
+        exact = (0.5 * math.pi / radius) ** 2 + mu
+        e = solve_radial(RadialProblem(d1=1, s=s, mu=mu, R=radius, n=n)).energy
+        assert abs(e - exact) / exact < rel_tol, (s, mu, e)
 
 
 def test_boundary_slope_interval():

@@ -102,6 +102,36 @@ def test_float_table_bytes_match_per_cell_rendering(rows):
     assert render_csv(table) == _per_cell_csv(table)
 
 
+def _per_point_polyline(rows):
+    # the reference rendering of a two-column table's polyline: every point
+    # through its own f-string
+    pts = sorted((float(x), float(y)) for x, y in rows)
+    x_lo, x_hi = min(x for x, _ in pts), max(x for x, _ in pts)
+    y_lo, y_hi = min(y for _, y in pts), max(y for _, y in pts)
+    if x_hi == x_lo:
+        x_lo, x_hi = x_lo - max(1.0, math.ulp(x_lo)), x_hi + max(1.0, math.ulp(x_hi))
+    if y_hi == y_lo:
+        y_lo, y_hi = y_lo - max(1.0, math.ulp(y_lo)), y_hi + max(1.0, math.ulp(y_hi))
+
+    def px(x):
+        return 70.0 + (x - x_lo) / (x_hi - x_lo) * 710.0
+
+    def py(y):
+        return 20.0 + (y_hi - y) / (y_hi - y_lo) * 490.0
+
+    return 'points="' + " ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in pts) + '"'
+
+
+_PLOT_CELLS = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                        st.integers(-10**6, 10**6))
+
+
+@given(st.lists(st.tuples(_PLOT_CELLS, _PLOT_CELLS), min_size=1, max_size=20))
+def test_svg_bytes_match_per_point_rendering(rows):
+    table = SweepTable(headers=("x", "y"), rows=tuple(rows))
+    assert _per_point_polyline(rows) in render_svg(table)
+
+
 def test_emit_csv_to_file_and_stdout(tmp_path, capsys):
     table = SweepTable(headers=("x",), rows=((1.0,),))
     target = tmp_path / "out.csv"
@@ -163,6 +193,9 @@ def test_svg_constant_axis_handled():
     table = SweepTable(headers=("x", "y"), rows=((1.0, 5.0), (2.0, 5.0)))
     svg = render_svg(table)
     assert "<polyline" in svg
+    # beyond 2^53, x +- 1 rounds back to x; the axis must still widen
+    svg = render_svg(SweepTable(headers=("x", "y"), rows=((2.0**60, 1.0), (2.0**60, 2.0))))
+    assert 'points="425.00,510.00 425.00,20.00"' in svg
 
 
 def test_emit_svg_to_file(tmp_path):
