@@ -23,6 +23,9 @@ __all__ = ["SweepTable", "emit_csv", "emit_svg", "render_csv", "render_svg"]
 #: Size of a rendered plot in pixels.
 _WIDTH, _HEIGHT = 800, 560
 
+#: Points a polyline formats per format string; bounds the float temporaries.
+_SVG_BLOCK = 4096
+
 _SERIES_COLORS = (
     "#1f77b4",
     "#d62728",
@@ -162,13 +165,17 @@ def render_svg(table: SweepTable) -> str:
     ]
     for k, (label, pts) in enumerate(series):
         color = _SERIES_COLORS[k % len(_SERIES_COLORS)]
-        # one format string over every point gives the bytes of a per-point
-        # f"{px:.2f},{py:.2f}"
-        px, py = zip(*sorted(pts))
-        flat = [0.0] * (2 * len(pts))
-        flat[0::2] = [left + (x - x_lo) / dx * span_x for x in px]
-        flat[1::2] = [top + (y_hi - y) / dy * span_y for y in py]
-        coords = " ".join(["%.2f,%.2f"] * len(pts)) % tuple(flat)
+        # one format string over a block of points gives the bytes of a
+        # per-point f"{px:.2f},{py:.2f}"
+        pts = sorted(pts)
+        blocks = []
+        for i in range(0, len(pts), _SVG_BLOCK):
+            block = pts[i:i + _SVG_BLOCK]
+            flat = [0.0] * (2 * len(block))
+            flat[0::2] = [left + (x - x_lo) / dx * span_x for x, _ in block]
+            flat[1::2] = [top + (y_hi - y) / dy * span_y for _, y in block]
+            blocks.append(" ".join(["%.2f,%.2f"] * len(block)) % tuple(flat))
+        coords = " ".join(blocks)
         parts.append(
             f'<polyline fill="none" stroke="{color}" stroke-width="1.5" points="{coords}"/>'
         )

@@ -4,11 +4,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from grushin.errors import InvalidProblem
-from grushin.tables import SweepTable, _format_cell, emit_csv, emit_svg, render_csv, render_svg
+from grushin.tables import (_SVG_BLOCK, SweepTable, _format_cell, emit_csv, emit_svg, render_csv,
+                            render_svg)
 
 
 # ------------------------------------------------------------ validation
@@ -127,6 +128,7 @@ _PLOT_CELLS = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
 
 
 @given(st.lists(st.tuples(_PLOT_CELLS, _PLOT_CELLS), min_size=1, max_size=20))
+@example(rows=[(math.sin(k), k % 7 - 3) for k in range(2 * _SVG_BLOCK + 5)])  # three blocks
 def test_svg_bytes_match_per_point_rendering(rows):
     table = SweepTable(headers=("x", "y"), rows=tuple(rows))
     assert _per_point_polyline(rows) in render_svg(table)
