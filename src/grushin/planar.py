@@ -21,10 +21,10 @@ exact symmetry.  On the rectangle that matrix is exactly
 Kx (x) I + diag(|x|^(2s)) (x) Ky with |x|^(2s) >= 0, so its smallest
 eigenvalue is that of the line operator Kx + mu diag(|x|^(2s)), with mu the
 smallest eigenvalue (4/hy^2) sin^2(pi/(2(n-1))) of Ky (fast diagonalization,
-Lynch, Rice & Thomas 1964): rectangles are never assembled in 2-D.  Capped
-at POTENTIAL_CAP max(1, mu), its potential walls off just the nodes with
-|x|^(2s) > 1e14, and the certified LDL^T inverse iteration of grushin.radial
-solves it on grids n and n//2.
+Lynch, Rice & Thomas 1964): rectangles are never assembled in 2-D.  That line
+operator is the d1 = 1 radial scheme (unit links, mass 1/2 on the axis for
+odd n), so grushin.radial's line pipeline solves it on grids n and n//2,
+with the radial potential cap, certificate and sum-of-squares energy.
 
 A disk's smallest eigenvalue comes from shift-invert Lanczos on one sparse LU
 factorization of S - sigma I per grid, at a shift the factor certifies.
@@ -44,11 +44,12 @@ the constant vector, so repeated solves are bit-identical, and one
 inverse-iteration step from its Ritz vector follows.
 
 On either geometry the reported value lambda is the Rayleigh quotient of the
-final vector, so lambda1 lies in (sigma, lambda] (DiskSolve), and the pair
-must pass ||S v - lambda v|| <= RESIDUAL_RTOL lambda ||v|| on the solved
-matrix S, or NonConvergence is raised.  The functions that call NumPy or
-SciPy import them, so importing this module loads neither, and a rectangle
-loads no scipy.sparse.
+final vector, so lambda1 lies in (sigma, lambda] (DiskSolve).  A disk's pair
+must pass ||S v - lambda v|| <= RESIDUAL_RTOL lambda ||v|| on the solved matrix
+S, or NonConvergence is raised; a rectangle's carries grushin.radial's
+certificate instead, as a fixed tolerance fails on fine grids (eps ||S|| ~
+n^2).  The functions that call NumPy or SciPy import them, so importing this
+module loads neither, and a rectangle loads no scipy.sparse.
 """
 
 from __future__ import annotations
@@ -58,7 +59,7 @@ from dataclasses import dataclass
 
 from .errors import DegenerateGrid, InvalidProblem, NonConvergence
 from .minimizer import ProblemParams, lambda1_product
-from .radial import DEFAULT_N, POTENTIAL_CAP, _ground_state, _positive_integer, _tridiag_matvec
+from .radial import DEFAULT_N, _cap_potential, _line_ground_state, _positive_integer
 from .tables import SweepTable
 
 __all__ = ["DEFAULT_N_2D", "DiskProblem", "DiskSolve", "decoupled_rectangle_value",
@@ -66,8 +67,8 @@ __all__ = ["DEFAULT_N_2D", "DiskProblem", "DiskSolve", "decoupled_rectangle_valu
 
 DEFAULT_N_2D = 512
 
-#: Largest accepted ||S v - lambda v|| / (lambda ||v||) of a reported
-#: eigenpair of the solved matrix S.
+#: Largest accepted ||S v - lambda v|| / (lambda ||v||) of a reported disk
+#: eigenpair of the solved matrix S; rectangles carry the radial certificate.
 RESIDUAL_RTOL = 1e-8
 
 #: Lanczos stops once its Ritz pair (theta, y) of the inverse has the
@@ -126,7 +127,8 @@ class DiskSolve:
     quadrant nodes of a disk, the line nodes of a rectangle), and iterations
     the number of LU (disk) or LDL^T (rectangle) solves spent there.  sigma
     is the fine grid's certified shift: its factor counts no eigenvalue at or
-    below it, so the fine grid's smallest eigenvalue lies in (sigma, lambda1].
+    below it, so the fine grid's smallest eigenvalue lies in (sigma, lambda1],
+    lambda1 being a Rayleigh quotient (in grushin.radial's form on a line).
     """
 
     lambda1: float
@@ -319,8 +321,11 @@ def _smallest_eig(matrix, guess: float) -> tuple[float, float, int]:
     definite by construction, so NonConvergence is raised if even the factor
     at 0 counts one.  Returns the eigenvalue lam (a Rayleigh quotient, so
     lambda1 <= lam), the certified shift sigma < lambda1, and the number of
-    LU solves spent.
+    LU solves spent.  NonConvergence is also raised unless the Rayleigh pair
+    passes ||S v - lam v|| <= RESIDUAL_RTOL lam ||v||.
     """
+    import numpy as np
+
     margin = _SHIFT_MARGIN
     while True:
         sigma = guess * (1.0 - margin) if margin < 1.0 else 0.0
@@ -345,22 +350,14 @@ def _smallest_eig(matrix, guess: float) -> tuple[float, float, int]:
     # diagonal is huge (|x|^(2s) >> 1 on wide domains), which dominates its
     # residual; one inverse-iteration step removes it.
     v = inverse(ritz)
-    return _rayleigh(v, matrix @ v), sigma, solves
-
-
-def _rayleigh(v: np.ndarray, sv: np.ndarray) -> float:
-    """Rayleigh quotient lam of v given sv = S v, if ||sv - lam v|| <= RESIDUAL_RTOL lam ||v||."""
-    import numpy as np
-
+    sv = matrix @ v
     vv = v @ v
     with np.errstate(invalid="ignore", divide="ignore"):
         lam = float(v @ sv / vv)
         resid = float(np.linalg.norm(sv - lam * v) / (lam * np.sqrt(vv)))
     if not (lam > 0.0 and resid <= RESIDUAL_RTOL):
-        raise NonConvergence(
-            f"eigenpair residual {resid:.3e} exceeds {RESIDUAL_RTOL:g} relative"
-        )
-    return lam
+        raise NonConvergence(f"eigenpair residual {resid:.3e} exceeds {RESIDUAL_RTOL:g} relative")
+    return lam, sigma, solves
 
 
 def _disk_eig(rho: float, s: float, n: int, guess: float) -> tuple[float, int, int, float]:
@@ -374,24 +371,21 @@ def _disk_eig(rho: float, s: float, n: int, guess: float) -> tuple[float, int, i
 def _rectangle_eig(t: float, V: float, s: float, n: int) -> tuple[float, int, int, float]:
     import numpy as np
 
-    # Kx + mu diag(|x|^(2s)) on the x half-axis without its boundary node,
-    # folded at the mirror axis as `_links` folds it; k = 1/hx^2, and
+    # Kx + mu diag(|x|^(2s)) on the x half-axis without its boundary node, folded
+    # at the mirror axis as `_links` folds it (mass 1/2 on the axis for odd n);
     # mu = (4/hy^2) sin^2(pi/(2(n-1))) with hy = V/(t(n-1))
     xs = _half_axis(0.5 * t, n)[:-1]
-    k = ((n - 1) / t) ** 2
     mu = (2.0 * (n - 1) * t / V * math.sin(0.5 * math.pi / (n - 1))) ** 2
     with np.errstate(over="ignore"):
-        diag = 2.0 * k + np.minimum(mu * _coefficients(xs, s), POTENTIAL_CAP * max(1.0, mu))
-    off = np.full(xs.size - 1, -k)
-    # the s=0 eigenvector, in the coordinates of the solved matrix M^(1/2) v
-    start = np.cos((math.pi / t) * xs)
-    if n % 2 == 0:
-        diag[0] -= k
-    else:
-        off[0] *= math.sqrt(2.0)
-        start[0] /= math.sqrt(2.0)
-    x, sigma, solves = _ground_state(diag, off, start)
-    return _rayleigh(x, _tridiag_matvec(diag, off, x)), xs.size, solves, sigma
+        pot = mu * _coefficients(xs, s)
+    _cap_potential(pot)
+    mass = np.ones(xs.size)
+    if n % 2 == 1:
+        mass[0] = 0.5
+    energy, sigma, solves = _line_ground_state(
+        np.ones(xs.size), mass, pot, t / (n - 1), np.cos((math.pi / t) * xs), n % 2 == 1
+    )[:3]
+    return energy, xs.size, solves, sigma
 
 
 def _extrapolate(fine: tuple, coarse: float, n: int, h: float, order: int) -> DiskSolve:

@@ -19,7 +19,8 @@ symmetric tridiagonal pencil (A, D) with positive diagonal mass D.  For d1 = 1
 the origin node carries half a cell and the scheme reduces to the standard
 second order Laplacian with an even-symmetry (Neumann) condition at 0; for
 d1 >= 2 the origin node has zero mass weight and is eliminated, which encodes
-the zero-flux condition without any special boundary row.
+the zero-flux condition without any special boundary row.  With unit links
+this pencil is also grushin.planar's rectangle line operator.
 
 Eigensolve.  The pencil is reduced by the diagonal congruence D^(-1/2) A
 D^(-1/2) to a symmetric positive definite tridiagonal matrix T.  Its lowest
@@ -80,13 +81,14 @@ from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from functools import lru_cache
 
-from .errors import InvalidProblem, NonConvergence
+from .errors import DegenerateGrid, InvalidProblem, NonConvergence
 
 #: Default number of grid cells for production solves.
 DEFAULT_N = 4096
 
 #: The sampled potential mu*r^(2s) is capped at POTENTIAL_CAP times its
-#: smallest sample off the origin, mu*h^(2s), or at POTENTIAL_CAP if that is
+#: sample pot[1] one node out from the axis-nearest node (on a ball, its
+#: smallest sample off the origin, mu*h^(2s)), or at POTENTIAL_CAP if that is
 #: below 1; beyond the cap the node is a numerical Dirichlet wall.  Keeps huge
 #: exponents (s ~ 150 with R > 1) finite, and never flattens a large mu.
 POTENTIAL_CAP = 1e14
@@ -106,6 +108,12 @@ _MAX_HALVINGS = 100
 #: A stagnated residual counts as converged up to this multiple of its
 #: rounding level; converged solves in that sweep read 0.1-2.2 of it.
 _FLOOR_FACTOR = 8.0
+
+#: A line whose node 0 lies on a mirror axis, where r^(2s) samples 0 for
+#: s > 0, raises DegenerateGrid once h^2 (pot[1] - pot[0]) exceeds this: that
+#: node is then a one-cell well deep enough to bind a spurious state.  The
+#: regression and benchmark inputs read at most 3.8e-6.
+_AXIS_GAP = 1.0
 
 _EPS = sys.float_info.epsilon
 
@@ -134,20 +142,16 @@ def _rpow(r: np.ndarray, p: float) -> np.ndarray:
     return out
 
 
-def _potential_samples(r: np.ndarray, s: float, mu: float) -> tuple[np.ndarray, np.ndarray]:
-    """Sampled potential mu * r^(2s), capped (see POTENTIAL_CAP), and its mu-derivative.
+def _cap_potential(pot: np.ndarray) -> np.ndarray:
+    """Clip the potential samples pot in place (see POTENTIAL_CAP); returns the clipped mask.
 
-    The derivative is r^(2s) where the cap is inactive and 0 where it clips.
     The cap scales with pot[1], not with mu: mu reaches 1e200 where r^(2s)
     is tiny, and a cap of 1e14 mu would overflow the solver's norms.
     """
-    weight = _rpow(r, 2.0 * s)
-    pot = mu * weight
     cap = POTENTIAL_CAP * max(1.0, float(pot[1]))
     clipped = pot >= cap
     pot[clipped] = cap
-    weight[clipped] = 0.0
-    return pot, weight
+    return clipped
 
 
 def _trapezoid_weights(m: int) -> np.ndarray:
@@ -225,54 +229,24 @@ class RadialSolution:
 
 
 def _assemble(p: RadialProblem):
-    """Build the symmetric tridiagonal pencil (A, D) for the problem.
+    """The problem's line pencil (see _line_ground_state) on the unknown nodes lo..n-1.
 
-    Returns (h, r, lo, a_diag, a_off, d_w, a_half, pot, dpot) where the
-    unknowns are the grid nodes lo..n-1, a_diag/a_off define A = K +
-    diag(potential), d_w is the diagonal of D, a_half are the flux
-    coefficients at the half points, and pot and dpot are the potential
-    samples at the nodes and their derivative in mu.
+    Returns (r, lo, links, mass, pot, dpot): the grid; the first unknown (the
+    d1 >= 2 origin has zero mass and is eliminated); the flux coefficients
+    r_{i+1/2}^(d1-1) from it up; the lumped mass r_i^(d1-1), 1/2 at the
+    d1 = 1 origin; and the capped potential mu r^(2s) at the unknowns with
+    its mu-derivative, r^(2s) where the cap is inactive and 0 where it clips.
     """
-    import numpy as np
-
-    n = p.n
-    h = p.h
     r = p.grid()
-    half = 0.5 * (r[:-1] + r[1:])
-    a_half = _rpow(half, p.d1 - 1.0)  # conservative flux coefficients
-    pot, dpot = _potential_samples(r, p.s, p.mu)
-
-    if p.d1 == 1:
-        lo = 0
-        # trapezoid half-weight at the origin node, full weight elsewhere
-        w = np.ones(n)
-        w[0] = 0.5
-        d_w = w  # r^0 = 1
-        diag_k = np.empty(n)
-        diag_k[0] = a_half[0]
-        diag_k[1:] = a_half[:-1] + a_half[1:]  # a_half[i-1] + a_half[i]
-        off_k = -a_half[: n - 1]  # coupling (i, i+1) = -a_{i+1/2}
-        a_diag = diag_k / h**2 + d_w * pot[:n]
-    else:
-        lo = 1
-        d_w = _rpow(r[1:n], p.d1 - 1.0)
-        diag_k = np.empty(n - 1)
-        # origin node has zero mass weight and is eliminated; no flux enters
-        # the first retained cell from below
-        diag_k[0] = a_half[1]
-        diag_k[1:] = a_half[1:-1] + a_half[2:]
-        off_k = -a_half[1 : n - 1]
-        a_diag = diag_k / h**2 + d_w * pot[1:n]
-    a_off = off_k / h**2
-    return h, r, lo, a_diag, a_off, d_w, a_half, pot, dpot
-
-
-def _tridiag_matvec(t_diag: np.ndarray, t_off: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """T x for T = tridiag(t_off, t_diag, t_off), as a new array."""
-    tx = t_diag * x
-    tx[:-1] += t_off * x[1:]
-    tx[1:] += t_off * x[:-1]
-    return tx
+    lo = 0 if p.d1 == 1 else 1
+    links = _rpow(0.5 * (r[:-1] + r[1:]), p.d1 - 1.0)[lo:]
+    mass = _rpow(r[lo : p.n], p.d1 - 1.0)
+    if lo == 0:
+        mass[0] = 0.5
+    dpot = _rpow(r, 2.0 * p.s)
+    pot = p.mu * dpot
+    dpot[_cap_potential(pot)] = 0.0
+    return r, lo, links, mass, pot[lo : p.n], dpot[lo : p.n]
 
 
 def _ground_state(t_diag: np.ndarray, t_off: np.ndarray, x: np.ndarray):
@@ -295,7 +269,9 @@ def _ground_state(t_diag: np.ndarray, t_off: np.ndarray, x: np.ndarray):
     prev = math.inf
     for solves in range(_MAX_STEPS):
         x /= math.sqrt(float(x @ x))
-        tx = _tridiag_matvec(t_diag, t_off, x)
+        tx = t_diag * x
+        tx[:-1] += t_off * x[1:]
+        tx[1:] += t_off * x[:-1]
         lam = float(x @ tx)
         tx -= lam * x
         res = math.sqrt(float(tx @ tx))
@@ -334,49 +310,75 @@ def _ground_state(t_diag: np.ndarray, t_off: np.ndarray, x: np.ndarray):
     )
 
 
+def _line_ground_state(links, mass, pot, h: float, start, axis: bool):
+    """Certified ground state of a line pencil (A, D), with its energy.
+
+    Node m of a grid of spacing h is a Dirichlet zero and nodes 0..m-1 are
+    the unknowns.  A = K / h^2 + D diag(pot) with D = diag(mass); K has the
+    off-diagonal -links[i] and the diagonal links[i] + links[i-1] (links[i]
+    joins nodes i and i+1; nothing enters node 0 from below).  start is a
+    positive profile (overwritten); axis says node 0 lies on a mirror axis.
+    Runs _ground_state on T = D^(-1/2) A D^(-1/2) = tridiag(t_off, t_diag,
+    t_off) and returns (energy, shift, solves, x, v, t_diag, t_off), energy
+    the Rayleigh quotient of v = D^(-1/2) x, scaled to h sum(mass v^2) = 1,
+    in sum-of-squares form: no addend is negative, while x'Tx loses ~eps ||T||.
+    Raises DegenerateGrid if axis and h^2 (pot[1] - pot[0]) > _AXIS_GAP,
+    InvalidProblem if T is not finite, and NonConvergence as _ground_state
+    does or if the energy is not positive.
+    """
+    import numpy as np
+
+    t_diag = links.copy()
+    t_diag[1:] += links[:-1]
+    t_diag /= h**2
+    t_diag += mass * pot
+    t_diag /= mass
+    sqrt_d = np.sqrt(mass)
+    t_off = links[:-1] / -(h**2)
+    t_off /= sqrt_d[:-1] * sqrt_d[1:]
+    if not (np.all(np.isfinite(t_diag)) and np.all(np.isfinite(t_off))):
+        raise InvalidProblem("assembled operator contains non-finite entries")
+    if axis and h**2 * (pot[1] - pot[0]) > _AXIS_GAP:
+        raise DegenerateGrid(
+            f"the axis node's potential lies {pot[1] - pot[0]:.3e} below its neighbour's, "
+            f"more than {_AXIS_GAP:g}/h^2: the grid does not resolve the well at the axis"
+        )
+    start *= sqrt_d
+    x, shift, solves = _ground_state(t_diag, t_off, start)
+    v = x / sqrt_d
+    diffs = -v  # v[i+1] - v[i], with the Dirichlet zero at node m
+    diffs[:-1] += v[1:]
+    stiffness = float(np.sum(links * diffs**2)) / h**2
+    potential = float(np.sum(mass * pot * v**2))
+    norm = float(np.sum(mass * v**2))
+    energy = (stiffness + potential) / norm
+    if not math.isfinite(energy) or energy <= 0.0:
+        raise NonConvergence(f"nonpositive or non-finite energy: {energy}")
+    return energy, shift, solves, x, v / math.sqrt(h * norm), t_diag, t_off
+
+
 def solve_radial(p: RadialProblem) -> RadialSolution:
     """Solve for the lowest eigenpair of the radial problem.
 
     Every return rests on a certified shift (see _ground_state).  Raises
     NonConvergence if the ground state cannot be certified or the inverse
     iteration does not settle at the rounding level (_ground_state says
-    when), or if the second derivative's solve fails; InvalidProblem (via
-    RadialProblem) for bad inputs.
+    when), or if the second derivative's solve fails; DegenerateGrid at a
+    d1 = 1 origin well (_AXIS_GAP); InvalidProblem for bad inputs.
     """
     import numpy as np
     from scipy.linalg.lapack import dgtsv
 
-    # the congruence D^(-1/2) A D^(-1/2) overwrites A's entries in place
-    h, r, lo, t_diag, t_off, d_w, a_half, pot, dpot = _assemble(p)
-    sqrt_d = np.sqrt(d_w)
-    t_diag /= d_w
-    t_off /= sqrt_d[:-1] * sqrt_d[1:]
-    if not (np.all(np.isfinite(t_diag)) and np.all(np.isfinite(t_off))):
-        raise InvalidProblem("assembled operator contains non-finite entries")
-    x, _, _ = _ground_state(t_diag, t_off, np.cos((0.5 * math.pi / p.R) * r[lo : p.n]) * sqrt_d)
+    r, lo, links, mass, pot, w = _assemble(p)
+    energy, _, _, x, v_unknown, t_diag, t_off = _line_ground_state(
+        links, mass, pot, p.h, np.cos((0.5 * math.pi / p.R) * r[lo : p.n]), lo == 0
+    )
     nx2 = float(x @ x)
-    v_unknown = x / sqrt_d
-
-    # Rayleigh refinement evaluated in physical variables with the
-    # sum-of-squares stiffness form: every addend is nonnegative, so the
-    # quotient carries no cancellation and is accurate to relative rounding.
-    # (The congruence-coordinate form x'Tx loses ~eps*|T| absolutely, which
-    # finite differences in mu would amplify.)
-    v_ext = np.zeros(p.n + 1 - lo)  # nodes lo..n, Dirichlet zero at n
-    v_ext[:-1] = v_unknown
-    diffs = v_ext[1:] - v_ext[:-1]
-    stiffness = float(np.sum(a_half[lo:] * diffs**2)) / h**2
-    potential = float(np.sum(d_w * pot[lo : p.n] * v_unknown**2))
-    mass = float(np.sum(d_w * v_unknown**2))
-    energy = (stiffness + potential) / mass
-    if not math.isfinite(energy) or energy <= 0.0:
-        raise NonConvergence(f"nonpositive or non-finite energy: {energy}")
 
     # E' = x'Wx and E'' = 2 x'Wy with (T - E) y = -(W - E') x, y orthogonal
     # to x (module docstring).  Both are formed for W / c, c the power of two
     # just above max W, so no intermediate overflows (r^(2s) reaches 1e290
     # where the cap is off); the solve overwrites t_off and its inputs.
-    w = dpot[lo : p.n]
     c = math.ldexp(1.0, math.frexp(float(np.max(w)))[1])
     wx = (w / c) * x
     e_dot = float(x @ wx) / nx2
@@ -388,8 +390,6 @@ def solve_radial(p: RadialProblem) -> RadialSolution:
     z -= (float(x @ z) / nx2) * x
     e_ddot = 2.0 * float(wx @ z) / nx2
 
-    # normalize: h * sum(d_w * v^2) = 1
-    v_unknown = v_unknown / math.sqrt(h * mass)
     if float(np.sum(v_unknown)) < 0.0:
         v_unknown = -v_unknown
     v = np.zeros(p.n + 1)
@@ -404,7 +404,7 @@ def solve_radial(p: RadialProblem) -> RadialSolution:
             raise NonConvergence("ground state came back with a sign change")
         v[tiny] = 0.0
 
-    slope = (-4.0 * v[p.n - 1] + v[p.n - 2]) / (2.0 * h)
+    slope = (-4.0 * v[p.n - 1] + v[p.n - 2]) / (2.0 * p.h)
     return RadialSolution(
         energy=energy,
         v=v,

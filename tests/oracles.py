@@ -80,6 +80,21 @@ def first_bessel_zero(d: int) -> float:
     return 0.5 * (lo + hi)
 
 
+def assembled_pencil(p: RadialProblem):
+    """(lo, a_diag, a_off, d_w, links, pot): the production solver's (A, D) pencil.
+
+    Rebuilt here from the flux coefficients, lumped mass and potential
+    samples that `radial._assemble` returns, without the production eigensolve:
+    A = K / h^2 + D diag(pot), where K has the diagonal links[i] + links[i-1]
+    (no flux into the first unknown from below) and the off-diagonal
+    -links[i], and D = diag(d_w) is the lumped mass.
+    """
+    _, lo, links, d_w, pot, _ = _assemble(p)
+    diag_k = links.copy()
+    diag_k[1:] += links[:-1]
+    return lo, diag_k / p.h**2 + d_w * pot, -links[:-1] / p.h**2, d_w, links, pot
+
+
 def dense_lowest_eigenvalue(p: RadialProblem) -> float:
     """Smallest eigenvalue of the assembled pencil by a full dense eigensolve.
 
@@ -87,7 +102,7 @@ def dense_lowest_eigenvalue(p: RadialProblem) -> float:
     it with a dense generalized symmetric eigendecomposition instead of the
     production inverse iteration.  Only sensible for small n.
     """
-    _, _, _, a_diag, a_off, d_w, _, _, _ = _assemble(p)
+    _, a_diag, a_off, d_w, _, _ = assembled_pencil(p)
     m = a_diag.size
     a = np.zeros((m, m))
     idx = np.arange(m)
@@ -110,15 +125,15 @@ def tridiagonal_reference_energy(p: RadialProblem) -> float:
     (d1 = 1, s = mu = R = 1) it is 1.0e-10 from a long-double inverse
     iteration.
     """
-    h, _, lo, a_diag, a_off, d_w, a_half, pot, _ = _assemble(p)
+    lo, a_diag, a_off, d_w, links, pot = assembled_pencil(p)
     sqrt_d = np.sqrt(d_w)
     _, vec = eigh_tridiagonal(
         a_diag / d_w, a_off / (sqrt_d[:-1] * sqrt_d[1:]), select="i", select_range=(0, 0)
     )
     v = np.zeros(p.n + 1 - lo)
     v[:-1] = vec[:, 0] / sqrt_d
-    stiffness = float(np.sum(a_half[lo:] * np.diff(v) ** 2)) / h**2
-    potential = float(np.sum(d_w * pot[lo : p.n] * v[:-1] ** 2))
+    stiffness = float(np.sum(links * np.diff(v) ** 2)) / p.h**2
+    potential = float(np.sum(d_w * pot * v[:-1] ** 2))
     return (stiffness + potential) / float(np.sum(d_w * v[:-1] ** 2))
 
 

@@ -13,6 +13,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg.lapack
 import scipy.sparse.linalg
 
 import grushin.planar
@@ -66,6 +67,10 @@ def test_degenerate_grid_rejected():
     mask = xs[:, None] ** 2 + xs[None, :] ** 2 < 1.0
     with pytest.raises(DegenerateGrid):
         _assemble(mask, _coefficients(xs, 1.0), 2.0 / 3.0, on_axis=False)
+    # the d1=1 line's origin node samples mu 0^(2s) = 0 against mu ~ 9.7e14 one
+    # node out: a one-node well that bound a spurious state at E ~ 1.3e8
+    with pytest.raises(DegenerateGrid):
+        decoupled_rectangle_value(1.0, 1e-7, 0.001)
 
 
 def test_coefficient_overflow_rejected():
@@ -121,13 +126,17 @@ def test_rectangle_quadrant_matches_full_grid(n, t, s):
 
 
 @pytest.mark.parametrize("n", [65, 129, 257, 513])
-@pytest.mark.parametrize("s", [0.0, 1.0, 150.0, 505.0])
-@pytest.mark.parametrize("t", [1.0, 1.645, 2.0, 3.0, 4.0])
-def test_rectangle_line_operator_is_the_radial_scheme(n, s, t):
+@pytest.mark.parametrize(
+    "t, V, s",
+    [pytest.param(t, 1.0, s, id=f"{t}-{s}")
+     for s in (0.0, 1.0, 150.0, 505.0) for t in (1.0, 1.645, 2.0, 3.0, 4.0)]
+    # mu ~ 1.6e142: a cap of POTENTIAL_CAP * mu would overflow the solver's norms
+    + [pytest.param(4.0, 1e-70, 150.0, id="4.0-150.0-V1e-70")],
+)
+def test_rectangle_line_operator_is_the_radial_scheme(n, t, V, s):
     # For odd n the line operator is the d1=1 radial scheme on (0, t/2) with
     # (n-1)/2 cells and coupling mu = lowest eigenvalue of the y stencil,
     # down to the POTENTIAL_CAP wall (t=4, s=505 puts mu |x|^(2s) above 1e299)
-    V = 1.0
     hy = (V / t) / (n - 1)
     mu = (4.0 / hy**2) * math.sin(math.pi / (2 * (n - 1))) ** 2
     line, _, _, _ = _rectangle_eig(t, V, s, n)
@@ -188,10 +197,11 @@ def test_disk_solve_metadata():
 
 def test_rectangle_laplacian_extrapolates_to_exact_value():
     # V=1e-7 puts mu ~ 9.9e14 on every node, above POTENTIAL_CAP, which must
-    # not flatten it
-    for V in (1.0, 1e-7):
+    # not flatten it; at n=65536 the residual's rounding floor eps ||T|| ~ n^2
+    # is above 1e-8 of the eigenvalue, so no fixed relative gate could pass
+    for V, n in ((1.0, 128), (1e-7, 128), (1.0, 65536)):
         exact = decoupled_rectangle_value(1.0, V, 0.0)
-        full = solve_rectangle_full(1.0, V, 0.0, 128)
+        full = solve_rectangle_full(1.0, V, 0.0, n)
         assert abs(full.extrapolated - exact) / exact < 1e-4
 
 
@@ -372,20 +382,21 @@ def test_nonconvergence_when_lanczos_fails(monkeypatch, module, name, value, mes
     ids=["shifted", "start-vector", "zero"],
 )
 def test_nonconvergence_on_bad_eigenpair(monkeypatch, corrupt):
-    # the disk's Lanczos vector and the rectangle's inverse-iteration vector
-    # pass the same residual gate
+    # the disk's Lanczos vector must pass the residual gate, and the
+    # rectangle's inverse iteration, fed corrupted LDL^T solves, must fail
+    # its own certificate rather than return
     lanczos = grushin.planar._lanczos
     monkeypatch.setattr(grushin.planar, "_lanczos", lambda *a: corrupt(lanczos(*a)))
     with pytest.raises(NonConvergence, match="eigenpair residual"):
         solve_disk(DiskProblem(rho=UNIT_AREA_RHO, s=1.0, n=64))
-    ground_state = grushin.planar._ground_state
+    dpttrs = scipy.linalg.lapack.dpttrs
 
-    def corrupted(*args):
-        x, shift, solves = ground_state(*args)
-        return corrupt(x), shift, solves
+    def corrupted(*args, **kwargs):
+        x, info = dpttrs(*args, **kwargs)
+        return corrupt(x), info
 
-    monkeypatch.setattr(grushin.planar, "_ground_state", corrupted)
-    with pytest.raises(NonConvergence, match="eigenpair residual"):
+    monkeypatch.setattr(scipy.linalg.lapack, "dpttrs", corrupted)
+    with np.errstate(invalid="ignore", divide="ignore"), pytest.raises(NonConvergence):
         solve_rectangle_full(1.0, 1.0, 1.0, 64)
 
 

@@ -36,6 +36,7 @@ from grushin.radial import (
 from oracles import (
     J01,
     J01_SQUARED,
+    assembled_pencil,
     bessel_j0,
     dense_lowest_eigenvalue,
     first_bessel_zero,
@@ -387,9 +388,9 @@ def test_matches_tridiagonal_reference(d1, s, mu, radius, n):
 
 def _congruence_operator(p):
     """(t_diag, t_off, start) exactly as solve_radial builds them."""
-    _, r, lo, a_diag, a_off, d_w, _, _, _ = radial._assemble(p)
+    lo, a_diag, a_off, d_w, _, _ = assembled_pencil(p)
     sqrt_d = np.sqrt(d_w)
-    start = np.cos((0.5 * math.pi / p.R) * r[lo : p.n]) * sqrt_d
+    start = np.cos((0.5 * math.pi / p.R) * p.grid()[lo : p.n]) * sqrt_d
     return a_diag / d_w, a_off / (sqrt_d[:-1] * sqrt_d[1:]), start
 
 
