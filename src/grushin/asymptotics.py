@@ -214,15 +214,13 @@ def convergence_report(
     points = [
         (p.d1, p.d2, s, p.V, t, n) for s in s_list for t in t_grid
     ]
-    values = list(map_fn(_report_point, points))
-    rows = []
-    for (d1, d2, s, V, t, _), value in zip(points, values):
-        if kind is LimitKind.S_TO_ZERO:
-            ref = small_s_limit(p, t)
-        else:
-            ref = large_s_limit(p.d1, t)
-        rows.append((s, t, value, ref, abs(value - ref)))
-    return SweepTable(headers=REPORT_HEADERS, rows=tuple(rows))
+    values = map_fn(_report_point, points)
+    refs = limit_profile(p, kind, t_grid).values * len(s_list)
+    rows = tuple(
+        (s, t, value, ref, abs(value - ref))
+        for (_, _, s, _, t, _), value, ref in zip(points, values, refs)
+    )
+    return SweepTable(headers=REPORT_HEADERS, rows=rows)
 
 
 def max_deviation_per_s(table: SweepTable) -> list[tuple[float, float]]:

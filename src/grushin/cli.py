@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 from .asymptotics import LimitKind, convergence_report, limit_profile
-from .baseline import BASELINE_HEADERS, DEFAULT_BASELINE, regression_suite
+from .baseline import DEFAULT_BASELINE, regression_suite
 from .errors import (BaselineMissing, BracketFailure, GrushinError, InvalidProblem,
                      NonConvergence, UsageError)
 from .minimizer import (MinimizeResult, ProblemParams, ball1_radius, coupling_of_split,
@@ -32,8 +32,7 @@ from .planar import (DEFAULT_N_2D, DiskProblem, segment_limit_probe, solve_disk,
 from .radial import DEFAULT_N, RadialProblem, solve_radial
 from .tables import SweepTable, emit_csv, emit_svg
 
-__all__ = ["BASELINE_HEADERS", "DEFAULT_BASELINE", "RunConfig", "console_entry", "main",
-           "parse_config", "regression_suite"]
+__all__ = ["RunConfig", "console_entry", "main", "parse_config"]
 
 DEFAULT_S_LADDER_ZERO = (0.1, 0.01, 0.001)
 DEFAULT_S_LADDER_INF = (10.0, 50.0, 150.0)

@@ -20,7 +20,7 @@ class BracketFailure(GrushinError):
 
 
 class DegenerateGrid(GrushinError):
-    """A grid too coarse to trust: too few interior nodes, or a one-node well at an axis."""
+    """A grid too coarse to trust: a one-node well at an axis."""
 
 
 class BaselineMissing(GrushinError):

@@ -110,12 +110,11 @@ class ProblemParams:
 class BallConstants:
     """Unit-ball constants entering the scalar reduction.
 
-    tau_d1/tau_d2 are unit-ball volumes; mu1_b1/mu1_b2 are the first
+    tau_d1 is the unit d1-ball's volume; mu1_b1/mu1_b2 are the first
     Dirichlet-Laplace eigenvalues of the unit-volume balls in R^d1 and R^d2.
     """
 
     tau_d1: float
-    tau_d2: float
     mu1_b1: float
     mu1_b2: float
 
@@ -170,7 +169,6 @@ class MinimizeResult:
 def _ball_constants_cached(d1: int, d2: int) -> BallConstants:
     return BallConstants(
         tau_d1=ball_volume_constant(d1),
-        tau_d2=ball_volume_constant(d2),
         mu1_b1=mu1_ball(d1, 1.0),
         mu1_b2=mu1_ball(d2, 1.0),
     )

@@ -13,18 +13,18 @@ Both grids mirror node i onto node n-1-i along each axis (the disk about
 x = 0 and y = 0, the rectangle about x = 0 and its midline).  The matrix is
 an irreducible M-matrix, so its lowest eigenvector is simple and positive,
 hence even under both reflections, and only the even-even quadrant is
-solved: a neighbour across an axis is the node's own mirror and folds into
-its row.  This is exact, not an approximation.  For odd n, nodes lie on the
-axes; they get mass 1/2 (the origin 1/4) and the solved matrix is the
-symmetrically scaled M^(-1/2) K M^(-1/2), which the disk assembly checks for
-exact symmetry.  On the rectangle that matrix is exactly
-Kx (x) I + diag(|x|^(2s)) (x) Ky with |x|^(2s) >= 0, so its smallest
-eigenvalue is that of the line operator Kx + mu diag(|x|^(2s)), with mu the
-smallest eigenvalue (4/hy^2) sin^2(pi/(2(n-1))) of Ky (fast diagonalization,
-Lynch, Rice & Thomas 1964): rectangles are never assembled in 2-D.  That line
-operator is the d1 = 1 radial scheme (unit links, mass 1/2 on the axis for
-odd n), so grushin.radial's line pipeline solves it on grids n and n//2,
-with the radial potential cap, certificate and sum-of-squares energy.
+solved.  This is exact, not an approximation.  Folded onto a half-axis, the
+1-D stencil is grushin.radial's d1 = 1 line operator T: unit links, and
+across the axis either the node's own mirror (even n) or, for odd n, mass
+1/2 on the axis node, T being the symmetric D^(-1/2) K D^(-1/2).  The
+quadrant matrix is then Tx (x) I + diag(|x|^(2s)) (x) Ty.  A disk's is its
+rows and columns over the mask (Tx = Ty), checked for exact symmetry.  On
+the rectangle |x|^(2s) >= 0, so its smallest eigenvalue is that of the line
+operator Tx + mu diag(|x|^(2s)), with mu the smallest eigenvalue
+(4/hy^2) sin^2(pi/(2(n-1))) of Ty (fast diagonalization, Lynch, Rice &
+Thomas 1964): rectangles are never assembled in 2-D, and grushin.radial's
+line pipeline solves them on grids n and n//2, with the radial potential
+cap, certificate and sum-of-squares energy.
 
 A disk's smallest eigenvalue comes from shift-invert Lanczos on one sparse LU
 factorization of S - sigma I per grid, at a shift the factor certifies.
@@ -57,9 +57,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DegenerateGrid, InvalidProblem, NonConvergence
+from .errors import InvalidProblem, NonConvergence
 from .minimizer import ProblemParams, lambda1_product
-from .radial import DEFAULT_N, _cap_potential, _line_ground_state, _positive_integer
+from .radial import (DEFAULT_N, _cap_potential, _line_ground_state, _line_operator,
+                     _positive_integer)
 from .tables import SweepTable
 
 __all__ = ["DEFAULT_N_2D", "DiskProblem", "DiskSolve", "decoupled_rectangle_value",
@@ -174,70 +175,33 @@ def _half_axis(a: float, n: int) -> np.ndarray:
     return a * (np.arange(1 - n % 2, n, 2) / (n - 1))
 
 
-def _links(idx: np.ndarray, on_axis: bool):
-    """(neighbour index, stencil weight) toward the next and previous row.
-
-    Indices run along axis 0 and are -1 where there is no neighbour.  Row
-    0's previous node lies across the axis.  Half a step off the axis it is
-    row 0's own mirror, so that link folds onto the diagonal.  On the axis
-    it is row 1's mirror: the two links to row 1 merge, and after scaling
-    by M^(-1/2) (mass 1/2 on the axis) one link of weight sqrt(2) is left
-    in each direction, which keeps the matrix exactly symmetric.
-    """
-    import numpy as np
-
-    nxt = np.full_like(idx, -1)
-    nxt[:-1] = idx[1:]
-    prv = np.full_like(idx, -1)
-    prv[1:] = idx[:-1]
-    w_nxt = np.ones(idx.shape)
-    w_prv = np.ones(idx.shape)
-    if on_axis:
-        w_nxt[0] = w_prv[1] = math.sqrt(2.0)
-    else:
-        prv[0] = idx[0]
-    return (nxt, w_nxt), (prv, w_prv)
-
-
 def _assemble(mask: np.ndarray, c_row: np.ndarray, h: float, on_axis: bool):
     """Scaled 5-point matrix over the masked quadrant nodes; exactly symmetric.
 
     mask is square with spacing h on both axes; its row and column 0 are the
     nodes nearest the mirror axes, lying on them if on_axis.  The result is
-    M^(-1/2) K M^(-1/2), with K the stencil folded onto the quadrant and M
-    the nodes' mass (1/2 per axis a node lies on).
+    the rows and columns over the mask of T (x) I + diag(c_row) (x) T, T the
+    folded line operator of the module docstring; node (i, j), i along the
+    x axis, is row i * size + j of that square matrix.
     """
     import numpy as np
     from scipy import sparse
 
-    copies = np.full(mask.shape[0], 2)
+    size = mask.shape[0]
+    mass = np.ones(size)
     if on_axis:
-        copies[0] = 1
-    full_count = int(np.outer(copies, copies)[mask].sum())
-    if full_count < 16:
-        raise DegenerateGrid(f"only {full_count} interior nodes; need at least 16")
-    count = int(mask.sum())
-    idx = np.full(mask.shape, -1, dtype=np.int64)
-    idx[mask] = np.arange(count)
-    cx = np.full(mask.shape, 1.0 / (h * h))
-    cy = np.broadcast_to((c_row / (h * h))[:, None], mask.shape)
-
-    rows = [idx[mask]]
-    cols = [idx[mask]]
-    vals = [2.0 * (cx + cy)[mask]]
-    x_links = _links(idx, on_axis)
-    y_links = tuple((t.T, w.T) for t, w in _links(idx.T, on_axis))
-    for coef, links in ((cx, x_links), (cy, y_links)):
-        for target, weight in links:
-            link = mask & (target >= 0)
-            rows.append(idx[link])
-            cols.append(target[link])
-            vals.append(-(coef * weight)[link])
-
-    matrix = sparse.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(count, count),
-    ).tocsr()
+        mass[0] = 0.5
+    # T = T1 / h^2, T1 at unit spacing: the bands scale T1 by 1/h^2 and by
+    # c_row / h^2, so no coefficient c / h^2 rounds through a rounded 1 / h^2
+    t_diag, t_off = _line_operator(np.ones(size), mass, np.zeros(size), 1.0)[:2]
+    cx = 1.0 / (h * h)
+    cy = (c_row / (h * h))[:, None]
+    x_off = np.repeat(cx * t_off, size)
+    y_off = (cy * np.append(t_off, 0.0)).ravel()[:-1]
+    square = sparse.diags([(cx * t_diag[:, None] + cy * t_diag).ravel(), x_off, x_off,
+                           y_off, y_off], [0, size, -size, 1, -1], format="csr")
+    keep = np.flatnonzero(mask)
+    matrix = square[keep][:, keep]
     if (matrix != matrix.T).nnz != 0:
         raise InvalidProblem("assembled stencil is not symmetric")
     return matrix
@@ -371,8 +335,8 @@ def _disk_eig(rho: float, s: float, n: int, guess: float) -> tuple[float, int, i
 def _rectangle_eig(t: float, V: float, s: float, n: int) -> tuple[float, int, int, float]:
     import numpy as np
 
-    # Kx + mu diag(|x|^(2s)) on the x half-axis without its boundary node, folded
-    # at the mirror axis as `_links` folds it (mass 1/2 on the axis for odd n);
+    # Tx + mu diag(|x|^(2s)) on the x half-axis without its boundary node, folded
+    # at the mirror axis as the disk's T is (mass 1/2 on the axis for odd n);
     # mu = (4/hy^2) sin^2(pi/(2(n-1))) with hy = V/(t(n-1))
     xs = _half_axis(0.5 * t, n)[:-1]
     mu = (2.0 * (n - 1) * t / V * math.sin(0.5 * math.pi / (n - 1))) ** 2

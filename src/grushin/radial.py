@@ -20,7 +20,8 @@ the origin node carries half a cell and the scheme reduces to the standard
 second order Laplacian with an even-symmetry (Neumann) condition at 0; for
 d1 >= 2 the origin node has zero mass weight and is eliminated, which encodes
 the zero-flux condition without any special boundary row.  With unit links
-this pencil is also grushin.planar's rectangle line operator.
+this pencil is also grushin.planar's line operator: the rectangle's, and
+both axes of the disk's Kronecker-sum matrix.
 
 Eigensolve.  The pencil is reduced by the diagonal congruence D^(-1/2) A
 D^(-1/2) to a symmetric positive definite tridiagonal matrix T.  Its lowest
@@ -310,21 +311,11 @@ def _ground_state(t_diag: np.ndarray, t_off: np.ndarray, x: np.ndarray):
     )
 
 
-def _line_ground_state(links, mass, pot, h: float, start, axis: bool):
-    """Certified ground state of a line pencil (A, D), with its energy.
+def _line_operator(links, mass, pot, h: float):
+    """T = D^(-1/2) A D^(-1/2) of a line pencil (A, D) (see _line_ground_state).
 
-    Node m of a grid of spacing h is a Dirichlet zero and nodes 0..m-1 are
-    the unknowns.  A = K / h^2 + D diag(pot) with D = diag(mass); K has the
-    off-diagonal -links[i] and the diagonal links[i] + links[i-1] (links[i]
-    joins nodes i and i+1; nothing enters node 0 from below).  start is a
-    positive profile (overwritten); axis says node 0 lies on a mirror axis.
-    Runs _ground_state on T = D^(-1/2) A D^(-1/2) = tridiag(t_off, t_diag,
-    t_off) and returns (energy, shift, solves, x, v, t_diag, t_off), energy
-    the Rayleigh quotient of v = D^(-1/2) x, scaled to h sum(mass v^2) = 1,
-    in sum-of-squares form: no addend is negative, while x'Tx loses ~eps ||T||.
-    Raises DegenerateGrid if axis and h^2 (pot[1] - pot[0]) > _AXIS_GAP,
-    InvalidProblem if T is not finite, and NonConvergence as _ground_state
-    does or if the energy is not positive.
+    Returns (t_diag, t_off, sqrt_d): T = tridiag(t_off, t_diag, t_off) and
+    the diagonal of D^(1/2).  Raises InvalidProblem if T is not finite.
     """
     import numpy as np
 
@@ -338,6 +329,29 @@ def _line_ground_state(links, mass, pot, h: float, start, axis: bool):
     t_off /= sqrt_d[:-1] * sqrt_d[1:]
     if not (np.all(np.isfinite(t_diag)) and np.all(np.isfinite(t_off))):
         raise InvalidProblem("assembled operator contains non-finite entries")
+    return t_diag, t_off, sqrt_d
+
+
+def _line_ground_state(links, mass, pot, h: float, start, axis: bool):
+    """Certified ground state of a line pencil (A, D), with its energy.
+
+    Node m of a grid of spacing h is a Dirichlet zero and nodes 0..m-1 are
+    the unknowns.  A = K / h^2 + D diag(pot) with D = diag(mass); K has the
+    off-diagonal -links[i] and the diagonal links[i] + links[i-1] (links[i]
+    joins nodes i and i+1; nothing enters node 0 from below).  start is a
+    positive profile (overwritten); axis says node 0 lies on a mirror axis.
+    Runs _ground_state on T = D^(-1/2) A D^(-1/2) = tridiag(t_off, t_diag,
+    t_off) from _line_operator and returns (energy, shift, solves, x, v,
+    t_diag, t_off), energy the Rayleigh quotient of v = D^(-1/2) x, scaled
+    to h sum(mass v^2) = 1, in sum-of-squares form: no addend is negative,
+    while x'Tx loses ~eps ||T||.
+    Raises DegenerateGrid if axis and h^2 (pot[1] - pot[0]) > _AXIS_GAP,
+    InvalidProblem if T is not finite, and NonConvergence as _ground_state
+    does or if the energy is not positive.
+    """
+    import numpy as np
+
+    t_diag, t_off, sqrt_d = _line_operator(links, mass, pot, h)
     if axis and h**2 * (pot[1] - pot[0]) > _AXIS_GAP:
         raise DegenerateGrid(
             f"the axis node's potential lies {pot[1] - pot[0]:.3e} below its neighbour's, "
@@ -390,8 +404,6 @@ def solve_radial(p: RadialProblem) -> RadialSolution:
     z -= (float(x @ z) / nx2) * x
     e_ddot = 2.0 * float(wx @ z) / nx2
 
-    if float(np.sum(v_unknown)) < 0.0:
-        v_unknown = -v_unknown
     v = np.zeros(p.n + 1)
     v[lo : p.n] = v_unknown
     if lo == 1:

@@ -13,13 +13,12 @@ import pytest
 
 import grushin.cli as cli
 from grushin.asymptotics import LimitKind
+from grushin.baseline import BASELINE_HEADERS, regression_suite
 from grushin.cli import (
-    BASELINE_HEADERS,
     DEFAULT_S_LADDER_INF,
     DEFAULT_S_LADDER_ZERO,
     main,
     parse_config,
-    regression_suite,
 )
 from grushin.errors import NonConvergence, UsageError
 from grushin.minimizer import ProblemParams, lambda1_product

@@ -14,6 +14,7 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg.lapack
+import scipy.sparse
 import scipy.sparse.linalg
 
 import grushin.planar
@@ -57,16 +58,30 @@ def test_assembled_stencil_exactly_symmetric(n, s):
     assert matrix.shape == (int(mask.sum()),) * 2
 
 
+@pytest.mark.parametrize("n", [31, 32, 64, 65])
+@pytest.mark.parametrize("s", [0.0, 1.0, 150.0])
+def test_assembled_stencil_is_the_masked_kronecker_sum(n, s):
+    # the folded 1-D stencil written out by hand: a neighbour across the axis
+    # is row 0's own mirror for even n, and for odd n the axis node's mass
+    # 1/2 turns its link into sqrt(2) after symmetric scaling
+    xs = _half_axis(1.0, n)
+    mask = xs[:, None] ** 2 + xs[None, :] ** 2 < 1.0
+    h = 2.0 / (n - 1)
+    size = xs.size
+    t = (np.diag(np.full(size, 2.0)) - np.eye(size, k=1) - np.eye(size, k=-1)) / h**2
+    if n % 2 == 1:
+        t[0, 1] = t[1, 0] = -math.sqrt(2.0) / h**2
+    else:
+        t[0, 0] = 1.0 / h**2
+    c = _coefficients(xs, s)
+    square = scipy.sparse.kron(t, np.eye(size)) + scipy.sparse.kron(np.diag(c), t)
+    keep = np.flatnonzero(mask)
+    expected = square.tocsr()[keep][:, keep].toarray()
+    actual = _assemble(mask, c, h, on_axis=n % 2 == 1).toarray()
+    np.testing.assert_allclose(actual, expected, rtol=1e-15, atol=0.0)
+
+
 def test_degenerate_grid_rejected():
-    xs = _half_axis(1.0, 5)
-    mask = xs[:, None] ** 2 + xs[None, :] ** 2 < 1.0
-    with pytest.raises(DegenerateGrid):
-        _assemble(mask, _coefficients(xs, 1.0), 0.5, on_axis=True)
-    # even n: 4 nodes on the whole grid, one in the quadrant
-    xs = _half_axis(1.0, 4)
-    mask = xs[:, None] ** 2 + xs[None, :] ** 2 < 1.0
-    with pytest.raises(DegenerateGrid):
-        _assemble(mask, _coefficients(xs, 1.0), 2.0 / 3.0, on_axis=False)
     # the d1=1 line's origin node samples mu 0^(2s) = 0 against mu ~ 9.7e14 one
     # node out: a one-node well that bound a spurious state at E ~ 1.3e8
     with pytest.raises(DegenerateGrid):
