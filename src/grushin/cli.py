@@ -7,8 +7,8 @@ may set any flag of the command being run, named without dashes; command-line
 flags win.  `--jobs K` (`sweep-s`, `regress`) spreads independent rows over K
 worker processes with byte-identical output.  GRUSHIN_DEFAULT_N replaces the
 default --n (4096 in 1-D, 512 per axis in 2-D).  Exit codes: 0 success, 1 I/O
-failure, 2 usage error, 3 regression failure or missing baseline, 4 solver
-non-convergence.
+failure, 2 usage error, invalid problem or DegenerateGrid (too coarse a grid),
+3 regression failure or missing baseline, 4 solver non-convergence.
 """
 
 from __future__ import annotations

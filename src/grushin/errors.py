@@ -20,7 +20,7 @@ class BracketFailure(GrushinError):
 
 
 class DegenerateGrid(GrushinError):
-    """A grid too coarse to trust: a one-node well at an axis."""
+    """A grid too coarse to trust: a well at a line's node 0 that it does not resolve."""
 
 
 class BaselineMissing(GrushinError):

@@ -24,7 +24,7 @@ operator Tx + mu diag(|x|^(2s)), with mu the smallest eigenvalue
 (4/hy^2) sin^2(pi/(2(n-1))) of Ty (fast diagonalization, Lynch, Rice &
 Thomas 1964): rectangles are never assembled in 2-D, and grushin.radial's
 line pipeline solves them on grids n and n//2, with the radial potential
-cap, certificate and sum-of-squares energy.
+cap, resolution guard, certificate and sum-of-squares energy.
 
 A disk's smallest eigenvalue comes from shift-invert Lanczos on one sparse LU
 factorization of S - sigma I per grid, at a shift the factor certifies.
@@ -346,9 +346,8 @@ def _rectangle_eig(t: float, V: float, s: float, n: int) -> tuple[float, int, in
     mass = np.ones(xs.size)
     if n % 2 == 1:
         mass[0] = 0.5
-    energy, sigma, solves = _line_ground_state(
-        np.ones(xs.size), mass, pot, t / (n - 1), np.cos((math.pi / t) * xs), n % 2 == 1
-    )[:3]
+    energy, sigma, solves = _line_ground_state(np.ones(xs.size), mass, pot, t / (n - 1),
+                                               np.cos((math.pi / t) * xs))[:3]
     return energy, xs.size, solves, sigma
 
 

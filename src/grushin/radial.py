@@ -19,9 +19,11 @@ symmetric tridiagonal pencil (A, D) with positive diagonal mass D.  For d1 = 1
 the origin node carries half a cell and the scheme reduces to the standard
 second order Laplacian with an even-symmetry (Neumann) condition at 0; for
 d1 >= 2 the origin node has zero mass weight and is eliminated, which encodes
-the zero-flux condition without any special boundary row.  With unit links
-this pencil is also grushin.planar's line operator: the rectangle's, and
-both axes of the disk's Kronecker-sum matrix.
+the zero-flux condition without any special boundary row.  A potential that
+rises by more than 1/h^2 between the first two unknowns is a well the grid
+does not resolve: DegenerateGrid.  With unit links this pencil is also
+grushin.planar's line operator: the rectangle's, and both axes of the disk's
+Kronecker-sum matrix.
 
 Eigensolve.  The pencil is reduced by the diagonal congruence D^(-1/2) A
 D^(-1/2) to a symmetric positive definite tridiagonal matrix T.  Its lowest
@@ -43,9 +45,9 @@ constants below, loads neither.
 
 The stop rule is stagnation: the iteration ends when the residual stops
 contracting (it exceeds half the previous one) or drops below eps times its
-rounding level, provided it has reached that level.  (A ground state pinned
-to one node by a potential gap ~1e12 times the kinetic scale never
-stagnates: its residual shrinks that much a step, down to 0.)  A fixed
+rounding level, provided it has reached that level.  (Where a flat potential
+dwarfs the kinetic scale by 1/eps, T rounds to a multiple of I and the
+residual is 0 from the first step, which never stagnates.)  A fixed
 tolerance cannot serve the whole parameter range.  Under POTENTIAL_CAP walls
 ||T|| reaches 1e14 while the eigenvector vanishes there, so eps ||T|| lies
 far above the attainable residual and a stop at it quits early.  On fine
@@ -99,10 +101,9 @@ POTENTIAL_CAP = 1e14
 _POWER_CAP = 1e290
 
 #: Inverse-iteration steps a solve may take, and halvings of one shift that
-#: does not factor, before NonConvergence.  In a sweep of 4000 random
-#: problems (d1 <= 8, s <= 1000, mu <= 1e250, n <= 4096) solves took at most
-#: 17 steps (s = 0.001 with a large mu) and 50 halvings (a poor start under
-#: POTENTIAL_CAP walls).
+#: does not factor, before NonConvergence.  Sweeps (d1 <= 8, s <= 1000,
+#: mu <= 1e250, n <= 4096) took at most 18 steps (d1 = 4, s = 5e-4, mu = 1e6,
+#: R = 1, n = 4096) and 50 halvings (a poor start under POTENTIAL_CAP walls).
 _MAX_STEPS = 32
 _MAX_HALVINGS = 100
 
@@ -110,11 +111,11 @@ _MAX_HALVINGS = 100
 #: rounding level; converged solves in that sweep read 0.1-2.2 of it.
 _FLOOR_FACTOR = 8.0
 
-#: A line whose node 0 lies on a mirror axis, where r^(2s) samples 0 for
-#: s > 0, raises DegenerateGrid once h^2 (pot[1] - pot[0]) exceeds this: that
-#: node is then a one-cell well deep enough to bind a spurious state.  The
-#: regression and benchmark inputs read at most 3.8e-6.
-_AXIS_GAP = 1.0
+#: Every line solve raises DegenerateGrid once h^2 (pot[1] - pot[0]) exceeds
+#: this: node 0, nearest the potential's minimum (the d1 = 1 origin, r = h for
+#: d1 >= 2, a rectangle's axis or half-step node), is then in an unresolved
+#: well.  Regression, reproduction and benchmark inputs read at most 3.8e-6.
+_WELL_GAP = 1.0
 
 _EPS = sys.float_info.epsilon
 
@@ -332,30 +333,29 @@ def _line_operator(links, mass, pot, h: float):
     return t_diag, t_off, sqrt_d
 
 
-def _line_ground_state(links, mass, pot, h: float, start, axis: bool):
+def _line_ground_state(links, mass, pot, h: float, start):
     """Certified ground state of a line pencil (A, D), with its energy.
 
     Node m of a grid of spacing h is a Dirichlet zero and nodes 0..m-1 are
     the unknowns.  A = K / h^2 + D diag(pot) with D = diag(mass); K has the
     off-diagonal -links[i] and the diagonal links[i] + links[i-1] (links[i]
     joins nodes i and i+1; nothing enters node 0 from below).  start is a
-    positive profile (overwritten); axis says node 0 lies on a mirror axis.
-    Runs _ground_state on T = D^(-1/2) A D^(-1/2) = tridiag(t_off, t_diag,
-    t_off) from _line_operator and returns (energy, shift, solves, x, v,
-    t_diag, t_off), energy the Rayleigh quotient of v = D^(-1/2) x, scaled
-    to h sum(mass v^2) = 1, in sum-of-squares form: no addend is negative,
-    while x'Tx loses ~eps ||T||.
-    Raises DegenerateGrid if axis and h^2 (pot[1] - pot[0]) > _AXIS_GAP,
+    positive profile (overwritten).  Runs _ground_state on T = D^(-1/2) A
+    D^(-1/2) = tridiag(t_off, t_diag, t_off) from _line_operator and returns
+    (energy, shift, solves, x, v, t_diag, t_off), energy the Rayleigh
+    quotient of v = D^(-1/2) x, scaled to h sum(mass v^2) = 1, in
+    sum-of-squares form: no addend is negative, while x'Tx loses ~eps ||T||.
+    Raises DegenerateGrid if h^2 (pot[1] - pot[0]) > _WELL_GAP (every line),
     InvalidProblem if T is not finite, and NonConvergence as _ground_state
     does or if the energy is not positive.
     """
     import numpy as np
 
     t_diag, t_off, sqrt_d = _line_operator(links, mass, pot, h)
-    if axis and h**2 * (pot[1] - pot[0]) > _AXIS_GAP:
+    if h**2 * (pot[1] - pot[0]) > _WELL_GAP:
         raise DegenerateGrid(
-            f"the axis node's potential lies {pot[1] - pot[0]:.3e} below its neighbour's, "
-            f"more than {_AXIS_GAP:g}/h^2: the grid does not resolve the well at the axis"
+            f"node 0's potential lies {pot[1] - pot[0]:.3e} below its neighbour's, "
+            f"more than {_WELL_GAP:g}/h^2: the grid does not resolve the potential's well"
         )
     start *= sqrt_d
     x, shift, solves = _ground_state(t_diag, t_off, start)
@@ -377,16 +377,16 @@ def solve_radial(p: RadialProblem) -> RadialSolution:
     Every return rests on a certified shift (see _ground_state).  Raises
     NonConvergence if the ground state cannot be certified or the inverse
     iteration does not settle at the rounding level (_ground_state says
-    when), or if the second derivative's solve fails; DegenerateGrid at a
-    d1 = 1 origin well (_AXIS_GAP); InvalidProblem for bad inputs.
+    when), or if the second derivative's solve fails; DegenerateGrid if the
+    grid does not resolve the origin's well (_WELL_GAP); InvalidProblem for
+    bad inputs.
     """
     import numpy as np
     from scipy.linalg.lapack import dgtsv
 
     r, lo, links, mass, pot, w = _assemble(p)
     energy, _, _, x, v_unknown, t_diag, t_off = _line_ground_state(
-        links, mass, pot, p.h, np.cos((0.5 * math.pi / p.R) * r[lo : p.n]), lo == 0
-    )
+        links, mass, pot, p.h, np.cos((0.5 * math.pi / p.R) * r[lo : p.n]))
     nx2 = float(x @ x)
 
     # E' = x'Wx and E'' = 2 x'Wy with (T - E) y = -(W - E') x, y orthogonal

@@ -156,6 +156,17 @@ def test_exit_code_runtime_invalid(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_exit_code_degenerate_grid(tmp_path, capsys):
+    # 1024 cells do not resolve the d1 = 2 well at mu ~ 9.9e12, s = 1: the
+    # solve returned 6855.98, 9.1% above 6283.37 at n = 65536
+    out = tmp_path / "profile.csv"
+    argv = ["solve1d", "--d1", "2", "--s", "1", "--t", "1000", "--n", "1024", "--out", str(out)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert "error:" in captured.err
+    assert not out.exists() and captured.out == ""
+
+
 def test_exit_code_nonconvergence(monkeypatch, capsys):
     def boom(*args, **kwargs):
         raise NonConvergence("iteration stalled")

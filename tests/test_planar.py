@@ -82,10 +82,25 @@ def test_assembled_stencil_is_the_masked_kronecker_sum(n, s):
 
 
 def test_degenerate_grid_rejected():
-    # the d1=1 line's origin node samples mu 0^(2s) = 0 against mu ~ 9.7e14 one
-    # node out: a one-node well that bound a spurious state at E ~ 1.3e8
+    # node 0 of every line lies nearest the potential's minimum; here one
+    # node out the potential is more than 1/h^2 higher, a well the grid does
+    # not resolve.  The d1=1 origin, sampling mu 0^(2s) = 0 against mu ~ 9.7e14,
+    # bound a spurious state at E ~ 1.3e8
     with pytest.raises(DegenerateGrid):
         decoupled_rectangle_value(1.0, 1e-7, 0.001)
+    # the rectangle's node 0: on the axis for odd n, half a step off it for even n
+    for n in (64, 65):
+        with pytest.raises(DegenerateGrid):
+            solve_rectangle_full(1.0, 1e-7, 0.001, n)
+    # at r = h for d1 >= 2: mu = 1e16, s = 1 returned +11 and +7.0 relative
+    # error (d1 = 2, 3) at n = 1024, and +0.20 and -0.043 at n = 4096
+    for d1 in (2, 3):
+        for n in (1024, 4096):
+            with pytest.raises(DegenerateGrid):
+                solve_radial(RadialProblem(d1, 1.0, 1e16, 0.5, n))
+    # 16 times finer, the well is resolved: 2.0215e8 against 2 sqrt(mu) = 2e8
+    e = solve_radial(RadialProblem(2, 1.0, 1e16, 0.5, 16384)).energy
+    assert abs(e - 2.0215e8) / 2.0215e8 < 1e-4
 
 
 def test_coefficient_overflow_rejected():
@@ -218,16 +233,6 @@ def test_rectangle_laplacian_extrapolates_to_exact_value():
         exact = decoupled_rectangle_value(1.0, V, 0.0)
         full = solve_rectangle_full(1.0, V, 0.0, n)
         assert abs(full.extrapolated - exact) / exact < 1e-4
-
-
-def test_rectangle_ground_state_pinned_to_one_node():
-    # s=0.001 under mu ~ (pi t/V)^2 ~ 9.9e14: the potential gap ~2e12 between
-    # the two innermost nodes dwarfs k ~ 4e3, so the residual shrinks ~1e13-fold
-    # a step down to 0 without stagnating; the solve must still stop, and
-    # POTENTIAL_CAP must not flatten mu |x|^(2s) >= 0.99 mu
-    full = solve_rectangle_full(1.0, 1e-7, 0.001, 64)
-    assert 0.98 * (math.pi / 1e-7) ** 2 < full.sigma < full.lambda1
-    assert full.iterations < 20
 
 
 @pytest.mark.parametrize("n", [65, 128, 129, 257, 1025])

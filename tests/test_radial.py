@@ -125,6 +125,10 @@ def test_vanishing_exponent_acts_as_constant_shift():
         (1e-12, 7.0, 1.0, 4096, 5e-3 / (PI2_4 + 7.0)),
         # a flat potential above POTENTIAL_CAP is a shift too, never a wall
         (0.0, 1e15, 0.5, 1024, 1e-12),
+        # T rounds to mu I here, so the residual is 0 from the first step and
+        # never stagnates: only its stop at eps times its rounding level ends
+        # the solve
+        (0.0, 1e50, 1.0, 64, 1e-15),
     ):
         exact = (0.5 * math.pi / radius) ** 2 + mu
         e = solve_radial(RadialProblem(d1=1, s=s, mu=mu, R=radius, n=n)).energy
