@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from functools import lru_cache
 
 from .errors import BracketFailure, InvalidProblem, NonConvergence
@@ -150,19 +150,8 @@ class MinimizeResult:
     )
 
     def csv_row(self) -> tuple:
-        return (
-            self.d1,
-            self.d2,
-            self.s,
-            self.V,
-            self.sigma_star,
-            self.t_star,
-            self.lambda1,
-            self.vol_lower_bound,
-            self.lambda_lower_bound,
-            self.F_second,
-            self.crit_residual,
-        )
+        """The fields in declaration order, which is CSV_HEADERS' order."""
+        return astuple(self)
 
 
 @lru_cache(maxsize=None)

@@ -13,18 +13,20 @@ Both grids mirror node i onto node n-1-i along each axis (the disk about
 x = 0 and y = 0, the rectangle about x = 0 and its midline).  The matrix is
 an irreducible M-matrix, so its lowest eigenvector is simple and positive,
 hence even under both reflections, and only the even-even quadrant is
-solved.  This is exact, not an approximation.  Folded onto a half-axis, the
-1-D stencil is grushin.radial's d1 = 1 line operator T: unit links, and
-across the axis either the node's own mirror (even n) or, for odd n, mass
-1/2 on the axis node, T being the symmetric D^(-1/2) K D^(-1/2).  The
-quadrant matrix is then Tx (x) I + diag(|x|^(2s)) (x) Ty.  A disk's is its
-rows and columns over the mask (Tx = Ty), checked for exact symmetry.  On
-the rectangle |x|^(2s) >= 0, so its smallest eigenvalue is that of the line
-operator Tx + mu diag(|x|^(2s)), with mu the smallest eigenvalue
+solved.  This is exact, not an approximation.  Folded onto a half-axis
+(_half_axis, the one place the parity of n enters), the 1-D stencil is
+grushin.radial's d1 = 1 line pencil (radial._line_pencil): unit links, and
+across the axis the node's own mirror (even n) or half a cell on the axis
+node (odd n).  With T its symmetric D^(-1/2) K D^(-1/2), the quadrant matrix
+is Tx (x) I + diag(|x|^(2s)) (x) Ty.  A disk's is its rows and columns over
+the mask (Tx = Ty), checked for exact symmetry.  On the rectangle
+|x|^(2s) >= 0, so its smallest eigenvalue is that of the line operator
+Tx + mu diag(|x|^(2s)), with mu the smallest eigenvalue
 (4/hy^2) sin^2(pi/(2(n-1))) of Ty (fast diagonalization, Lynch, Rice &
-Thomas 1964): rectangles are never assembled in 2-D, and grushin.radial's
-line pipeline solves them on grids n and n//2, with the radial potential
-cap, resolution guard, certificate and sum-of-squares energy.
+Thomas 1964): rectangles are never assembled in 2-D.  grushin.radial builds
+and solves that line as it does a ball's, at coupling mu on grids n and n//2,
+so a rectangle shares its potential cap (which also clips a |x|^(2s) that
+overflows), resolution guard, certificate and sum-of-squares energy.
 
 A disk's smallest eigenvalue comes from shift-invert Lanczos on one sparse LU
 factorization of S - sigma I per grid, at a shift the factor certifies.
@@ -59,7 +61,7 @@ from dataclasses import dataclass
 
 from .errors import InvalidProblem, NonConvergence
 from .minimizer import ProblemParams, lambda1_product
-from .radial import (DEFAULT_N, _cap_potential, _line_ground_state, _line_operator,
+from .radial import (DEFAULT_N, _line_ground_state, _line_operator, _line_pencil,
                      _positive_integer)
 from .tables import SweepTable
 
@@ -154,6 +156,7 @@ class DiskSolve:
 
 
 def _coefficients(xs: np.ndarray, s: float) -> np.ndarray:
+    """A disk's y-stencil coefficients |x|^(2s); InvalidProblem where one overflows."""
     import numpy as np
 
     with np.errstate(over="ignore"):
@@ -175,25 +178,23 @@ def _half_axis(a: float, n: int) -> np.ndarray:
     return a * (np.arange(1 - n % 2, n, 2) / (n - 1))
 
 
-def _assemble(mask: np.ndarray, c_row: np.ndarray, h: float, on_axis: bool):
+def _assemble(mask: np.ndarray, c_row: np.ndarray, h: float, links: np.ndarray,
+              mass: np.ndarray):
     """Scaled 5-point matrix over the masked quadrant nodes; exactly symmetric.
 
-    mask is square with spacing h on both axes; its row and column 0 are the
-    nodes nearest the mirror axes, lying on them if on_axis.  The result is
-    the rows and columns over the mask of T (x) I + diag(c_row) (x) T, T the
-    folded line operator of the module docstring; node (i, j), i along the
-    x axis, is row i * size + j of that square matrix.
+    mask is square with spacing h on both axes, and (links, mass) is the
+    half-axis pencil of its rows and columns (radial._line_pencil).  The
+    result is the rows and columns over the mask of T (x) I + diag(c_row)
+    (x) T, T that pencil's line operator (module docstring); node (i, j), i
+    along the x axis, is row i * size + j of that square matrix.
     """
     import numpy as np
     from scipy import sparse
 
     size = mask.shape[0]
-    mass = np.ones(size)
-    if on_axis:
-        mass[0] = 0.5
     # T = T1 / h^2, T1 at unit spacing: the bands scale T1 by 1/h^2 and by
     # c_row / h^2, so no coefficient c / h^2 rounds through a rounded 1 / h^2
-    t_diag, t_off = _line_operator(np.ones(size), mass, np.zeros(size), 1.0)[:2]
+    t_diag, t_off = _line_operator(links, mass, np.zeros(size), 1.0)[:2]
     cx = 1.0 / (h * h)
     cy = (c_row / (h * h))[:, None]
     x_off = np.repeat(cx * t_off, size)
@@ -325,9 +326,12 @@ def _smallest_eig(matrix, guess: float) -> tuple[float, float, int]:
 
 
 def _disk_eig(rho: float, s: float, n: int, guess: float) -> tuple[float, int, int, float]:
+    # both axes' pencil; the last node, on the circle, is its Dirichlet zero
     xs = _half_axis(rho, n)
+    links, mass = _line_pencil(xs, 1, 0.0, 0.0)[1:3]
+    xs = xs[:-1]
     mask = xs[:, None] ** 2 + xs[None, :] ** 2 < rho * rho
-    matrix = _assemble(mask, _coefficients(xs, s), 2.0 * rho / (n - 1), on_axis=n % 2 == 1)
+    matrix = _assemble(mask, _coefficients(xs, s), 2.0 * rho / (n - 1), links, mass)
     lam, sigma, solves = _smallest_eig(matrix, guess)
     return lam, matrix.shape[0], solves, sigma
 
@@ -335,20 +339,14 @@ def _disk_eig(rho: float, s: float, n: int, guess: float) -> tuple[float, int, i
 def _rectangle_eig(t: float, V: float, s: float, n: int) -> tuple[float, int, int, float]:
     import numpy as np
 
-    # Tx + mu diag(|x|^(2s)) on the x half-axis without its boundary node, folded
-    # at the mirror axis as the disk's T is (mass 1/2 on the axis for odd n);
-    # mu = (4/hy^2) sin^2(pi/(2(n-1))) with hy = V/(t(n-1))
-    xs = _half_axis(0.5 * t, n)[:-1]
+    # Tx + mu diag(|x|^(2s)): the d1 = 1 line pencil on the x half-axis, with
+    # mu = (4/hy^2) sin^2(pi/(2(n-1))) and hy = V/(t(n-1))
+    xs = _half_axis(0.5 * t, n)
     mu = (2.0 * (n - 1) * t / V * math.sin(0.5 * math.pi / (n - 1))) ** 2
-    with np.errstate(over="ignore"):
-        pot = mu * _coefficients(xs, s)
-    _cap_potential(pot)
-    mass = np.ones(xs.size)
-    if n % 2 == 1:
-        mass[0] = 0.5
-    energy, sigma, solves = _line_ground_state(np.ones(xs.size), mass, pot, t / (n - 1),
-                                               np.cos((math.pi / t) * xs))[:3]
-    return energy, xs.size, solves, sigma
+    links, mass, pot = _line_pencil(xs, 1, mu, s)[1:4]
+    energy, sigma, solves = _line_ground_state(links, mass, pot, t / (n - 1),
+                                               np.cos((math.pi / t) * xs[:-1]))[:3]
+    return energy, mass.size, solves, sigma
 
 
 def _extrapolate(fine: tuple, coarse: float, n: int, h: float, order: int) -> DiskSolve:

@@ -21,9 +21,10 @@ second order Laplacian with an even-symmetry (Neumann) condition at 0; for
 d1 >= 2 the origin node has zero mass weight and is eliminated, which encodes
 the zero-flux condition without any special boundary row.  A potential that
 rises by more than 1/h^2 between the first two unknowns is a well the grid
-does not resolve: DegenerateGrid.  With unit links this pencil is also
-grushin.planar's line operator: the rectangle's, and both axes of the disk's
-Kronecker-sum matrix.
+does not resolve: DegenerateGrid.  _line_pencil builds this pencil on any
+uniform nodes ending at the Dirichlet zero, so with d1 = 1 on a half axis,
+where a node on the mirror axis carries half a cell as the origin does, it
+is also grushin.planar's: the rectangle's line and both disk axes.
 
 Eigensolve.  The pencil is reduced by the diagonal congruence D^(-1/2) A
 D^(-1/2) to a symmetric positive definite tridiagonal matrix T.  Its lowest
@@ -230,25 +231,28 @@ class RadialSolution:
     second_derivative: float
 
 
-def _assemble(p: RadialProblem):
-    """The problem's line pencil (see _line_ground_state) on the unknown nodes lo..n-1.
+def _line_pencil(x: np.ndarray, d1: int, mu: float, s: float):
+    """The line pencil (see _line_ground_state) on the unknown nodes lo..m-1 of x.
 
-    Returns (r, lo, links, mass, pot, dpot): the grid; the first unknown (the
-    d1 >= 2 origin has zero mass and is eliminated); the flux coefficients
-    r_{i+1/2}^(d1-1) from it up; the lumped mass r_i^(d1-1), 1/2 at the
-    d1 = 1 origin; and the capped potential mu r^(2s) at the unknowns with
-    its mu-derivative, r^(2s) where the cap is inactive and 0 where it clips.
+    x is a uniform grid whose node m is the Dirichlet zero: a ball's r_i = i*h
+    or a planar half axis.  Returns (lo, links, mass, pot, dpot): the first
+    unknown (the d1 >= 2 origin has zero mass and is eliminated); the flux
+    coefficients x_{i+1/2}^(d1-1) from it up; the lumped mass x_i^(d1-1), 1/2
+    on a d1 = 1 node at the origin; and the capped potential mu x^(2s) with
+    its mu-derivative, x^(2s) where the cap is inactive and 0 where it clips.
     """
-    r = p.grid()
-    lo = 0 if p.d1 == 1 else 1
-    links = _rpow(0.5 * (r[:-1] + r[1:]), p.d1 - 1.0)[lo:]
-    mass = _rpow(r[lo : p.n], p.d1 - 1.0)
-    if lo == 0:
+    import numpy as np
+
+    lo = 0 if d1 == 1 else 1
+    links = _rpow(0.5 * (x[lo:-1] + x[lo + 1 :]), d1 - 1.0)
+    mass = _rpow(x[lo:-1], d1 - 1.0)
+    if lo == 0 and x[0] == 0.0:
         mass[0] = 0.5
-    dpot = _rpow(r, 2.0 * p.s)
-    pot = p.mu * dpot
+    dpot = _rpow(x, 2.0 * s)
+    with np.errstate(over="ignore"):  # the cap clips an infinite sample
+        pot = mu * dpot
     dpot[_cap_potential(pot)] = 0.0
-    return r, lo, links, mass, pot[lo : p.n], dpot[lo : p.n]
+    return lo, links, mass, pot[lo:-1], dpot[lo:-1]
 
 
 def _ground_state(t_diag: np.ndarray, t_off: np.ndarray, x: np.ndarray):
@@ -267,6 +271,10 @@ def _ground_state(t_diag: np.ndarray, t_off: np.ndarray, x: np.ndarray):
     """
     from scipy.linalg.lapack import dpttrf, dpttrs
 
+    # T / c, c the power of two just above max diag(T), scales every factor,
+    # solve and norm exactly, and squares no entry near a flat potential's 1e200
+    c = math.ldexp(1.0, math.frexp(float(t_diag.max()))[1])
+    t_diag, t_off = t_diag / c, t_off / c
     shift = 0.0  # T is symmetric positive definite
     prev = math.inf
     for solves in range(_MAX_STEPS):
@@ -287,7 +295,7 @@ def _ground_state(t_diag: np.ndarray, t_off: np.ndarray, x: np.ndarray):
             raise NonConvergence("inverse iteration lost the eigenvector to overflow")
         stalled = res > 0.5 * prev or res <= _EPS * floor
         if stalled and res <= _FLOOR_FACTOR * floor and lam - shift <= 4.0 * rho:
-            return x, shift, solves
+            return x, c * shift, solves
         prev = res
         sigma = max(lam - 2.0 * rho, shift)
         for _ in range(_MAX_HALVINGS):
@@ -295,13 +303,13 @@ def _ground_state(t_diag: np.ndarray, t_off: np.ndarray, x: np.ndarray):
             if info == 0:
                 break
             if sigma == shift:
-                raise NonConvergence(f"no positive LDL^T factor at the certified shift {sigma!r}")
+                raise NonConvergence(f"no positive LDL^T factor at certified shift {c * sigma!r}")
             half = 0.5 * (sigma + shift)
             sigma = half if shift < half < sigma else shift
         else:
             raise NonConvergence(
-                f"no shift in ({shift!r}, {lam - 2.0 * rho!r}] factors: the ground state "
-                "cannot be certified"
+                f"no shift in ({c * shift!r}, {c * (lam - 2.0 * rho)!r}] factors: the ground "
+                "state cannot be certified"
             )
         shift = sigma
         x, info = dpttrs(l_diag, l_off, x, overwrite_b=1)
@@ -384,7 +392,8 @@ def solve_radial(p: RadialProblem) -> RadialSolution:
     import numpy as np
     from scipy.linalg.lapack import dgtsv
 
-    r, lo, links, mass, pot, w = _assemble(p)
+    r = p.grid()
+    lo, links, mass, pot, w = _line_pencil(r, p.d1, p.mu, p.s)
     energy, _, _, x, v_unknown, t_diag, t_off = _line_ground_state(
         links, mass, pot, p.h, np.cos((0.5 * math.pi / p.R) * r[lo : p.n]))
     nx2 = float(x @ x)

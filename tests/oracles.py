@@ -23,7 +23,7 @@ from scipy.special import jn_zeros, jv
 
 from grushin.minimizer import ball1_radius
 from grushin.radial import RadialProblem, solve_radial
-from grushin.radial import _assemble
+from grushin.radial import _line_pencil
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -84,12 +84,13 @@ def assembled_pencil(p: RadialProblem):
     """(lo, a_diag, a_off, d_w, links, pot): the production solver's (A, D) pencil.
 
     Rebuilt here from the flux coefficients, lumped mass and potential
-    samples that `radial._assemble` returns, without the production eigensolve:
+    samples that `radial._line_pencil` returns on the problem's grid, without
+    the production eigensolve:
     A = K / h^2 + D diag(pot), where K has the diagonal links[i] + links[i-1]
     (no flux into the first unknown from below) and the off-diagonal
     -links[i], and D = diag(d_w) is the lumped mass.
     """
-    _, lo, links, d_w, pot, _ = _assemble(p)
+    lo, links, d_w, pot, _ = _line_pencil(p.grid(), p.d1, p.mu, p.s)
     diag_k = links.copy()
     diag_k[1:] += links[:-1]
     return lo, diag_k / p.h**2 + d_w * pot, -links[:-1] / p.h**2, d_w, links, pot

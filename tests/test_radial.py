@@ -129,9 +129,13 @@ def test_vanishing_exponent_acts_as_constant_shift():
         # never stagnates: only its stop at eps times its rounding level ends
         # the solve
         (0.0, 1e50, 1.0, 64, 1e-15),
+        # squared entries of T near 1e200 would overflow the residual norms
+        (0.0, 1e200, 1.0, 1024, 1e-15),
     ):
         exact = (0.5 * math.pi / radius) ** 2 + mu
-        e = solve_radial(RadialProblem(d1=1, s=s, mu=mu, R=radius, n=n)).energy
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            e = solve_radial(RadialProblem(d1=1, s=s, mu=mu, R=radius, n=n)).energy
         assert abs(e - exact) / exact < rel_tol, (s, mu, e)
 
 
