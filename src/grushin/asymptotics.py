@@ -40,7 +40,7 @@ from .minimizer import (
     lambda1_product,
     log_coupling_of_split,
 )
-from .radial import DEFAULT_N, ball_volume_constant, mu1_ball
+from .radial import DEFAULT_N, _positive, ball_volume_constant, mu1_ball
 from .tables import SweepTable
 
 __all__ = [
@@ -96,8 +96,7 @@ class LimitProfile:
 
 def small_s_limit(p: ProblemParams, t: float) -> float:
     """Limit curve as the exponent tends to zero, evaluated at split t."""
-    if not (t > 0.0) or not math.isfinite(t):
-        raise InvalidProblem(f"t must be finite and > 0, got {t}")
+    _positive("t", t)
     c = ball_constants(p.d1, p.d2)
     return (
         t ** (-2.0 / p.d1) * c.mu1_b1
@@ -128,8 +127,7 @@ def large_s_limit(d1: int, t: float) -> float:
     constraint; beyond it the value saturates at the first Dirichlet
     eigenvalue of B(0,1).
     """
-    if not (t > 0.0) or not math.isfinite(t):
-        raise InvalidProblem(f"t must be finite and > 0, got {t}")
+    _positive("t", t)
     tau = ball_volume_constant(d1)
     mu1 = mu1_ball(d1, 1.0)
     cap = min(t, tau)

@@ -45,6 +45,7 @@ from .radial import (
     DEFAULT_N,
     RadialProblem,
     RadialSolution,
+    _positive,
     _positive_integer,
     ball_volume_constant,
     gradient_integral,
@@ -100,10 +101,8 @@ class ProblemParams:
     def __post_init__(self) -> None:
         _positive_integer("d1", self.d1)
         _positive_integer("d2", self.d2)
-        if not (self.s > 0.0) or not math.isfinite(self.s):
-            raise InvalidProblem(f"s must be finite and > 0, got {self.s}")
-        if not (self.V > 0.0) or not math.isfinite(self.V):
-            raise InvalidProblem(f"V must be finite and > 0, got {self.V}")
+        _positive("s", self.s)
+        _positive("V", self.V)
 
 
 @dataclass(frozen=True)
@@ -189,8 +188,7 @@ def ball1_radius(d1: int) -> float:
 
 def log_coupling_of_split(p: ProblemParams, t: float) -> float:
     """log sigma(t); stays finite even where sigma overflows a float."""
-    if not (t > 0.0) or not math.isfinite(t):
-        raise InvalidProblem(f"t must be finite and > 0, got {t}")
+    _positive("t", t)
     c = ball_constants(p.d1, p.d2)
     return (
         math.log(c.mu1_b2)
@@ -234,8 +232,7 @@ def lambda1_product(p: ProblemParams, t: float, n: int = DEFAULT_N) -> float:
 
 def scaled_energy_derivative(p: ProblemParams, sigma: float, n: int = DEFAULT_N) -> float:
     """F'(sigma) = sigma^(-a-1) (sigma dE1/dsigma - a E1), by Hellmann-Feynman."""
-    if not (sigma > 0.0) or not math.isfinite(sigma):
-        raise InvalidProblem(f"sigma must be finite and > 0, got {sigma}")
+    _positive("sigma", sigma)
     a = _objective_exponent(p)
     sol = _ball1_solution(p, sigma, n)
     return math.exp((-a - 1.0) * math.log(sigma)) * (
@@ -280,8 +277,7 @@ def whole_space_energy(d1: int, s: float, n_base: int = DEFAULT_N) -> float:
     change between rounds tracks the truncation error alone; iteration stops
     once that change drops below _WHOLE_SPACE_TOL.
     """
-    if not (s > 0.0) or not math.isfinite(s):
-        raise InvalidProblem(f"s must be finite and > 0, got {s}")
+    _positive("s", s)
     # crude upper estimate of the energy gives a turning-point radius guess
     e_guess = mu1_ball(d1, ball_volume_constant(d1)) + 1.0
     growth = math.exp(min(math.log(e_guess) / (2.0 * s), math.log(16.0)))

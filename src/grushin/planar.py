@@ -2,12 +2,12 @@
 
 Discretizes  -d^2/dx^2 - |x|^(2s) d^2/dy^2  with Dirichlet conditions on a
 disk or an axis-aligned rectangle using the 5-point stencil on a uniform
-grid.  The y-stencil coefficient is the value of |x|^(2s) at the node's own
-x-coordinate.  Disk geometry is handled by masking: a node belongs to the
-system iff it lies strictly inside the disk, so the boundary is resolved to
-first order and results are Richardson-extrapolated from the full- and
-half-resolution grids.  Rectangles are grid-aligned and converge at second
-order.
+grid.  The y-stencil coefficient is |x|^(2s) at the node's own x-coordinate,
+as grushin.radial samples and caps it.  Disk geometry is handled by masking:
+a node belongs to the system iff it lies strictly inside the disk, so the
+boundary is resolved to first order and results are Richardson-extrapolated
+from the full- and half-resolution grids.  Rectangles are grid-aligned and
+converge at second order.
 
 Both grids mirror node i onto node n-1-i along each axis (the disk about
 x = 0 and y = 0, the rectangle about x = 0 and its midline).  The matrix is
@@ -19,7 +19,9 @@ grushin.radial's d1 = 1 line pencil (radial._line_pencil): unit links, and
 across the axis the node's own mirror (even n) or half a cell on the axis
 node (odd n).  With T its symmetric D^(-1/2) K D^(-1/2), the quadrant matrix
 is Tx (x) I + diag(|x|^(2s)) (x) Ty.  A disk's is its rows and columns over
-the mask (Tx = Ty), checked for exact symmetry.  On the rectangle
+the mask (Tx = Ty), checked for exact symmetry, with diag(|x|^(2s)) the line
+pencil's capped potential at mu = 1: POTENTIAL_CAP clips it, also where
+|x|^(2s) overflows a double, as on a rectangle's line.  On the rectangle
 |x|^(2s) >= 0, so its smallest eigenvalue is that of the line operator
 Tx + mu diag(|x|^(2s)), with mu the smallest eigenvalue
 (4/hy^2) sin^2(pi/(2(n-1))) of Ty (fast diagonalization, Lynch, Rice &
@@ -61,8 +63,8 @@ from dataclasses import dataclass
 
 from .errors import InvalidProblem, NonConvergence
 from .minimizer import ProblemParams, lambda1_product
-from .radial import (DEFAULT_N, _line_ground_state, _line_operator, _line_pencil,
-                     _positive_integer)
+from .radial import (DEFAULT_N, _line_ground_state, _line_operator, _line_pencil, _nonnegative,
+                     _positive, _positive_integer)
 from .tables import SweepTable
 
 __all__ = ["DEFAULT_N_2D", "DiskProblem", "DiskSolve", "decoupled_rectangle_value",
@@ -114,10 +116,8 @@ class DiskProblem:
     n: int = DEFAULT_N_2D
 
     def __post_init__(self) -> None:
-        if not (self.rho > 0.0) or not math.isfinite(self.rho):
-            raise InvalidProblem(f"rho must be finite and > 0, got {self.rho}")
-        if self.s < 0.0 or not math.isfinite(self.s):
-            raise InvalidProblem(f"s must be finite and >= 0, got {self.s}")
+        _positive("rho", self.rho)
+        _nonnegative("s", self.s)
         if _positive_integer("n", self.n) < 64:
             raise InvalidProblem(f"n must be an integer >= 64, got {self.n}")
 
@@ -155,17 +155,6 @@ class DiskSolve:
             )
 
 
-def _coefficients(xs: np.ndarray, s: float) -> np.ndarray:
-    """A disk's y-stencil coefficients |x|^(2s); InvalidProblem where one overflows."""
-    import numpy as np
-
-    with np.errstate(over="ignore"):
-        c = np.abs(xs) ** (2.0 * s)
-    if not np.all(np.isfinite(c)):
-        raise InvalidProblem(f"|x|^(2s) overflows for s={s} on this domain")
-    return c
-
-
 def _half_axis(a: float, n: int) -> np.ndarray:
     """The coordinates >= 0 among n equispaced nodes on [-a, a].
 
@@ -182,11 +171,13 @@ def _assemble(mask: np.ndarray, c_row: np.ndarray, h: float, links: np.ndarray,
               mass: np.ndarray):
     """Scaled 5-point matrix over the masked quadrant nodes; exactly symmetric.
 
-    mask is square with spacing h on both axes, and (links, mass) is the
-    half-axis pencil of its rows and columns (radial._line_pencil).  The
-    result is the rows and columns over the mask of T (x) I + diag(c_row)
-    (x) T, T that pencil's line operator (module docstring); node (i, j), i
-    along the x axis, is row i * size + j of that square matrix.
+    mask is square with spacing h on both axes, and (links, mass, c_row) is
+    the half-axis pencil of its rows and columns at mu = 1
+    (radial._line_pencil): c_row[i], the y-coefficient of row i, is its
+    capped potential |x_i|^(2s).  The result is the rows and columns over the
+    mask of T (x) I + diag(c_row) (x) T, T that pencil's line operator
+    (module docstring); node (i, j), i along the x axis, is row i * size + j
+    of that square matrix.
     """
     import numpy as np
     from scipy import sparse
@@ -326,12 +317,13 @@ def _smallest_eig(matrix, guess: float) -> tuple[float, float, int]:
 
 
 def _disk_eig(rho: float, s: float, n: int, guess: float) -> tuple[float, int, int, float]:
-    # both axes' pencil; the last node, on the circle, is its Dirichlet zero
+    # both axes' pencil, and the y-coefficients as its capped potential at
+    # mu = 1; the last node, on the circle, is the Dirichlet zero
     xs = _half_axis(rho, n)
-    links, mass = _line_pencil(xs, 1, 0.0, 0.0)[1:3]
+    links, mass, c_row = _line_pencil(xs, 1, 1.0, s)[1:4]
     xs = xs[:-1]
     mask = xs[:, None] ** 2 + xs[None, :] ** 2 < rho * rho
-    matrix = _assemble(mask, _coefficients(xs, s), 2.0 * rho / (n - 1), links, mass)
+    matrix = _assemble(mask, c_row, 2.0 * rho / (n - 1), links, mass)
     lam, sigma, solves = _smallest_eig(matrix, guess)
     return lam, matrix.shape[0], solves, sigma
 
@@ -383,11 +375,9 @@ def solve_rectangle_full(
     Solves grids n and n//2; grid-aligned boundaries make the scheme second
     order, so the Richardson step uses the squared spacing ratio.
     """
-    for name, value in (("t", t), ("V", V)):
-        if not (value > 0.0) or not math.isfinite(value):
-            raise InvalidProblem(f"{name} must be finite and > 0, got {value}")
-    if s < 0.0 or not math.isfinite(s):
-        raise InvalidProblem(f"s must be finite and >= 0, got {s}")
+    _positive("t", t)
+    _positive("V", V)
+    _nonnegative("s", s)
     if _positive_integer("n", n) < 64:
         raise InvalidProblem(f"n must be an integer >= 64, got {n}")
     return _extrapolate(_rectangle_eig(t, V, s, n), _rectangle_eig(t, V, s, n // 2)[0], n,

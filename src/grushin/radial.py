@@ -24,7 +24,9 @@ rises by more than 1/h^2 between the first two unknowns is a well the grid
 does not resolve: DegenerateGrid.  _line_pencil builds this pencil on any
 uniform nodes ending at the Dirichlet zero, so with d1 = 1 on a half axis,
 where a node on the mirror axis carries half a cell as the origin does, it
-is also grushin.planar's: the rectangle's line and both disk axes.
+is also grushin.planar's: the rectangle's line and both disk axes, whose
+y-coefficients are its potential at mu = 1.  So this module alone samples
+and caps |x|^(2s), for every geometry.
 
 Eigensolve.  The pencil is reduced by the diagonal congruence D^(-1/2) A
 D^(-1/2) to a symmetric positive definite tridiagonal matrix T.  Its lowest
@@ -133,6 +135,18 @@ def _positive_integer(name: str, value) -> int:
     return int(value)
 
 
+def _positive(name: str, value) -> None:
+    """InvalidProblem unless value is finite and > 0 (nan is neither)."""
+    if not (value > 0.0) or not math.isfinite(value):
+        raise InvalidProblem(f"{name} must be finite and > 0, got {value}")
+
+
+def _nonnegative(name: str, value) -> None:
+    """InvalidProblem unless value is finite and >= 0 (nan is neither)."""
+    if not (value >= 0.0) or not math.isfinite(value):
+        raise InvalidProblem(f"{name} must be finite and >= 0, got {value}")
+
+
 def _rpow(r: np.ndarray, p: float) -> np.ndarray:
     """r**p, elementwise, overflow-capped, with 0**0 = 1 and 0**p = 0 (p > 0)."""
     import numpy as np
@@ -157,15 +171,6 @@ def _cap_potential(pot: np.ndarray) -> np.ndarray:
     return clipped
 
 
-def _trapezoid_weights(m: int) -> np.ndarray:
-    import numpy as np
-
-    w = np.ones(m)
-    w[0] = 0.5
-    w[-1] = 0.5
-    return w
-
-
 @dataclass(frozen=True)
 class RadialProblem:
     """Radial eigenvalue problem on (0, R) in dimension d1 with coupling mu.
@@ -186,12 +191,9 @@ class RadialProblem:
 
     def __post_init__(self) -> None:
         _positive_integer("d1", self.d1)
-        if not (self.s >= 0.0) or not math.isfinite(self.s):
-            raise InvalidProblem(f"s must be finite and >= 0, got {self.s}")
-        if not (self.mu >= 0.0) or not math.isfinite(self.mu):
-            raise InvalidProblem(f"mu must be finite and >= 0, got {self.mu}")
-        if not (self.R > 0.0) or not math.isfinite(self.R):
-            raise InvalidProblem(f"R must be finite and > 0, got {self.R}")
+        _nonnegative("s", self.s)
+        _nonnegative("mu", self.mu)
+        _positive("R", self.R)
         if _positive_integer("n", self.n) < 16:
             raise InvalidProblem(f"n must be an integer >= 16, got {self.n}")
 
@@ -435,21 +437,16 @@ def solve_radial(p: RadialProblem) -> RadialSolution:
     )
 
 
-def _weighted_integral(values: np.ndarray, r: np.ndarray, p_exp: float, h: float) -> float:
-    """Trapezoid quadrature of values * r^p_exp over the grid."""
-    import numpy as np
-
-    w = _trapezoid_weights(values.size)
-    return float(h * np.sum(w * _rpow(r, p_exp) * values))
-
-
 def gradient_integral(sol: RadialSolution, p: RadialProblem) -> float:
-    """integral (v')^2 r^(d1-1) dr with v' by second order differences."""
+    """integral (v')^2 r^(d1-1) dr, v' by second order differences, by the trapezoid rule."""
     import numpy as np
 
     r = p.grid()
-    vp = np.gradient(sol.v, p.h, edge_order=2)
-    return _weighted_integral(vp**2, r, p.d1 - 1.0, p.h)
+    values = np.gradient(sol.v, p.h, edge_order=2) ** 2
+    w = np.ones(values.size)
+    w[0] = 0.5
+    w[-1] = 0.5
+    return float(p.h * np.sum(w * _rpow(r, p.d1 - 1.0) * values))
 
 
 def identity_residuals(sol: RadialSolution, p: RadialProblem) -> tuple[float, float, float]:
@@ -545,8 +542,7 @@ def mu1_ball(d: int, volume: float) -> float:
 
     Exact: j_(d/2-1,1)^2 / R^2, R the radius of the ball.
     """
-    if not (volume > 0.0) or not math.isfinite(volume):
-        raise InvalidProblem(f"volume must be finite and > 0, got {volume}")
+    _positive("volume", volume)
     d = _positive_integer("d", d)
     radius = (volume / ball_volume_constant(d)) ** (1.0 / d)
     return (_first_bessel_zero(d) / radius) ** 2

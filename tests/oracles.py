@@ -149,6 +149,16 @@ def scaled_energy(p, sigma: float, n: int) -> float:
     return math.exp(-a * math.log(sigma)) * solve_radial(prob).energy
 
 
+def power_coefficients(xs: np.ndarray, s: float) -> np.ndarray:
+    """|x|^(2s) at the nodes xs by NumPy's power, inf where it overflows a double.
+
+    The 2-D stencil's y-coefficients, sampled independently of the production
+    line pencil (which forms them as exp(2s log|x|) and caps them).
+    """
+    with np.errstate(over="ignore"):
+        return np.abs(xs) ** (2.0 * s)
+
+
 def full_grid_lowest_eigenvalue(mask: np.ndarray, c_row: np.ndarray, hx: float, hy: float) -> float:
     """Smallest eigenvalue of the 5-point matrix over every masked node.
 

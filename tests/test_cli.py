@@ -221,6 +221,14 @@ def test_disk_and_rectangle_rows(capsys):
     assert abs(lam - 2.0 * math.pi**2) / (2.0 * math.pi**2) < 0.01
 
 
+def test_disk_row_where_the_potential_overflows(capsys):
+    # |x|^(2s) overflows a double near x = 2; the capped disk solves
+    assert main(["disk", "--rho", "2", "--s", "600", "--n", "64"]) == 0
+    headers, rows = read_csv_text(capsys.readouterr().out)
+    assert headers[0] == "shape" and len(rows) == 1
+    assert rows[0][0] == "disk" and float(rows[0][4]) > 0.0
+
+
 def test_limits_table(capsys):
     assert main(["limits", "--t-grid", "2.5,3.0"]) == 0
     headers, rows = read_csv_text(capsys.readouterr().out)

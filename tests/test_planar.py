@@ -29,15 +29,14 @@ from grushin.planar import (
 )
 from grushin.planar import (
     _assemble,
-    _coefficients,
     _disk_eig,
     _half_axis,
     _rectangle_eig,
     _shifted_factor,
     _smallest_eig,
 )
-from grushin.radial import RadialProblem, _line_pencil, mu1_ball, solve_radial
-from oracles import J01_SQUARED, full_grid_lowest_eigenvalue
+from grushin.radial import POTENTIAL_CAP, RadialProblem, _line_pencil, mu1_ball, solve_radial
+from oracles import J01_SQUARED, full_grid_lowest_eigenvalue, power_coefficients
 
 PI2_4 = math.pi**2 / 4.0
 TWO_PI_SQUARED = 2.0 * math.pi**2
@@ -55,7 +54,7 @@ def test_assembled_stencil_exactly_symmetric(n, s):
     xs = xs[:-1]
     mask = xs[:, None] ** 2 + xs[None, :] ** 2 < 1.0
     h = 2.0 / (n - 1)
-    matrix = _assemble(mask, _coefficients(xs, s), h, links, mass)
+    matrix = _assemble(mask, power_coefficients(xs, s), h, links, mass)
     assert (matrix != matrix.T).nnz == 0
     assert matrix.shape == (int(mask.sum()),) * 2
 
@@ -77,7 +76,7 @@ def test_assembled_stencil_is_the_masked_kronecker_sum(n, s):
         t[0, 1] = t[1, 0] = -math.sqrt(2.0) / h**2
     else:
         t[0, 0] = 1.0 / h**2
-    c = _coefficients(xs, s)
+    c = power_coefficients(xs, s)
     square = scipy.sparse.kron(t, np.eye(size)) + scipy.sparse.kron(np.diag(c), t)
     keep = np.flatnonzero(mask)
     expected = square.tocsr()[keep][:, keep].toarray()
@@ -107,19 +106,6 @@ def test_degenerate_grid_rejected():
     assert abs(e - 2.0215e8) / 2.0215e8 < 1e-4
 
 
-def test_coefficient_overflow_rejected():
-    with pytest.raises(InvalidProblem):
-        _coefficients(np.array([0.5, 2.0]), 600.0)
-
-
-@pytest.mark.parametrize("n", [64, 65])
-def test_coefficient_overflow_rejected_by_solvers(n):
-    # the disk's y-coefficients overflow; a rectangle's line potential is
-    # capped instead (test_rectangle_line_operator_is_the_radial_scheme)
-    with pytest.raises(InvalidProblem):
-        solve_disk(DiskProblem(rho=2.0, s=600.0, n=n))
-
-
 # ------------------------------------------------------ quadrant reduction
 
 
@@ -128,16 +114,42 @@ def _full_axis(a, n):
     return a * (np.arange(1 - n, n, 2) / (n - 1))
 
 
+def _full_disk(rho, n):
+    # the whole grid's axis, mask and spacing of an n-node disk
+    xs = _full_axis(rho, n)
+    return xs, xs[:, None] ** 2 + xs[None, :] ** 2 < rho * rho, 2.0 * rho / (n - 1)
+
+
 @pytest.mark.parametrize("n", [64, 65])
-@pytest.mark.parametrize("s", [0.0, 1.0, 150.0, 300.0])
-def test_disk_quadrant_matches_full_grid(n, s):
-    xs = _full_axis(UNIT_AREA_RHO, n)
-    mask = xs[:, None] ** 2 + xs[None, :] ** 2 < UNIT_AREA_RHO**2
-    h = 2.0 * UNIT_AREA_RHO / (n - 1)
-    full = full_grid_lowest_eigenvalue(mask, _coefficients(xs, s), h, h)
-    quadrant, count, _, _ = _disk_eig(UNIT_AREA_RHO, s, n, 0.0)
+@pytest.mark.parametrize(
+    "rho, s",
+    [pytest.param(UNIT_AREA_RHO, s, id=f"{s}") for s in (0.0, 1.0, 150.0, 300.0)]
+    # |x|^(2s) reaches ~1e34 (rho=1.3, s=150), ~1e68 (s=300) and ~1e90 (rho=2,
+    # s=150): the quadrant's coefficients are capped, the oracle's are not
+    + [pytest.param(1.3, 150.0, id="rho1.3-150.0"), pytest.param(1.3, 300.0, id="rho1.3-300.0"),
+       pytest.param(2.0, 150.0, id="rho2-150.0")],
+)
+def test_disk_quadrant_matches_full_grid(n, rho, s):
+    xs, mask, h = _full_disk(rho, n)
+    full = full_grid_lowest_eigenvalue(mask, power_coefficients(xs, s), h, h)
+    quadrant, count, _, _ = _disk_eig(rho, s, n, 0.0)
     assert abs(quadrant - full) / full <= 1e-10
     assert count == int(mask[n // 2 :, n // 2 :].sum())
+
+
+@pytest.mark.parametrize("n", [64, 65])
+@pytest.mark.parametrize("s", [600.0, 1000.0])
+def test_overflowing_disk_solves_under_the_cap(n, s):
+    # |x|^(2s) overflows a double near x = 2; the line pencil clips the disk's
+    # y-coefficients at POTENTIAL_CAP, as it clips a rectangle's line
+    # (test_rectangle_line_operator_is_the_radial_scheme), and so does the
+    # oracle here
+    xs, mask, h = _full_disk(2.0, n)
+    full = full_grid_lowest_eigenvalue(mask, np.minimum(power_coefficients(xs, s), POTENTIAL_CAP),
+                                       h, h)
+    solve = solve_disk(DiskProblem(rho=2.0, s=s, n=n))
+    assert 0.0 <= solve.sigma < solve.lambda1
+    assert abs(solve.lambda1 - full) / full <= 1e-10
 
 
 @pytest.mark.parametrize("n", [64, 65])
@@ -153,7 +165,8 @@ def test_rectangle_quadrant_matches_full_grid(n, t, s):
     xs = _full_axis(0.5 * t, n)
     mask = np.zeros((n, n), dtype=bool)
     mask[1:-1, 1:-1] = True
-    full = full_grid_lowest_eigenvalue(mask, _coefficients(xs, s), t / (n - 1), (V / t) / (n - 1))
+    full = full_grid_lowest_eigenvalue(mask, power_coefficients(xs, s), t / (n - 1),
+                                       (V / t) / (n - 1))
     line, count, _, _ = _rectangle_eig(t, V, s, n)
     assert abs(line - full) / full <= 1e-10
     assert count == (n - 1) // 2
@@ -432,11 +445,12 @@ def test_nonconvergence_on_bad_eigenpair(monkeypatch, corrupt):
 
 
 def _disk_matrix(rho, s, n):
+    # the matrix _disk_eig solves
     xs = _half_axis(rho, n)
-    links, mass = _line_pencil(xs, 1, 0.0, 0.0)[1:3]
+    links, mass, c_row = _line_pencil(xs, 1, 1.0, s)[1:4]
     xs = xs[:-1]
     mask = xs[:, None] ** 2 + xs[None, :] ** 2 < rho * rho
-    return _assemble(mask, _coefficients(xs, s), 2.0 * rho / (n - 1), links, mass)
+    return _assemble(mask, c_row, 2.0 * rho / (n - 1), links, mass)
 
 
 def test_inertia_count_on_the_s150_chord_cluster():
@@ -453,17 +467,15 @@ def test_inertia_count_on_the_s150_chord_cluster():
 def test_every_solve_carries_a_certified_shift():
     # the enclosure (sigma, lambda1] holds the independent full-grid value
     n = 64
-    xs = _full_axis(UNIT_AREA_RHO, n)
-    mask = xs[:, None] ** 2 + xs[None, :] ** 2 < UNIT_AREA_RHO**2
-    h = 2.0 * UNIT_AREA_RHO / (n - 1)
-    full = full_grid_lowest_eigenvalue(mask, _coefficients(xs, 150.0), h, h)
+    xs, mask, h = _full_disk(UNIT_AREA_RHO, n)
+    full = full_grid_lowest_eigenvalue(mask, power_coefficients(xs, 150.0), h, h)
     disk = solve_disk(DiskProblem(rho=UNIT_AREA_RHO, s=150.0, n=n))
     assert 0.0 <= disk.sigma < full <= disk.lambda1 * (1.0 + 1e-10)
 
     xs = _full_axis(0.5 * 1.645, n)
     mask = np.zeros((n, n), dtype=bool)
     mask[1:-1, 1:-1] = True
-    full = full_grid_lowest_eigenvalue(mask, _coefficients(xs, 1.0), 1.645 / (n - 1),
+    full = full_grid_lowest_eigenvalue(mask, power_coefficients(xs, 1.0), 1.645 / (n - 1),
                                        (1.0 / 1.645) / (n - 1))
     rect = solve_rectangle_full(1.645, 1.0, 1.0, n)
     assert 0.0 <= rect.sigma < full <= rect.lambda1 * (1.0 + 1e-10)
