@@ -21,24 +21,18 @@ UNIT_AREA_RHO = math.pi ** -0.5
 
 
 def ladder(kind: str, s: float, sizes: tuple[int, ...]) -> list[tuple]:
-    values = []
-    for n in sizes:
-        if kind == "rectangle":
-            lam = solve_rectangle_full(1.0, 1.0, s, n).lambda1
-        else:
-            lam = solve_disk(DiskProblem(rho=UNIT_AREA_RHO, s=s, n=n)).lambda1
-        values.append(lam)
-    # reference: extrapolated value at the finest grid
     if kind == "rectangle":
-        ref = solve_rectangle_full(1.0, 1.0, s, sizes[-1]).extrapolated
+        solves = [solve_rectangle_full(1.0, 1.0, s, n) for n in sizes]
     else:
-        ref = solve_disk(DiskProblem(rho=UNIT_AREA_RHO, s=s, n=sizes[-1])).extrapolated
+        solves = [solve_disk(DiskProblem(rho=UNIT_AREA_RHO, s=s, n=n)) for n in sizes]
+    # reference: extrapolated value at the finest grid
+    ref = solves[-1].extrapolated
     rows = []
     prev_err = None
-    for n, lam in zip(sizes, values):
-        err = abs(lam - ref)
+    for n, solve in zip(sizes, solves):
+        err = abs(solve.lambda1 - ref)
         ratio = prev_err / err if prev_err is not None and err > 0 else ""
-        rows.append((kind, s, n, lam, err, ratio))
+        rows.append((kind, s, n, solve.lambda1, err, ratio))
         prev_err = err
     return rows
 

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+__all__ = ["BaselineMissing", "BracketFailure", "DegenerateGrid", "GrushinError", "InvalidProblem",
+           "NonConvergence", "UsageError"]
+
 
 class GrushinError(Exception):
     """Base class for all package specific errors."""

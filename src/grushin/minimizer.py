@@ -53,6 +53,10 @@ from .radial import (
     solve_radial,
 )
 
+__all__ = ["BallConstants", "MinimizeResult", "ProblemParams", "ball1_radius", "ball_constants",
+           "coupling_of_split", "lambda1_product", "log_coupling_of_split", "lower_bounds",
+           "minimize", "scaled_energy_derivative", "split_of_coupling", "whole_space_energy"]
+
 #: Geometric expansion factor while hunting for a sign change of F': the
 #: shortest step the search takes before the sign change is bracketed.
 _BRACKET_FACTOR = 4.0
@@ -207,6 +211,7 @@ def coupling_of_split(p: ProblemParams, t: float) -> float:
 
 def split_of_coupling(p: ProblemParams, sigma: float) -> float:
     """Inverse of coupling_of_split."""
+    _positive("sigma", sigma)
     c = ball_constants(p.d1, p.d2)
     log_t = (
         math.log(sigma) - math.log(c.mu1_b2) + (2.0 / p.d2) * math.log(p.V)
@@ -278,6 +283,7 @@ def whole_space_energy(d1: int, s: float, n_base: int = DEFAULT_N) -> float:
     once that change drops below _WHOLE_SPACE_TOL.
     """
     _positive("s", s)
+    _positive_integer("n_base", n_base)
     # crude upper estimate of the energy gives a turning-point radius guess
     e_guess = mu1_ball(d1, ball_volume_constant(d1)) + 1.0
     growth = math.exp(min(math.log(e_guess) / (2.0 * s), math.log(16.0)))

@@ -388,6 +388,8 @@ def decoupled_rectangle_value(
     t: float, V: float, s: float, n1d: int = DEFAULT_N
 ) -> float:
     """The same rectangle eigenvalue through the separated 1-D route."""
+    _positive("t", t)
+    _positive("V", V)
     if s == 0.0:
         return (math.pi / t) ** 2 + (math.pi * t / V) ** 2
     return lambda1_product(ProblemParams(d1=1, d2=1, s=s, V=V), t, n1d)

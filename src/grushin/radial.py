@@ -89,6 +89,10 @@ from functools import lru_cache
 
 from .errors import DegenerateGrid, InvalidProblem, NonConvergence
 
+__all__ = ["DEFAULT_N", "RadialProblem", "RadialSolution", "ball_volume_constant",
+           "gradient_integral", "identity_residuals", "mu1_ball", "second_derivative_sign",
+           "solve_radial"]
+
 #: Default number of grid cells for production solves.
 DEFAULT_N = 4096
 

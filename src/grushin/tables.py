@@ -114,10 +114,11 @@ def emit_csv(table: SweepTable, path) -> None:
 def _series(table: SweepTable) -> list[tuple[str, list[tuple[float, float]]]]:
     """Group rows into polyline series.
 
-    Tables whose first three columns are numeric are treated as keyed sweeps:
-    column 0 labels the series, column 1 is the abscissa, column 2 the
-    ordinate.  Anything else is plotted as a single series from the first two
-    numeric columns.
+    Tables whose first three columns are numeric, and where some column-0 key
+    has at least two rows, are treated as keyed sweeps: column 0 labels the
+    series, column 1 is the abscissa, column 2 the ordinate.  Anything else is
+    plotted as a single series from the first two numeric columns; one point
+    per key would draw no line.
     """
     if not table.rows:
         raise InvalidProblem("cannot plot an empty table")
@@ -128,9 +129,10 @@ def _series(table: SweepTable) -> list[tuple[str, list[tuple[float, float]]]]:
         groups: dict[float, list[tuple[float, float]]] = {}
         for row in table.rows:
             groups.setdefault(float(row[0]), []).append((float(row[1]), float(row[2])))
-        return [
-            (f"{table.headers[0]}={key:g}", pts) for key, pts in groups.items()
-        ]
+        if len(groups) < len(table.rows):
+            return [
+                (f"{table.headers[0]}={key:g}", pts) for key, pts in groups.items()
+            ]
     if len(cols) < 2:
         raise InvalidProblem("plotting needs at least two numeric columns")
     x, y = cols[0], cols[1]

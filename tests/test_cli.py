@@ -8,6 +8,7 @@ Every documented exit code is exercised.
 import concurrent.futures
 import math
 import os
+import re
 
 import pytest
 
@@ -244,7 +245,8 @@ def test_probe_svg_written(tmp_path):
          "--out", str(tmp_path / "probe.csv"), "--svg", str(svg)]
     )
     assert code == 0
-    assert "<polyline" in svg.read_text()
+    # one lambda1 line through a point per s, not one empty line per s
+    assert [len(p.split()) for p in re.findall(r'points="([^"]*)"', svg.read_text())] == [2]
 
 
 def test_sweep_deterministic_and_parallel_identical(tmp_path):

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import grushin.minimizer as minimizer
+from grushin.asymptotics import lower_envelope
 from grushin.errors import BracketFailure, InvalidProblem, NonConvergence
 from grushin.minimizer import (
     MinimizeResult,
@@ -72,6 +73,10 @@ def test_split_coupling_roundtrip():
         sigma = coupling_of_split(p, t)
         assert abs(split_of_coupling(p, sigma) - t) / t < 1e-12
         assert abs(math.log(sigma) - log_coupling_of_split(p, t)) < 1e-12
+    # a coupling <= 0 has no split: a typed error, not a math domain error
+    for sigma in (0.0, -1.0, math.nan):
+        with pytest.raises(InvalidProblem):
+            split_of_coupling(p, sigma)
 
 
 def test_coupling_overflow_guarded():
@@ -247,6 +252,12 @@ def test_whole_space_slow_flattening_is_real():
 def test_whole_space_validation_and_budget(monkeypatch):
     with pytest.raises(InvalidProblem):
         whole_space_energy(1, 0.0)
+    # a base grid of no cells is rejected, also through both lower bounds
+    p = ProblemParams(1, 1, 1.0)
+    for call in (lambda: whole_space_energy(1, 1.0, 0), lambda: lower_bounds(p, 0),
+                 lambda: lower_envelope(p, 1.0, 0)):
+        with pytest.raises(InvalidProblem):
+            call()
     monkeypatch.setattr(minimizer, "_WHOLE_SPACE_ROUNDS", 1)
     with pytest.raises(NonConvergence):
         whole_space_energy(1, 1.0, 2048)

@@ -538,3 +538,7 @@ def test_rectangle_input_validation():
     for n in (math.nan, math.inf):
         with pytest.raises(InvalidProblem):
             solve_rectangle_full(1.0, 1.0, 1.0, n)
+    # the s = 0 closed form checks t and V as the s > 0 route does
+    for t, V in ((0.0, 1.0), (1.0, 0.0), (-1.0, 1.0), (math.nan, 1.0)):
+        with pytest.raises(InvalidProblem):
+            decoupled_rectangle_value(t, V, 0.0)

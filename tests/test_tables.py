@@ -1,6 +1,7 @@
 """CSV/SVG emission checks: exact bytes, quoting, and plot structure."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -169,6 +170,15 @@ def test_svg_keyed_series():
     assert svg.count("<polyline") == 3
     assert "s=1" in svg and "s=3" in svg
     assert svg.startswith("<svg ") and svg.rstrip().endswith("</svg>")
+
+
+def test_svg_one_row_per_key_is_one_series():
+    # a key with a single row draws no line, so a table such as the probe's
+    # (s, lambda1, reference) plots column 1 against column 0
+    rows = ((10.0, 7.76, 7.75), (50.0, 7.755, 7.75), (150.0, 7.752, 7.75))
+    svg = render_svg(SweepTable(headers=("s", "lambda1", "reference"), rows=rows))
+    assert [len(p.split()) for p in re.findall(r'points="([^"]*)"', svg)] == [3]
+    assert ">lambda1</text>" in svg
 
 
 def test_svg_fallback_single_series():
