@@ -29,7 +29,7 @@ from .minimizer import (MinimizeResult, ProblemParams, ball1_radius, coupling_of
                         minimize)
 from .planar import (DEFAULT_N_2D, DiskProblem, segment_limit_probe, solve_disk,
                      solve_rectangle_full)
-from .radial import DEFAULT_N, RadialProblem, solve_radial
+from .radial import DEFAULT_N, RadialProblem, _lapack, solve_radial
 from .tables import SweepTable, emit_csv, emit_svg
 
 __all__ = ["RunConfig", "console_entry", "main", "parse_config"]
@@ -104,16 +104,17 @@ _FLAGS = {f.metadata["flag"]: f for f in fields(RunConfig) if f.metadata}
 def _pool_map(jobs: int):
     """`map`, or the map of a pool of `jobs` worker processes when jobs > 1.
 
-    SciPy's LAPACK is imported before the pool starts, so that forked workers
-    inherit it instead of each importing it.  The pool itself is imported
-    only here, so a serial run never loads it.
+    SciPy's LAPACK extension (radial._lapack, not scipy.linalg) is loaded
+    before the pool starts, so that forked workers inherit it instead of each
+    loading it.  The pool itself is imported only here, so a serial run never
+    loads it.
     """
     if jobs == 1:
         yield map
     else:
         from concurrent.futures import ProcessPoolExecutor
 
-        import scipy.linalg.lapack
+        _lapack()
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             yield pool.map
 

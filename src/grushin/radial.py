@@ -44,7 +44,9 @@ positive.  Since lam bounds E1 from above, up to its rounding level, a
 factored shift brackets E1 in (sigma, lam]; a solve returns only once the
 last factored shift is within 4 rho of lam.  The functions that call NumPy
 or SciPy import them, so importing this module, or computing the ball
-constants below, loads neither.
+constants below, loads neither.  A solve loads NumPy and SciPy's compiled
+LAPACK extension (_lapack), but not scipy.linalg, whose import costs far
+more than a solve at the default n.
 
 The stop rule is stagnation: the iteration ends when the residual stops
 contracting (it exceeds half the previous one) or drops below eps times its
@@ -261,6 +263,32 @@ def _line_pencil(x: np.ndarray, d1: int, mu: float, s: float):
     return lo, links, mass, pot[lo:-1], dpot[lo:-1]
 
 
+def _lapack():
+    """SciPy's compiled LAPACK wrappers, the extension scipy.linalg._flapack.
+
+    Loaded without running scipy/linalg/__init__.py, whose ~0.2 s import
+    (mostly numpy.f2py, numpy.testing and numpy.ma, via scipy._lib._array_api)
+    dwarfs a 1-D solve; finding scipy.linalg's spec imports only the top-level
+    scipy.  sys.modules caches the module, so a later scipy.linalg.lapack
+    star-imports it and one loaded first by scipy.linalg is reused: either
+    way the routines are the same objects.  ImportError without SciPy.
+    """
+    import importlib.util
+    from importlib.machinery import PathFinder
+
+    name = "scipy.linalg._flapack"
+    if name in sys.modules:
+        return sys.modules[name]
+    package = importlib.util.find_spec("scipy.linalg")
+    spec = package and PathFinder.find_spec(name, package.submodule_search_locations)
+    if spec is None:
+        raise ModuleNotFoundError(f"No module named {name!r}", name=name)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
 def _ground_state(t_diag: np.ndarray, t_off: np.ndarray, x: np.ndarray):
     """Lowest eigenvector of T = tridiag(t_off, t_diag, t_off), with its certificate.
 
@@ -275,7 +303,7 @@ def _ground_state(t_diag: np.ndarray, t_off: np.ndarray, x: np.ndarray):
     factors within _MAX_HALVINGS halvings, or if the residual has not settled
     at its rounding level within _MAX_STEPS steps.
     """
-    from scipy.linalg.lapack import dpttrf, dpttrs
+    lapack = _lapack()
 
     # T / c, c the power of two just above max diag(T), scales every factor,
     # solve and norm exactly, and squares no entry near a flat potential's 1e200
@@ -305,7 +333,7 @@ def _ground_state(t_diag: np.ndarray, t_off: np.ndarray, x: np.ndarray):
         prev = res
         sigma = max(lam - 2.0 * rho, shift)
         for _ in range(_MAX_HALVINGS):
-            l_diag, l_off, info = dpttrf(t_diag - sigma, t_off, overwrite_d=1)
+            l_diag, l_off, info = lapack.dpttrf(t_diag - sigma, t_off, overwrite_d=1)
             if info == 0:
                 break
             if sigma == shift:
@@ -318,7 +346,7 @@ def _ground_state(t_diag: np.ndarray, t_off: np.ndarray, x: np.ndarray):
                 "state cannot be certified"
             )
         shift = sigma
-        x, info = dpttrs(l_diag, l_off, x, overwrite_b=1)
+        x, info = lapack.dpttrs(l_diag, l_off, x, overwrite_b=1)
         if info != 0:
             raise NonConvergence(f"inverse-iteration solve failed (LAPACK pttrs info={info})")
     raise NonConvergence(
@@ -396,7 +424,6 @@ def solve_radial(p: RadialProblem) -> RadialSolution:
     bad inputs.
     """
     import numpy as np
-    from scipy.linalg.lapack import dgtsv
 
     r = p.grid()
     lo, links, mass, pot, w = _line_pencil(r, p.d1, p.mu, p.s)
@@ -411,8 +438,8 @@ def solve_radial(p: RadialProblem) -> RadialSolution:
     c = math.ldexp(1.0, math.frexp(float(np.max(w)))[1])
     wx = (w / c) * x
     e_dot = float(x @ wx) / nx2
-    _, _, _, z, info = dgtsv(t_off, t_diag - energy, t_off.copy(), e_dot * x - wx,
-                             overwrite_dl=1, overwrite_d=1, overwrite_du=1, overwrite_b=1)
+    _, _, _, z, info = _lapack().dgtsv(t_off, t_diag - energy, t_off.copy(), e_dot * x - wx,
+                                     overwrite_dl=1, overwrite_d=1, overwrite_du=1, overwrite_b=1)
     if info != 0:
         raise NonConvergence(f"second-derivative solve failed (LAPACK gtsv info={info})")
     z = z.ravel()

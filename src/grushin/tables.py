@@ -140,6 +140,15 @@ def _series(table: SweepTable) -> list[tuple[str, list[tuple[float, float]]]]:
     return [(f"{table.headers[y]}", pts)]
 
 
+def _axis_labels(lo: float, hi: float) -> tuple[str, str]:
+    """lo and hi at the fewest significant digits, 6 to 17, that tell them apart."""
+    for digits in range(6, 18):
+        pair = (f"{lo:.{digits}g}", f"{hi:.{digits}g}")
+        if pair[0] != pair[1]:
+            break
+    return pair
+
+
 def render_svg(table: SweepTable) -> str:
     """A minimal line plot: one polyline per series, axis box, legend."""
     series = _series(table)
@@ -186,11 +195,12 @@ def render_svg(table: SweepTable) -> str:
             f'text-anchor="end" font-family="monospace" font-size="12" '
             f'fill="{color}">{label}</text>'
         )
+    x_text, y_text = _axis_labels(x_lo, x_hi), _axis_labels(y_lo, y_hi)
     labels = (
-        (left, _HEIGHT - bottom + 18.0, "start", f"{x_lo:.6g}"),
-        (_WIDTH - right, _HEIGHT - bottom + 18.0, "end", f"{x_hi:.6g}"),
-        (left - 6.0, _HEIGHT - bottom, "end", f"{y_lo:.6g}"),
-        (left - 6.0, top + 10.0, "end", f"{y_hi:.6g}"),
+        (left, _HEIGHT - bottom + 18.0, "start", x_text[0]),
+        (_WIDTH - right, _HEIGHT - bottom + 18.0, "end", x_text[1]),
+        (left - 6.0, _HEIGHT - bottom, "end", y_text[0]),
+        (left - 6.0, top + 10.0, "end", y_text[1]),
     )
     for x, y, anchor, text in labels:
         parts.append(

@@ -393,15 +393,19 @@ def loaded():
 def sparse():
     return [m for m in loaded() if m.startswith("scipy.sparse")]
 
+def lapack_alone():
+    return "scipy.linalg._flapack" in loaded() and "scipy.linalg" not in loaded()
+
 assert not loaded(), loaded()
 assert main(["limits"]) == 0
 assert main(["limits", "--limit", "inf", "--d1", "2", "--t-grid", "1:5:4"]) == 0
 assert main(["limits", "--limit", "zero", "--d1", "3", "--d2", "6", "--t-grid", "1:5:4"]) == 0
 assert not loaded(), loaded()
 assert main(["minimize", "--n", "256"]) == 0
-assert "numpy" in loaded() and "scipy.linalg" in loaded(), loaded()
+assert "numpy" in loaded() and lapack_alone(), loaded()
 assert not sparse(), sparse()
 assert main(["rectangle", "--n", "256"]) == 0
+assert lapack_alone(), loaded()
 assert not sparse(), sparse()
 """
 
@@ -409,7 +413,8 @@ assert not sparse(), sparse()
 def test_limits_never_imports_numerics():
     # importing every module and the closed-form path, d = 1, 2, 3 and 6
     # alike, load neither NumPy, SciPy nor the process pool; a 1-D solve
-    # loads NumPy and LAPACK, and neither it nor a rectangle the sparse solver
+    # loads NumPy and SciPy's LAPACK extension but not scipy.linalg, and
+    # neither it nor a rectangle the sparse solver
     result = run_python(["-c", _NO_NUMERICS_SCRIPT])
     assert result.returncode == 0, result.stderr
     assert result.stdout.count("G_limit") == 3
@@ -420,7 +425,7 @@ import sys
 from grushin import cli
 
 def loaded(_):
-    return "scipy.linalg" in sys.modules
+    return "scipy.linalg._flapack" in sys.modules
 
 assert not loaded(0)
 with cli._pool_map(2) as map_fn:
@@ -429,7 +434,7 @@ with cli._pool_map(2) as map_fn:
 
 
 def test_workers_inherit_lapack_and_jobs_two_matches_one():
-    # the pool's forked workers find SciPy already loaded, and a fresh
+    # the pool's forked workers find SciPy's LAPACK already loaded, and a fresh
     # `--jobs 2` sweep prints the bytes of a `--jobs 1` one
     result = run_python(["-c", _POOL_SCRIPT])
     assert result.returncode == 0, result.stderr

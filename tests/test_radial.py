@@ -10,6 +10,7 @@ factor and solve to see it raise instead of loop.
 """
 
 import math
+import os
 import warnings
 
 import numpy as np
@@ -36,10 +37,12 @@ from grushin.radial import (
 from oracles import (
     J01,
     J01_SQUARED,
+    REPO_ROOT,
     assembled_pencil,
     bessel_j0,
     dense_lowest_eigenvalue,
     first_bessel_zero,
+    run_python,
     tridiagonal_reference_energy,
 )
 
@@ -446,7 +449,7 @@ def test_factorization_that_always_fails_raises(monkeypatch):
         calls.append(1)
         return d, e, 1
 
-    monkeypatch.setattr(scipy.linalg.lapack, "dpttrf", failing)
+    monkeypatch.setattr(radial._lapack(), "dpttrf", failing)
     with pytest.raises(NonConvergence):
         solve_radial(RadialProblem(2, 1.0, 10.0, 1.0, 256))
     assert len(calls) <= radial._MAX_HALVINGS
@@ -461,7 +464,51 @@ def test_solve_that_returns_its_input_raises(monkeypatch):
         calls.append(1)
         return b, 0
 
-    monkeypatch.setattr(scipy.linalg.lapack, "dpttrs", identity)
+    monkeypatch.setattr(radial._lapack(), "dpttrs", identity)
     with pytest.raises(NonConvergence):
         solve_radial(RadialProblem(2, 1.0, 10.0, 1.0, 256))
     assert len(calls) <= radial._MAX_STEPS
+
+
+_LAPACK_FIRST_SCRIPT = """
+import sys
+from grushin import radial
+flapack = radial._lapack()
+assert "scipy.linalg._flapack" in sys.modules and "scipy.linalg" not in sys.modules
+import scipy.linalg.lapack
+for name in ("dpttrf", "dpttrs", "dgtsv"):
+    assert getattr(scipy.linalg.lapack, name) is getattr(flapack, name), name
+assert radial._lapack() is flapack
+"""
+
+
+def test_lapack_is_scipy_linalg_lapack_in_either_order():
+    # the solver's routines are scipy.linalg.lapack's own objects, whether
+    # the extension is loaded before scipy.linalg (a fresh process) or after
+    # (here, where the test modules have imported scipy.linalg)
+    result = run_python(["-c", _LAPACK_FIRST_SCRIPT])
+    assert result.returncode == 0, result.stderr
+    for name in ("dpttrf", "dpttrs", "dgtsv"):
+        assert getattr(scipy.linalg.lapack, name) is getattr(radial._lapack(), name)
+
+
+_NO_FLAPACK_SCRIPT = """
+from grushin import radial
+try:
+    radial._lapack()
+except ImportError as exc:
+    assert exc.name == "scipy.linalg._flapack", exc
+else:
+    raise AssertionError("loaded a _flapack from a SciPy without one")
+"""
+
+
+def test_lapack_missing_raises_import_error(tmp_path):
+    # a SciPy whose linalg has no compiled extension raises ImportError,
+    # with no second way to the routines
+    (tmp_path / "scipy" / "linalg").mkdir(parents=True)
+    (tmp_path / "scipy" / "__init__.py").write_text("")
+    (tmp_path / "scipy" / "linalg" / "__init__.py").write_text("raise AssertionError\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(tmp_path), str(REPO_ROOT / "src")]))
+    result = run_python(["-c", _NO_FLAPACK_SCRIPT], env=env)
+    assert result.returncode == 0, result.stderr

@@ -210,6 +210,23 @@ def test_svg_constant_axis_handled():
     assert 'points="425.00,510.00 425.00,20.00"' in svg
 
 
+def _axis_labels(svg):
+    return re.findall(r'font-size="12">([^<]*)</text>', svg)
+
+
+def test_svg_axis_labels_tell_a_narrow_range_apart():
+    # %.6g reads 7.75237 at both ends of this y range (a probe's lambda1);
+    # each axis takes the fewest digits from 6 up that tell its ends apart
+    rows = ((10.0, 7.7523659), (20.0, 7.7523694))
+    svg = render_svg(SweepTable(headers=("s", "lambda1"), rows=rows))
+    assert _axis_labels(svg) == ["10", "20", "7.752366", "7.752369"]
+    rows = ((1.0, 1.0), (2.0, 1.0 + 2.0**-52))
+    svg = render_svg(SweepTable(headers=("x", "y"), rows=rows))
+    assert _axis_labels(svg) == ["1", "2", "1", "1.0000000000000002"]
+    svg = render_svg(SweepTable(headers=("x", "y"), rows=((2.0**60, 1.0), (2.0**60, 2.0))))
+    assert _axis_labels(svg) == ["1.1529215046068467e+18", "1.1529215046068472e+18", "1", "2"]
+
+
 def test_emit_svg_to_file(tmp_path):
     table = SweepTable(headers=("x", "y"), rows=((0.0, 1.0), (1.0, 4.0)))
     target = tmp_path / "plot.svg"
