@@ -103,8 +103,8 @@ class ProblemParams:
     V: float = 1.0
 
     def __post_init__(self) -> None:
-        _positive_integer("d1", self.d1)
-        _positive_integer("d2", self.d2)
+        object.__setattr__(self, "d1", _positive_integer("d1", self.d1))
+        object.__setattr__(self, "d2", _positive_integer("d2", self.d2))
         _positive("s", self.s)
         _positive("V", self.V)
 

@@ -37,15 +37,18 @@ U = D L^T and, by Sylvester's law of inertia, the pivots <= 0 count the
 eigenvalues <= sigma; a count of zero certifies sigma < lambda1 (the
 inertia check of Grimes, Lewis & Simon, SIAM J. Matrix Anal. Appl. 15
 (1994) 228-272).  A residual alone cannot do this: on the s=150, n=256
-unit-area disk sixteen chord modes lie within 1e-9 of lambda1.  The shifts
-come from a coarse-to-fine cascade over the grids n//2^k >= 64 (k >= 2),
-n//2 and n, each just below the eigenvalue of the grid before; the masked
-eigenvalue is not monotone in n, so a refused shift backs off
-(`_smallest_eig`).  Lanczos reorthogonalizes fully, tests convergence after
-every LU solve, and restarts thick, keeping the leading half of the basis
-(Wu & Simon, SIAM J. Matrix Anal. Appl. 22 (2000) 602-616).  It starts from
-the constant vector, so repeated solves are bit-identical, and one
-inverse-iteration step from its Ritz vector follows.
+unit-area disk sixteen chord modes lie within 1e-9 of lambda1.  SuperLU
+factors one column per panel without relaxed supernodes, as a masked 5-point
+quadrant forms no large dense supernodes for its default blocking (Demmel,
+Eisenstat, Gilbert, Li & Liu, SIAM J. Matrix Anal. Appl. 20 (1999) 720-755)
+to pay off.  The shifts come from a coarse-to-fine cascade over the grids
+n//2^k >= 64 (k >= 2), n//2 and n, each just below the eigenvalue of the
+grid before; the masked eigenvalue is not monotone in n, so a refused shift
+backs off (`_smallest_eig`).  Lanczos reorthogonalizes fully, tests
+convergence after every LU solve, and restarts thick, keeping the leading
+half of the basis (Wu & Simon, SIAM J. Matrix Anal. Appl. 22 (2000)
+602-616).  It starts from the constant vector, so repeated solves are
+bit-identical, and one inverse-iteration step from its Ritz vector follows.
 
 On either geometry the reported value lambda is the Rayleigh quotient of the
 final vector, so lambda1 lies in (sigma, lambda] (DiskSolve).  A disk's pair
@@ -82,18 +85,18 @@ _RITZ_RTOL = 1e-10
 
 #: Lanczos basis size; a restart keeps the _LANCZOS_NCV // 2 Ritz vectors of
 #: largest theta.  The width is set by the near-degenerate chord-mode cluster
-#: of rho=1.3, s=1000 at n=128 factored at the shift 0: 60 vectors take
-#: 221-241 LU solves there, while 40 take 1113-1196 or more than 3000 and 30
-#: more than 3000, the count turning on rounding alone (BLAS threads, how
-#: S - 0 I is formed).  On the cascade's shifts the width hardly matters:
-#: that disk's n=128 and 129 levels take 115 and 143 solves with 60 vectors,
-#: 132 and 181 with 40, 210 and 398 with 20; the unit-area disks never
-#: restart.
+#: of rho=1.3, s=1000 at n=128 factored at the shift 0: 60 vectors take 229
+#: LU solves there (307 at n=129), while 40 take 1113-1515 or more than 3000
+#: and 30 more than 3000, the count turning on rounding alone (BLAS threads,
+#: how S - 0 I is formed, SuperLU's blocking).  On the cascade's shifts the
+#: width hardly matters: that disk's n=128 and 129 levels take 115 and 143
+#: solves with 60 vectors, 132 and 175 with 40, 210 and 458 with 20; the
+#: unit-area disks never restart.
 _LANCZOS_NCV = 60
 
-#: LU solves Lanczos may spend before it raises NonConvergence, ~40x the most
-#: a disk has been seen to take (241 at rho=1.3, s=1000, n=128, shift 0; at
-#: most 143 on a cascade level).
+#: LU solves Lanczos may spend before it raises NonConvergence, ~30x the most
+#: a disk has been seen to take (307 at rho=1.3, s=1000, n=129, shift 0; at
+#: most 301 on a cascade level, rho=2, s=1000, n=256).
 _LANCZOS_SOLVES = 10_000
 
 #: A grid is first factored at guess (1 - _SHIFT_MARGIN), guess the next
@@ -118,7 +121,8 @@ class DiskProblem:
     def __post_init__(self) -> None:
         _positive("rho", self.rho)
         _nonnegative("s", self.s)
-        if _positive_integer("n", self.n) < 64:
+        object.__setattr__(self, "n", _positive_integer("n", self.n))
+        if self.n < 64:
             raise InvalidProblem(f"n must be an integer >= 64, got {self.n}")
 
 
@@ -246,17 +250,26 @@ def _shifted_factor(matrix, sigma: float):
 
     SuperLU factors P (S - sigma I) P^T = L U with one symmetric ordering P
     and diagonal pivots, so U = D L^T and, by Sylvester's law of inertia, the
-    pivots <= 0 count the eigenvalues of S at or below sigma.  Raises
-    NonConvergence if the row and column permutations differ, which voids
-    that count.
+    pivots <= 0 count the eigenvalues of S at or below sigma.  Panels are
+    one column wide and supernodes unrelaxed (panel_size=1, relax=1), which
+    factors these matrices ~1.5x faster than the defaults at n = 256 and 512.
+    Raises NonConvergence if the row and column permutations differ, which
+    voids that count.
     """
     import numpy as np
     from scipy import sparse
     from scipy.sparse.linalg import splu
 
     shifted = matrix - sigma * sparse.identity(matrix.shape[0], format="csr")
+    # median factor time (ms) of S - sigma I, s = 1 unit-area disk, one
+    # thread, SciPy 1.17.1 on a 2-core Xeon VM:
+    #   n                        64   128   256   512
+    #   default                 1.4   6.7  39.1   237
+    #   relax=1, panel_size=1   1.1   6.2  25.1   155
+    # relax=1, panel_size=20 reads like the default; panel_size=1 alone takes
+    # 222 ms at n = 512
     lu = splu(shifted.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-              options={"SymmetricMode": True})
+              relax=1, panel_size=1, options={"SymmetricMode": True})
     if not np.array_equal(lu.perm_r, lu.perm_c):
         raise NonConvergence(
             f"the factor at the shift {sigma!r} pivoted off the diagonal: its inertia is unknown"

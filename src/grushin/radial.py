@@ -196,11 +196,13 @@ class RadialProblem:
     n: int = DEFAULT_N
 
     def __post_init__(self) -> None:
-        _positive_integer("d1", self.d1)
+        # store the ints: a float n (64.0) would reach np.linspace as a count
+        object.__setattr__(self, "d1", _positive_integer("d1", self.d1))
         _nonnegative("s", self.s)
         _nonnegative("mu", self.mu)
         _positive("R", self.R)
-        if _positive_integer("n", self.n) < 16:
+        object.__setattr__(self, "n", _positive_integer("n", self.n))
+        if self.n < 16:
             raise InvalidProblem(f"n must be an integer >= 16, got {self.n}")
 
     @property

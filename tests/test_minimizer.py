@@ -293,6 +293,15 @@ def test_invalid_params_rejected(kwargs):
         ProblemParams(**kwargs)
 
 
+def test_integral_float_counts_solve_as_ints():
+    # a float n used to reach np.linspace as a count and raise TypeError
+    p = ProblemParams(d1=1.0, d2=2.0, s=1.0)
+    assert type(p.d1) is int and type(p.d2) is int
+    ref = ProblemParams(d1=1, d2=2, s=1.0)
+    assert minimize(p, 1024.0) == minimize(ref, 1024)
+    assert lambda1_product(p, 1.6, 4096.0) == lambda1_product(ref, 1.6, 4096)
+
+
 def test_ball_constants_cached():
     assert ball_constants(1, 2) is ball_constants(1, 2)
 

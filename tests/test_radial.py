@@ -322,6 +322,15 @@ def test_invalid_problems_rejected(kwargs):
         RadialProblem(**kwargs)
 
 
+def test_integral_float_counts_solve_as_ints():
+    # d1 = 1.0 and n = 64.0 pass validation; a stored float n reached
+    # np.linspace as a count and raised TypeError
+    prob = RadialProblem(1.0, 1.0, 1.0, 1.0, 64.0)
+    assert type(prob.d1) is int and type(prob.n) is int
+    got, ref = solve_radial(prob), solve_radial(RadialProblem(1, 1.0, 1.0, 1.0, 64))
+    assert got.energy == ref.energy and np.array_equal(got.v, ref.v)
+
+
 def test_mu1_ball_rejects_bad_volume():
     with pytest.raises(InvalidProblem):
         mu1_ball(2, 0.0)
