@@ -126,13 +126,14 @@ def _emit(cfg: RunConfig, table: SweepTable) -> None:
 
 
 def _cmd_solve1d(cfg: RunConfig) -> None:
+    import numpy as np
+
     p: ProblemParams = cfg.params
     sigma = coupling_of_split(p, cfg.t)
     prob = RadialProblem(d1=p.d1, s=p.s, mu=sigma, R=ball1_radius(p.d1), n=cfg.grid_n)
     sol = solve_radial(prob)
     lam = cfg.t ** (-2.0 / p.d1) * sol.energy
-    rows = tuple(zip(prob.grid().tolist(), sol.v.tolist()))
-    _emit(cfg, SweepTable(headers=("r", "v"), rows=rows))
+    _emit(cfg, SweepTable(headers=("r", "v"), rows=np.column_stack((prob.grid(), sol.v))))
     print(f"lambda1 = {lam:.12g} (coupling {sigma:.6g})", file=sys.stderr)
 
 

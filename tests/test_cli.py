@@ -380,7 +380,7 @@ def test_module_entry_point_smoke(tmp_path):
 
 
 _NO_NUMERICS_SCRIPT = """
-import importlib, pkgutil, sys
+import importlib, os, pkgutil, sys, tempfile
 import grushin
 for info in pkgutil.iter_modules(grushin.__path__):
     importlib.import_module("grushin." + info.name)
@@ -400,6 +400,10 @@ assert not loaded(), loaded()
 assert main(["limits"]) == 0
 assert main(["limits", "--limit", "inf", "--d1", "2", "--t-grid", "1:5:4"]) == 0
 assert main(["limits", "--limit", "zero", "--d1", "3", "--d2", "6", "--t-grid", "1:5:4"]) == 0
+with tempfile.TemporaryDirectory() as tmp:
+    svg = os.path.join(tmp, "limits.svg")
+    assert main(["limits", "--out", os.path.join(tmp, "limits.csv"), "--svg", svg]) == 0
+    assert open(svg).read().startswith("<svg"), svg
 assert not loaded(), loaded()
 assert main(["minimize", "--n", "256"]) == 0
 assert "numpy" in loaded() and lapack_alone(), loaded()
@@ -412,7 +416,7 @@ assert not sparse(), sparse()
 
 def test_limits_never_imports_numerics():
     # importing every module and the closed-form path, d = 1, 2, 3 and 6
-    # alike, load neither NumPy, SciPy nor the process pool; a 1-D solve
+    # alike, and its SVG, load neither NumPy, SciPy nor the process pool; a 1-D solve
     # loads NumPy and SciPy's LAPACK extension but not scipy.linalg, and
     # neither it nor a rectangle the sparse solver
     result = run_python(["-c", _NO_NUMERICS_SCRIPT])

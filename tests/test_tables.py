@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from grushin.errors import InvalidProblem
 from grushin.tables import (_SVG_BLOCK, SweepTable, _format_cell, emit_csv, emit_svg, render_csv,
@@ -78,7 +79,8 @@ def _per_cell_csv(table):
     return "\n".join(lines) + "\n"
 
 
-_EDGE_FLOATS = (0.5, -0.0, 5e-324, 1.7976931348623157e308, math.pi, -1e-300, 123456789.0)
+_EDGE_FLOATS = (0.5, -0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308, math.pi,
+                -1e-300, 123456789.0)
 
 
 @pytest.mark.parametrize(
@@ -135,6 +137,85 @@ def test_svg_bytes_match_per_point_rendering(rows):
     assert _per_point_polyline(rows) in render_svg(table)
 
 
+# ---------------------------------------------------------------- blocks
+
+
+def _assert_block_renders_like_tuples(block, headers):
+    # a NumPy block gives the bytes of the tuple table with the same cells
+    table = SweepTable(headers=headers, rows=block)
+    rows = tuple(map(tuple, block.tolist()))
+    tuples = SweepTable(headers=headers, rows=rows)
+    assert render_csv(table) == _per_cell_csv(tuples) == render_csv(tuples)
+    if not rows:
+        with pytest.raises(InvalidProblem, match="empty table"):
+            render_svg(table)
+        return
+    svg = render_svg(table)
+    assert svg == render_svg(tuples)
+    if len(headers) == 2:
+        assert _per_point_polyline(rows) in svg
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@given(arrays(np.float64, st.tuples(st.integers(0, 20), st.integers(2, 4)), elements=_FINITE))
+@example(block=np.array([(-1.0, 1.0), (0.0, 0.0), (-0.0, -0.0)]))  # axis ends 0 or -0, as min/max
+def test_block_bytes_match_tuple_rendering(block):
+    _assert_block_renders_like_tuples(block, ("a", "b", "c", "d")[:block.shape[1]])
+
+
+@given(st.lists(st.tuples(st.sampled_from((-0.0, 0.0, 1.0, 10.0, 10.0000001)), _FINITE,
+                          st.sampled_from((-0.0, 0.0, 2.5)), _FINITE), min_size=1, max_size=20))
+def test_keyed_block_bytes_match_tuple_rendering(rows):
+    # repeated keys make a keyed sweep; signed zeros and tied points group and
+    # sort as on the tuple path
+    _assert_block_renders_like_tuples(np.array(rows), ("s", "t", "value", "dev"))
+
+
+@pytest.mark.parametrize(
+    "block",
+    [
+        np.array([(x, y) for x in _EDGE_FLOATS for y in _EDGE_FLOATS]),
+        np.array([(1.0, 5.0), (2.0, 5.0)]),
+        np.array([(2.0**60, 1.0), (2.0**60, 2.0)]),
+        np.array([(3.0, 4.0)]),
+        np.array([(math.sin(k), k % 7 - 3.0) for k in range(2 * _SVG_BLOCK + 5)]),
+    ],
+    ids=["edge-floats", "constant-y", "constant-x-beyond-2^53", "one-row", "three-blocks"],
+)
+def test_block_edge_cases_match_tuple_rendering(block):
+    # +-1.79e308 spans overflow to inf, then to nan pixels, without a warning
+    _assert_block_renders_like_tuples(block, ("x", "y"))
+
+
+@pytest.mark.parametrize(
+    "block",
+    [np.ones((3, 3)), np.ones(3), np.ones((3, 2), dtype=np.int64), np.ones((3, 2, 1))],
+    ids=["width", "1-d", "int", "3-d"],
+)
+def test_block_of_wrong_shape_or_kind_rejected(block):
+    with pytest.raises(InvalidProblem, match="float64 columns"):
+        SweepTable(headers=("a", "b"), rows=block)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_block_non_finite_cell_rejected(bad):
+    block = np.ones((4, 2))
+    block[2, 1] = bad
+    with pytest.raises(InvalidProblem, match="row 2 contains a non-finite value"):
+        SweepTable(headers=("a", "b"), rows=block)
+
+
+def test_block_table_holds_a_read_only_copy():
+    block = np.ones((3, 2))
+    table = SweepTable(headers=("a", "b"), rows=block)
+    block[0, 0] = 7.0
+    assert len(table.rows) == 3 and table.rows[0, 0] == 1.0
+    with pytest.raises(ValueError):
+        table.rows[0, 0] = 7.0
+
+
 def test_emit_csv_to_file_and_stdout(tmp_path, capsys):
     table = SweepTable(headers=("x",), rows=((1.0,),))
     target = tmp_path / "out.csv"
@@ -172,6 +253,14 @@ def test_svg_keyed_series():
     assert svg.startswith("<svg ") and svg.rstrip().endswith("</svg>")
 
 
+def test_svg_keys_take_the_digits_that_tell_them_apart():
+    # %g reads s=10 for both keys; the labels take digits as the axis labels do
+    rows = ((10.0, 1.0, 2.0), (10.0, 2.0, 3.0), (10.0000001, 1.0, 2.5), (10.0000001, 2.0, 3.5))
+    for table in (SweepTable(headers=("s", "t", "v"), rows=rows),
+                  SweepTable(headers=("s", "t", "v"), rows=np.array(rows))):
+        assert re.findall(r'">(s=[^<]*)</text>', render_svg(table)) == ["s=10", "s=10.0000001"]
+
+
 def test_svg_one_row_per_key_is_one_series():
     # a key with a single row draws no line, so a table such as the probe's
     # (s, lambda1, reference) plots column 1 against column 0
@@ -199,6 +288,8 @@ def test_svg_needs_two_numeric_columns():
     table = SweepTable(headers=("a", "b"), rows=(("x", "y"),))
     with pytest.raises(InvalidProblem):
         render_svg(table)
+    with pytest.raises(InvalidProblem, match="two numeric columns"):
+        render_svg(SweepTable(headers=("a",), rows=np.ones((2, 1))))
 
 
 def test_svg_constant_axis_handled():
