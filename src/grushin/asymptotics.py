@@ -29,7 +29,6 @@ selected limit curve over a grid of t, one row per (s, t) pair.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 
 from .errors import InvalidProblem
@@ -40,12 +39,11 @@ from .minimizer import (
     lambda1_product,
     log_coupling_of_split,
 )
-from .radial import DEFAULT_N, _positive, ball_volume_constant, mu1_ball
+from .radial import DEFAULT_N, _finite, _positive, ball_volume_constant, mu1_ball
 from .tables import SweepTable
 
 __all__ = [
     "LimitKind",
-    "LimitProfile",
     "convergence_report",
     "large_s_limit",
     "limit_profile",
@@ -67,40 +65,15 @@ class LimitKind(Enum):
     S_TO_INFINITY = "inf"
 
 
-@dataclass(frozen=True)
-class LimitProfile:
-    """A limit curve sampled on a grid of first-factor volumes."""
-
-    kind: LimitKind
-    params: ProblemParams
-    t_grid: tuple[float, ...]
-    values: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        t_grid = tuple(float(t) for t in self.t_grid)
-        values = tuple(float(v) for v in self.values)
-        if len(t_grid) != len(values):
-            raise InvalidProblem("t_grid and values must have equal length")
-        if any(not math.isfinite(t) or t <= 0.0 for t in t_grid):
-            raise InvalidProblem("t grid entries must be finite and positive")
-        if any(not math.isfinite(v) or v <= 0.0 for v in values):
-            raise InvalidProblem("limit values must be finite and positive")
-        if self.kind is LimitKind.S_TO_INFINITY:
-            tau = ball_volume_constant(self.params.d1)
-            plateau = [v for t, v in zip(t_grid, values) if t >= tau]
-            if plateau and max(plateau) - min(plateau) > 1e-12 * max(plateau):
-                raise InvalidProblem("large-exponent profile must be flat past tau")
-        object.__setattr__(self, "t_grid", t_grid)
-        object.__setattr__(self, "values", values)
-
-
 def small_s_limit(p: ProblemParams, t: float) -> float:
     """Limit curve as the exponent tends to zero, evaluated at split t."""
     _positive("t", t)
     c = ball_constants(p.d1, p.d2)
-    return (
-        t ** (-2.0 / p.d1) * c.mu1_b1
-        + t ** (2.0 / p.d2) * p.V ** (-2.0 / p.d2) * c.mu1_b2
+    return _finite(
+        "the s -> 0 limit",
+        lambda: t ** (-2.0 / p.d1) * c.mu1_b1
+        + t ** (2.0 / p.d2) * p.V ** (-2.0 / p.d2) * c.mu1_b2,
+        t=t,
     )
 
 
@@ -130,8 +103,7 @@ def large_s_limit(d1: int, t: float) -> float:
     _positive("t", t)
     tau = ball_volume_constant(d1)
     mu1 = mu1_ball(d1, 1.0)
-    cap = min(t, tau)
-    return mu1 * cap ** (-2.0 / d1)
+    return _finite("the s -> infinity limit", lambda: mu1 * min(t, tau) ** (-2.0 / d1), t=t)
 
 
 def upper_envelope(p: ProblemParams, t: float, n: int = DEFAULT_N) -> float:
@@ -160,14 +132,11 @@ def lower_envelope(p: ProblemParams, t: float, n: int = DEFAULT_N) -> float:
     )
 
 
-def limit_profile(p: ProblemParams, kind: LimitKind, t_grid) -> LimitProfile:
-    """Sample the selected limit curve on a grid of split volumes."""
-    t_grid = tuple(float(t) for t in t_grid)
+def limit_profile(p: ProblemParams, kind: LimitKind, t_grid) -> tuple[float, ...]:
+    """The selected limit curve's values on a grid of split volumes."""
     if kind is LimitKind.S_TO_ZERO:
-        values = tuple(small_s_limit(p, t) for t in t_grid)
-    else:
-        values = tuple(large_s_limit(p.d1, t) for t in t_grid)
-    return LimitProfile(kind=kind, params=p, t_grid=t_grid, values=values)
+        return tuple(small_s_limit(p, float(t)) for t in t_grid)
+    return tuple(large_s_limit(p.d1, float(t)) for t in t_grid)
 
 
 def _infer_kind(s_list: tuple[float, ...]) -> LimitKind:
@@ -213,7 +182,7 @@ def convergence_report(
         (p.d1, p.d2, s, p.V, t, n) for s in s_list for t in t_grid
     ]
     values = map_fn(_report_point, points)
-    refs = limit_profile(p, kind, t_grid).values * len(s_list)
+    refs = limit_profile(p, kind, t_grid) * len(s_list)
     rows = tuple(
         (s, t, value, ref, abs(value - ref))
         for (_, _, s, _, t, _), value, ref in zip(points, values, refs)

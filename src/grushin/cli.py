@@ -18,15 +18,14 @@ import math
 import os
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .asymptotics import LimitKind, convergence_report, limit_profile
 from .baseline import DEFAULT_BASELINE, regression_suite
-from .errors import (BaselineMissing, BracketFailure, GrushinError, InvalidProblem,
-                     NonConvergence, UsageError)
-from .minimizer import (MinimizeResult, ProblemParams, ball1_radius, coupling_of_split,
-                        minimize)
+from .errors import BaselineMissing, BracketFailure, GrushinError, NonConvergence, UsageError
+from .minimizer import (MinimizeResult, ProblemParams, _split_eigenvalue, ball1_radius,
+                        coupling_of_split, minimize)
 from .planar import (DEFAULT_N_2D, DiskProblem, segment_limit_probe, solve_disk,
                      solve_rectangle_full)
 from .radial import DEFAULT_N, RadialProblem, _lapack, solve_radial
@@ -76,10 +75,9 @@ def _flag(name: str, convert, default):
 
 @dataclass(frozen=True)
 class RunConfig:
-    """A validated run; fields of flags its command does not take keep their defaults."""
+    """Converted flags, which the handler's problem checks; untaken flags keep defaults."""
 
     command: str
-    params: object = None
     d1: int = _flag("d1", int, 1)
     d2: int = _flag("d2", int, 1)
     s: float = _flag("s", _number, 1.0)
@@ -125,34 +123,37 @@ def _emit(cfg: RunConfig, table: SweepTable) -> None:
         emit_svg(table, cfg.svg_path)
 
 
+def _params(cfg: RunConfig) -> ProblemParams:
+    return ProblemParams(d1=cfg.d1, d2=cfg.d2, s=cfg.s, V=cfg.V)
+
+
 def _cmd_solve1d(cfg: RunConfig) -> None:
     import numpy as np
 
-    p: ProblemParams = cfg.params
+    p = _params(cfg)
     sigma = coupling_of_split(p, cfg.t)
     prob = RadialProblem(d1=p.d1, s=p.s, mu=sigma, R=ball1_radius(p.d1), n=cfg.grid_n)
     sol = solve_radial(prob)
-    lam = cfg.t ** (-2.0 / p.d1) * sol.energy
+    lam = _split_eigenvalue(p, cfg.t, sol.energy)
     _emit(cfg, SweepTable(headers=("r", "v"), rows=np.column_stack((prob.grid(), sol.v))))
     print(f"lambda1 = {lam:.12g} (coupling {sigma:.6g})", file=sys.stderr)
 
 
 def _cmd_minimize(cfg: RunConfig) -> None:
-    result = minimize(cfg.params, cfg.grid_n)
+    result = minimize(_params(cfg), cfg.grid_n)
     _emit(cfg, SweepTable(headers=MinimizeResult.CSV_HEADERS, rows=(result.csv_row(),)))
 
 
 def _cmd_sweep(cfg: RunConfig) -> None:
     with _pool_map(cfg.jobs) as map_fn:
-        table = convergence_report(cfg.params, cfg.s_list, cfg.t_grid, cfg.limit,
+        table = convergence_report(_params(cfg), cfg.s_list, cfg.t_grid, cfg.limit,
                                    cfg.grid_n, map_fn=map_fn)
     _emit(cfg, table)
 
 
 def _cmd_limits(cfg: RunConfig) -> None:
     kind = cfg.limit if cfg.limit is not None else LimitKind.S_TO_INFINITY
-    profile = limit_profile(cfg.params, kind, cfg.t_grid)
-    rows = tuple(zip(profile.t_grid, profile.values))
+    rows = tuple(zip(cfg.t_grid, limit_profile(_params(cfg), kind, cfg.t_grid)))
     _emit(cfg, SweepTable(headers=("t", "G_limit"), rows=rows))
 
 
@@ -160,7 +161,7 @@ _PLANAR_HEADERS = ("shape", "rho_or_t", "s", "n", "lambda1", "extrapolated")
 
 
 def _cmd_disk(cfg: RunConfig) -> None:
-    p: DiskProblem = cfg.params
+    p = DiskProblem(rho=cfg.rho, s=cfg.s, n=cfg.grid_n)
     solve = solve_disk(p)
     row = ("disk", p.rho, p.s, p.n, solve.lambda1, solve.extrapolated)
     _emit(cfg, SweepTable(headers=_PLANAR_HEADERS, rows=(row,)))
@@ -257,7 +258,7 @@ def _load_config_file(path: str, command: str) -> dict[str, str]:
 
 
 def parse_config(argv) -> RunConfig:
-    """Parse flags plus optional config file into a validated RunConfig."""
+    """Parse flags plus optional config file into a RunConfig."""
     argv = list(argv)
     parser, subparsers = _build_parser()
     values = vars(parser.parse_args(argv))
@@ -277,16 +278,7 @@ def parse_config(argv) -> RunConfig:
     if "s-list" in flags and "s_list" not in values:
         zero = values.get("limit") is LimitKind.S_TO_ZERO
         values["s_list"] = DEFAULT_S_LADDER_ZERO if zero else DEFAULT_S_LADDER_INF
-    cfg = RunConfig(**values)
-    try:
-        if "d1" in flags:
-            return replace(cfg, params=ProblemParams(d1=cfg.d1, d2=cfg.d2, s=cfg.s, V=cfg.V))
-        if "rho" in flags:
-            s = cfg.s_list[0] if command == "probe" else cfg.s
-            return replace(cfg, params=DiskProblem(rho=cfg.rho, s=s, n=cfg.grid_n))
-    except InvalidProblem as exc:
-        raise UsageError(str(exc)) from exc
-    return cfg
+    return RunConfig(**values)
 
 
 def main(argv=None) -> int:

@@ -45,6 +45,7 @@ from .radial import (
     DEFAULT_N,
     RadialProblem,
     RadialSolution,
+    _finite,
     _positive,
     _positive_integer,
     ball_volume_constant,
@@ -224,6 +225,11 @@ def _ball1_solution(p: ProblemParams, sigma: float, n: int) -> RadialSolution:
     return solve_radial(prob)
 
 
+def _split_eigenvalue(p: ProblemParams, t: float, energy: float) -> float:
+    """lambda1 = t^(-2/d1) E1 at split t, from the ground energy E1 on the unit-volume ball."""
+    return _finite("lambda1", lambda: t ** (-2.0 / p.d1) * energy, t=t)
+
+
 def lambda1_product(p: ProblemParams, t: float, n: int = DEFAULT_N) -> float:
     """First eigenvalue of the optimal product domain with first-factor volume t.
 
@@ -231,8 +237,7 @@ def lambda1_product(p: ProblemParams, t: float, n: int = DEFAULT_N) -> float:
     V/t the volume of the second factor.
     """
     sigma = coupling_of_split(p, t)
-    e1 = _ball1_solution(p, sigma, n).energy
-    return t ** (-2.0 / p.d1) * e1
+    return _split_eigenvalue(p, t, _ball1_solution(p, sigma, n).energy)
 
 
 def scaled_energy_derivative(p: ProblemParams, sigma: float, n: int = DEFAULT_N) -> float:

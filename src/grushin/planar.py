@@ -62,12 +62,13 @@ module loads neither, and a rectangle loads no scipy.sparse.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .errors import InvalidProblem, NonConvergence
 from .minimizer import ProblemParams, lambda1_product
-from .radial import (DEFAULT_N, _line_ground_state, _line_operator, _line_pencil, _nonnegative,
-                     _positive, _positive_integer)
+from .radial import (DEFAULT_N, _finite, _line_ground_state, _line_operator, _line_pencil,
+                     _nonnegative, _positive, _positive_integer)
 from .tables import SweepTable
 
 __all__ = ["DEFAULT_N_2D", "DiskProblem", "DiskSolve", "decoupled_rectangle_value",
@@ -139,7 +140,6 @@ class DiskSolve:
     """
 
     lambda1: float
-    grid_h: float
     interior_count: int
     extrapolated: float
     iterations: int
@@ -329,14 +329,27 @@ def _smallest_eig(matrix, guess: float) -> tuple[float, float, int]:
     return lam, sigma, solves
 
 
-def _disk_eig(rho: float, s: float, n: int, guess: float) -> tuple[float, int, int, float]:
+def _disk_matrix(rho: float, s: float, n: int):
+    """The matrix _disk_eig solves: _assemble's over the disk's quadrant nodes on grid n.
+
+    InvalidProblem unless h^2 and 2 rho^2 are normal floats: the stencil
+    divides by h^2, and the mask compares x^2 + y^2 < 2 rho^2 with rho^2.
+    """
+    h = 2.0 * rho / (n - 1)
+    if not (h * h >= sys.float_info.min and rho * rho <= 0.5 * sys.float_info.max):
+        raise InvalidProblem(f"rho={rho} is out of range: rho^2 or the squared grid spacing "
+                             "leaves the normal floats")
     # both axes' pencil, and the y-coefficients as its capped potential at
     # mu = 1; the last node, on the circle, is the Dirichlet zero
     xs = _half_axis(rho, n)
     links, mass, c_row = _line_pencil(xs, 1, 1.0, s)[1:4]
     xs = xs[:-1]
     mask = xs[:, None] ** 2 + xs[None, :] ** 2 < rho * rho
-    matrix = _assemble(mask, c_row, 2.0 * rho / (n - 1), links, mass)
+    return _assemble(mask, c_row, h, links, mass)
+
+
+def _disk_eig(rho: float, s: float, n: int, guess: float) -> tuple[float, int, int, float]:
+    matrix = _disk_matrix(rho, s, n)
     lam, sigma, solves = _smallest_eig(matrix, guess)
     return lam, matrix.shape[0], solves, sigma
 
@@ -347,18 +360,20 @@ def _rectangle_eig(t: float, V: float, s: float, n: int) -> tuple[float, int, in
     # Tx + mu diag(|x|^(2s)): the d1 = 1 line pencil on the x half-axis, with
     # mu = (4/hy^2) sin^2(pi/(2(n-1))) and hy = V/(t(n-1))
     xs = _half_axis(0.5 * t, n)
-    mu = (2.0 * (n - 1) * t / V * math.sin(0.5 * math.pi / (n - 1))) ** 2
+    mu = _finite("the y-axis eigenvalue",
+                 lambda: (2.0 * (n - 1) * t / V * math.sin(0.5 * math.pi / (n - 1))) ** 2,
+                 t=t, V=V)
     links, mass, pot = _line_pencil(xs, 1, mu, s)[1:4]
     energy, sigma, solves = _line_ground_state(links, mass, pot, t / (n - 1),
                                                np.cos((math.pi / t) * xs[:-1]))[:3]
     return energy, mass.size, solves, sigma
 
 
-def _extrapolate(fine: tuple, coarse: float, n: int, h: float, order: int) -> DiskSolve:
+def _extrapolate(fine: tuple, coarse: float, n: int, order: int) -> DiskSolve:
     """Grid n's (lambda1, count, iterations, sigma), Richardson-extrapolated from grid n//2."""
     lam, count, iters, sigma = fine
     weight = ((n - 1) / (n // 2 - 1)) ** order - 1.0
-    return DiskSolve(lambda1=lam, grid_h=h, interior_count=count, iterations=iters,
+    return DiskSolve(lambda1=lam, interior_count=count, iterations=iters,
                      extrapolated=lam + (lam - coarse) / weight, sigma=sigma)
 
 
@@ -376,8 +391,7 @@ def solve_disk(p: DiskProblem) -> DiskSolve:
     coarse = 0.0
     for m in reversed(levels):
         coarse = _disk_eig(p.rho, p.s, m, coarse)[0]
-    return _extrapolate(_disk_eig(p.rho, p.s, p.n, coarse), coarse, p.n,
-                        2.0 * p.rho / (p.n - 1), 1)
+    return _extrapolate(_disk_eig(p.rho, p.s, p.n, coarse), coarse, p.n, 1)
 
 
 def solve_rectangle_full(
@@ -393,8 +407,7 @@ def solve_rectangle_full(
     _nonnegative("s", s)
     if _positive_integer("n", n) < 64:
         raise InvalidProblem(f"n must be an integer >= 64, got {n}")
-    return _extrapolate(_rectangle_eig(t, V, s, n), _rectangle_eig(t, V, s, n // 2)[0], n,
-                        t / (n - 1), 2)
+    return _extrapolate(_rectangle_eig(t, V, s, n), _rectangle_eig(t, V, s, n // 2)[0], n, 2)
 
 
 def decoupled_rectangle_value(
@@ -419,6 +432,7 @@ def segment_limit_probe(rho: float, s_list, n: int = DEFAULT_N_2D) -> SweepTable
     problems = [DiskProblem(rho=rho, s=float(s), n=n) for s in s_list]
     if not problems or any(b.s <= a.s for a, b in zip(problems, problems[1:])):
         raise InvalidProblem("s_list must be non-empty and strictly increasing")
-    reference = (math.pi / (2.0 * min(rho, 1.0))) ** 2
+    reference = _finite("the segment reference", lambda: (math.pi / (2.0 * min(rho, 1.0))) ** 2,
+                        rho=rho)
     rows = tuple((p.s, solve_disk(p).extrapolated, reference) for p in problems)
     return SweepTable(headers=("s", "lambda1", "reference"), rows=rows)

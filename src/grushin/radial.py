@@ -153,6 +153,22 @@ def _nonnegative(name: str, value) -> None:
         raise InvalidProblem(f"{name} must be finite and >= 0, got {value}")
 
 
+def _finite(name: str, evaluate, **inputs) -> float:
+    """evaluate(); InvalidProblem naming the inputs unless it is a finite float.
+
+    A float ** that overflows raises OverflowError where * and / return inf;
+    both count as overflow.
+    """
+    try:
+        value = evaluate()
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        at = ", ".join(f"{key}={val}" for key, val in inputs.items())
+        raise InvalidProblem(f"{name} overflows a float at {at}")
+    return value
+
+
 def _rpow(r: np.ndarray, p: float) -> np.ndarray:
     """r**p, elementwise, overflow-capped, with 0**0 = 1 and 0**p = 0 (p > 0)."""
     import numpy as np

@@ -7,13 +7,13 @@ sandwiched between its two envelopes on a parameter grid.
 """
 
 import math
+import re
 
 import pytest
 
 from grushin.asymptotics import (
     REPORT_HEADERS,
     LimitKind,
-    LimitProfile,
     convergence_report,
     large_s_limit,
     limit_profile,
@@ -26,7 +26,7 @@ from grushin.asymptotics import (
 )
 from grushin.errors import InvalidProblem
 from grushin.minimizer import ProblemParams, lambda1_product
-from grushin.radial import mu1_ball
+from grushin.radial import ball_volume_constant, mu1_ball
 from grushin.tables import SweepTable
 from oracles import J01_SQUARED, golden_minimize
 
@@ -180,22 +180,37 @@ def test_limit_profile_values_match_pointwise_functions():
     p = ProblemParams(1, 1, 1.0)
     t_grid = (0.5, 1.0, 2.0, 3.0)
     zero = limit_profile(p, LimitKind.S_TO_ZERO, t_grid)
-    assert zero.values == tuple(small_s_limit(p, t) for t in t_grid)
+    assert zero == tuple(small_s_limit(p, t) for t in t_grid)
     inf_profile = limit_profile(p, LimitKind.S_TO_INFINITY, t_grid)
-    assert inf_profile.values == tuple(large_s_limit(1, t) for t in t_grid)
+    assert inf_profile == tuple(large_s_limit(1, t) for t in t_grid)
 
 
-def test_limit_profile_validation():
-    p = ProblemParams(1, 1, 1.0)
-    with pytest.raises(InvalidProblem):
-        LimitProfile(LimitKind.S_TO_ZERO, p, (1.0, 2.0), (1.0,))
-    with pytest.raises(InvalidProblem):
-        LimitProfile(LimitKind.S_TO_ZERO, p, (1.0, -2.0), (1.0, 1.0))
-    with pytest.raises(InvalidProblem):
-        LimitProfile(LimitKind.S_TO_ZERO, p, (1.0, 2.0), (1.0, math.nan))
-    with pytest.raises(InvalidProblem):
-        # not flat past the unit-ball volume
-        LimitProfile(LimitKind.S_TO_INFINITY, p, (2.5, 3.0), (1.0, 1.5))
+@pytest.mark.parametrize("kind", list(LimitKind))
+@pytest.mark.parametrize("t", [-1.0, 0.0, math.nan, math.inf])
+def test_limit_profile_rejects_a_non_positive_t(kind, t):
+    with pytest.raises(InvalidProblem, match="t must be finite"):
+        limit_profile(ProblemParams(1, 1, 1.0), kind, (1.0, t))
+
+
+@pytest.mark.parametrize("kind, t", [
+    (LimitKind.S_TO_ZERO, 1e-300),  # t^(-2/d1) raises OverflowError
+    (LimitKind.S_TO_ZERO, 5e199),  # t^(2/d2) raises OverflowError
+    (LimitKind.S_TO_INFINITY, 1e-300),
+    (LimitKind.S_TO_INFINITY, 1e-154),  # t^(-2) is finite, the product inf
+])
+def test_limit_profile_names_the_t_that_overflows(kind, t):
+    with pytest.raises(InvalidProblem, match=re.escape(f"overflows a float at t={t}")):
+        limit_profile(ProblemParams(1, 1, 1.0), kind, (1.0, t))
+
+
+@pytest.mark.parametrize("d1", [1, 2, 3])
+def test_large_s_limit_is_flat_past_the_unit_ball_volume(d1):
+    tau = ball_volume_constant(d1)
+    p = ProblemParams(d1, 1, 1.0)
+    values = limit_profile(p, LimitKind.S_TO_INFINITY, (tau, 1.5 * tau, 10.0 * tau, 1e300))
+    assert values == (values[0],) * 4
+    below = limit_profile(p, LimitKind.S_TO_INFINITY, (0.5 * tau, 0.9 * tau, tau))
+    assert below[0] > below[1] > below[2] == values[0]
 
 
 def test_max_deviation_per_s_handmade_table():

@@ -13,7 +13,7 @@ import re
 import pytest
 
 import grushin.cli as cli
-from grushin.asymptotics import LimitKind
+from grushin.asymptotics import LimitKind, large_s_limit, limit_profile
 from grushin.baseline import BASELINE_HEADERS, regression_suite
 from grushin.cli import (
     DEFAULT_S_LADDER_INF,
@@ -21,9 +21,9 @@ from grushin.cli import (
     main,
     parse_config,
 )
-from grushin.errors import NonConvergence, UsageError
+from grushin.errors import InvalidProblem, NonConvergence, UsageError
 from grushin.minimizer import ProblemParams, lambda1_product
-from grushin.planar import DiskProblem
+from grushin.planar import DiskProblem, segment_limit_probe, solve_disk, solve_rectangle_full
 from oracles import read_csv_text, run_cli, run_python
 
 
@@ -44,7 +44,7 @@ def _write_baseline(path, rows):
 def test_parse_minimize_defaults():
     cfg = parse_config(["minimize", "--s", "1"])
     assert cfg.command == "minimize"
-    assert cfg.params == ProblemParams(d1=1, d2=1, s=1.0, V=1.0)
+    assert (cfg.d1, cfg.d2, cfg.s, cfg.V) == (1, 1, 1.0, 1.0)
     assert cfg.grid_n == 4096
     assert cfg.output_path == "-"
     assert cfg.jobs == 1
@@ -52,9 +52,8 @@ def test_parse_minimize_defaults():
 
 def test_parse_disk_defaults():
     cfg = parse_config(["disk", "--rho", "0.5641896", "--s", "0.5"])
-    assert isinstance(cfg.params, DiskProblem)
-    assert cfg.params.rho == pytest.approx(math.pi**-0.5, rel=1e-6)
-    assert cfg.params.s == 0.5
+    assert cfg.rho == pytest.approx(math.pi**-0.5, rel=1e-6)
+    assert cfg.s == 0.5
     assert cfg.grid_n == 512
 
 
@@ -87,7 +86,7 @@ def test_config_file_merges_under_flags(tmp_path):
     cfg_file = tmp_path / "run.cfg"
     cfg_file.write_text("# comment line\ns = 2.0\nn = 512\n")
     cfg = parse_config(["minimize", "--config", str(cfg_file), "--s", "3"])
-    assert cfg.params.s == 3.0  # flag overrides file
+    assert cfg.s == 3.0  # flag overrides file
     assert cfg.grid_n == 512  # file fills the gap
 
 
@@ -121,8 +120,7 @@ def test_flag_validation(tmp_path):
         parse_config(["sweep-s", "--jobs", "0"])
     with pytest.raises(UsageError):
         parse_config(["sweep-s", "--t-grid", "3:1:5"])
-    with pytest.raises(UsageError):
-        parse_config(["minimize", "--s", "0"])  # InvalidProblem surfaces as usage
+    assert main(["minimize", "--s", "0"]) == 2  # InvalidProblem, from the handler
     # svg is only a flag of plotting commands, on the command line and as a
     # config key
     cfg_file = tmp_path / "svg.cfg"
@@ -155,6 +153,31 @@ def test_flags_that_would_be_ignored_are_rejected(argv):
 def test_exit_code_runtime_invalid(capsys):
     assert main(["solve1d", "--t", "-1", "--n", "256"]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+#: argv whose closed forms or grids overflow, each with the library call it makes
+_OVERFLOWS = [
+    ("limits --limit zero --t-grid 1:1e200:3",
+     lambda: limit_profile(ProblemParams(1, 1, 1.0), LimitKind.S_TO_ZERO, (1.0, 5e199))),
+    ("limits --t-grid 1e-300,1", lambda: large_s_limit(1, 1e-300)),
+    ("solve1d --t 1e-200 --s 1 --n 64",
+     lambda: lambda1_product(ProblemParams(1, 1, 1.0), 1e-200, 64)),
+    ("probe --rho 1e-200 --s-list 1 --n 64", lambda: segment_limit_probe(1e-200, (1.0,), 64)),
+    ("rectangle --t 1 --V 1e-300 --s 1 --n 64", lambda: solve_rectangle_full(1.0, 1e-300, 1.0, 64)),
+    ("disk --rho 1e-200 --s 1 --n 64", lambda: solve_disk(DiskProblem(1e-200, 1.0, 64))),
+    ("disk --rho 1e200 --s 1 --n 64", lambda: solve_disk(DiskProblem(1e200, 1.0, 64))),
+]
+
+
+@pytest.mark.parametrize("argv, call", _OVERFLOWS, ids=[argv for argv, _ in _OVERFLOWS])
+def test_overflowing_inputs_are_invalid_problems(argv, call):
+    # each used to exit 1 with an OverflowError or ZeroDivisionError traceback
+    with pytest.raises(InvalidProblem):
+        call()
+    proc = run_cli(argv.split(), timeout=120)
+    assert proc.returncode == 2
+    assert proc.stdout == "" and "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
 
 
 def test_exit_code_degenerate_grid(tmp_path, capsys):

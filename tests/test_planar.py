@@ -30,6 +30,7 @@ from grushin.planar import (
 from grushin.planar import (
     _assemble,
     _disk_eig,
+    _disk_matrix,
     _half_axis,
     _rectangle_eig,
     _shifted_factor,
@@ -244,7 +245,6 @@ def test_disk_mesh_refinement_first_order():
 def test_disk_solve_metadata():
     p = DiskProblem(rho=1.0, s=0.5, n=64)
     solve = solve_disk(p)
-    assert solve.grid_h == pytest.approx(2.0 / 63.0)
     assert 0 < solve.interior_count < 64 * 64
     assert solve.iterations >= 1
 
@@ -342,16 +342,14 @@ def test_disk_problem_validation():
 
 def test_disk_solve_consistency_guard():
     with pytest.raises(InvalidProblem):
-        DiskSolve(lambda1=1.0, grid_h=0.1, interior_count=100, extrapolated=2.0, iterations=3,
-                  sigma=0.0)
+        DiskSolve(lambda1=1.0, interior_count=100, extrapolated=2.0, iterations=3, sigma=0.0)
     with pytest.raises(InvalidProblem):
-        DiskSolve(lambda1=-1.0, grid_h=0.1, interior_count=100, extrapolated=-1.0, iterations=3,
-                  sigma=0.0)
+        DiskSolve(lambda1=-1.0, interior_count=100, extrapolated=-1.0, iterations=3, sigma=0.0)
     # the certified shift must lie in [0, lambda1)
     for sigma in (-0.1, 1.0, 1.5, math.nan):
         with pytest.raises(InvalidProblem):
-            DiskSolve(lambda1=1.0, grid_h=0.1, interior_count=100, extrapolated=1.0,
-                      iterations=3, sigma=sigma)
+            DiskSolve(lambda1=1.0, interior_count=100, extrapolated=1.0, iterations=3,
+                      sigma=sigma)
 
 
 def test_repeated_solves_bit_identical():
@@ -448,15 +446,6 @@ def test_nonconvergence_on_bad_eigenpair(monkeypatch, corrupt):
 
 
 # ------------------------------------------------------------- inertia
-
-
-def _disk_matrix(rho, s, n):
-    # the matrix _disk_eig solves
-    xs = _half_axis(rho, n)
-    links, mass, c_row = _line_pencil(xs, 1, 1.0, s)[1:4]
-    xs = xs[:-1]
-    mask = xs[:, None] ** 2 + xs[None, :] ** 2 < rho * rho
-    return _assemble(mask, c_row, 2.0 * rho / (n - 1), links, mass)
 
 
 def test_inertia_count_on_the_s150_chord_cluster():
