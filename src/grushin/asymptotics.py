@@ -107,7 +107,7 @@ def large_s_limit(d1: int, t: float) -> float:
 
 
 def upper_envelope(p: ProblemParams, t: float, n: int = DEFAULT_N) -> float:
-    """Test-function upper bound for the finite-exponent curve at split t.
+    """Test-function upper bound for the finite-exponent curve at split t; inf on overflow.
 
     n is unused: the bound is closed form.  It stays only because
     bench/workloads.py passes a grid size, and goes when that file next changes.
@@ -118,18 +118,21 @@ def upper_envelope(p: ProblemParams, t: float, n: int = DEFAULT_N) -> float:
         - (2.0 * p.s / p.d1) * math.log(c.tau_d1)
         - (2.0 / p.d1) * math.log(t)
     )
-    if log_term > 705.0:
+    try:
+        return t ** (-2.0 / p.d1) * c.mu1_b1 + math.exp(log_term)
+    except OverflowError:
         return math.inf
-    return t ** (-2.0 / p.d1) * c.mu1_b1 + math.exp(log_term)
 
 
 def lower_envelope(p: ProblemParams, t: float, n: int = DEFAULT_N) -> float:
-    """Whole-space lower bound for the finite-exponent curve at split t."""
+    """Whole-space lower bound for the finite-exponent curve at split t.
+
+    Raises InvalidProblem naming t if the bound overflows a float.
+    """
     log_sigma = log_coupling_of_split(p, t)
     e_inf = _whole_space_cached(int(p.d1), float(p.s), int(n))
-    return math.exp(
-        log_sigma / (1.0 + p.s) + math.log(e_inf) - (2.0 / p.d1) * math.log(t)
-    )
+    log_value = log_sigma / (1.0 + p.s) + math.log(e_inf) - (2.0 / p.d1) * math.log(t)
+    return _finite("the lower envelope", lambda: math.exp(log_value), t=t)
 
 
 def limit_profile(p: ProblemParams, kind: LimitKind, t_grid) -> tuple[float, ...]:

@@ -58,11 +58,12 @@ __all__ = ["BallConstants", "MinimizeResult", "ProblemParams", "ball1_radius", "
            "coupling_of_split", "lambda1_product", "log_coupling_of_split", "lower_bounds",
            "minimize", "scaled_energy_derivative", "split_of_coupling", "whole_space_energy"]
 
-#: Geometric expansion factor while hunting for a sign change of F': the
-#: shortest step the search takes before the sign change is bracketed.
+#: Geometric factor of each step the search takes before a sign change of
+#: F' is bracketed: the shortest step up, and every step down.
 _BRACKET_FACTOR = 4.0
 
-#: The bracket hunt gives up beyond this multiple of the starting coupling.
+#: The search gives up once its coupling leaves [floor / span, floor * span],
+#: floor the provable lower bound it starts from, in either direction.
 _BRACKET_SPAN = 1e12
 
 #: The Newton iteration stops once its step in log(sigma) is this small.
@@ -80,11 +81,11 @@ _LOG_SIGMA_MAX = 0.5 * math.log(sys.float_info.max)
 #: Radial solves the critical-point search may spend before giving up.
 _MAX_SOLVES = 100
 
-#: `whole_space_energy` stops once one growth of the truncation radius moves
-#: the energy by less than this relative amount, and gives up after this
-#: many rounds.
+#: `whole_space_energy` stops once one 1.5-fold growth of the truncation radius
+#: moves the energy by less than this relative amount, and gives up once its grid
+#: would need more than this many nodes (by round 38, as n_base 1.5^38 > 4e6).
 _WHOLE_SPACE_TOL = 1e-8
-_WHOLE_SPACE_ROUNDS = 40
+_WHOLE_SPACE_NODES = 4_000_000
 
 
 @dataclass(frozen=True)
@@ -295,20 +296,13 @@ def whole_space_energy(d1: int, s: float, n_base: int = DEFAULT_N) -> float:
     radius = max(8.0, min(4.0 * growth, 64.0))
     h0 = 8.0 / n_base
     prev = None
-    for _ in range(_WHOLE_SPACE_ROUNDS):
-        n = int(round(radius / h0))
-        if n > 4_000_000:
-            raise NonConvergence(
-                f"whole-space truncation for d1={d1}, s={s} exceeded the grid budget"
-            )
+    while (n := int(round(radius / h0))) <= _WHOLE_SPACE_NODES:
         energy = solve_radial(RadialProblem(d1=d1, s=s, mu=1.0, R=radius, n=n)).energy
         if prev is not None and abs(prev - energy) < _WHOLE_SPACE_TOL * max(1.0, abs(energy)):
             return energy
         prev = energy
         radius *= 1.5
-    raise NonConvergence(
-        f"whole-space truncation for d1={d1}, s={s} did not settle in {_WHOLE_SPACE_ROUNDS} rounds"
-    )
+    raise NonConvergence(f"whole-space truncation for d1={d1}, s={s} exceeded the grid budget")
 
 
 @lru_cache(maxsize=None)
@@ -345,70 +339,60 @@ def minimize(p: ProblemParams, n: int = DEFAULT_N) -> MinimizeResult:
 
     Finds the single sign change of F' by safeguarded Newton iteration on
     G(u) = sigma E1' - a E1 in u = log(sigma), one radial solve per step,
-    starting at the provable lower floor of the critical coupling.  Until a
-    point with F' > 0 brackets the root, each step is the Newton step in
-    sigma (exact where E1 is affine in sigma), but at least the x4 expansion.
-    Inside the bracket [lo, hi], a Newton step in u that leaves it is
+    starting at the provable lower floor of the critical coupling.  One
+    bracket [lo, hi] starts there as (-inf, +inf); each solve moves lo
+    (G < 0) or hi (G > 0).  While hi is +inf, each step is the Newton step
+    in sigma (exact where E1 is affine in sigma), but at least the x4
+    expansion; while lo is -inf (G > 0 at the floor, by rounding), each is a
+    x4 step down.  Inside the bracket, a Newton step in u that leaves it is
     replaced by the midpoint.  The search stops when the Newton step is at
     most 1e-11 in u, or when a step of at most 1e-8 no longer halves the one
     before, which is the rounding noise of G; it reports the last iterate.
     There F'' = sigma^(-a-2) (sigma^2 E1'' - 2 a sigma E1' + a (a+1) E1) is
     exact, from the same solve.
 
-    Raises BracketFailure if F' shows no sign change within a factor 1e12 of
-    the floor, InvalidProblem if the critical coupling leaves the float
-    range (sigma^2 > float max), and NonConvergence after 100 steps.
+    Raises BracketFailure if the search leaves [floor / 1e12, floor * 1e12]
+    without a sign change of F', InvalidProblem if the critical coupling
+    leaves the float range (sigma^2 > float max) or lambda1 overflows a
+    float, and NonConvergence after 100 radial solves.
     """
-    c = ball_constants(p.d1, p.d2)
-    log_floor = _log_sigma_floor(p, c)
+    log_floor = _log_sigma_floor(p, ball_constants(p.d1, p.d2))
     max_step = math.log(_BRACKET_FACTOR)
-    u = log_floor
-    g, slope, sol = _critical_terms(p, u, n)
-    walked = 0
-    while g >= 0.0:
-        # the floor is strict in theory; absorb rounding by walking down
-        u -= max_step
-        walked += 1
-        if walked > 20:
-            raise BracketFailure(
-                f"derivative is nonnegative down to sigma={math.exp(u):.3e}; no bracket"
-            )
-        g, slope, sol = _critical_terms(p, u, n)
-    lo, hi = u, math.inf
+    u, lo, hi = log_floor, -math.inf, math.inf
     last_step = math.inf
     for _ in range(_MAX_SOLVES):
-        step = -g / slope if slope > 0.0 else math.nan
-        if abs(step) <= _LOG_SIGMA_TOL or _NOISE_STEP >= abs(step) > 0.5 * abs(last_step):
-            break
-        last_step = math.inf
-        if hi == math.inf:
-            # Newton in sigma, exact where E1 is affine in sigma; at least x4
-            u += max(math.log1p(step), max_step) if step > 0.0 else max_step
-            if u > log_floor + math.log(_BRACKET_SPAN):
-                raise BracketFailure(
-                    "no sign change of the split objective derivative in "
-                    f"[{math.exp(log_floor) / _BRACKET_SPAN:.3e}, "
-                    f"{math.exp(log_floor) * _BRACKET_SPAN:.3e}]"
-                )
-        elif lo < u + step < hi:
-            u += step
-            last_step = step
-        else:
-            u = 0.5 * (lo + hi)
+        if abs(u - log_floor) > math.log(_BRACKET_SPAN):
+            floor = math.exp(log_floor)
+            raise BracketFailure("no sign change of the split objective derivative in "
+                                 f"[{floor / _BRACKET_SPAN:.3e}, {floor * _BRACKET_SPAN:.3e}]")
         g, slope, sol = _critical_terms(p, u, n)
         if g < 0.0:
             lo = u
         elif g > 0.0:
             hi = u
-        if hi - lo <= _LOG_SIGMA_TOL:
+        step = -g / slope if slope > 0.0 else math.nan
+        if (hi - lo <= _LOG_SIGMA_TOL or abs(step) <= _LOG_SIGMA_TOL
+                or _NOISE_STEP >= abs(step) > 0.5 * abs(last_step)):
             break
+        last_step = math.inf
+        if hi == math.inf:
+            # Newton in sigma, exact where E1 is affine in sigma; at least x4
+            u += max(math.log1p(step), max_step) if step > 0.0 else max_step
+        elif lo == -math.inf:
+            # the floor is strict in theory; absorb rounding by walking down
+            u -= max_step
+        elif lo < u + step < hi:
+            u += step
+            last_step = step
+        else:
+            u = 0.5 * (lo + hi)
     else:
         raise NonConvergence(
             f"critical-point search did not settle in {_MAX_SOLVES} radial solves"
         )
     sigma_star = math.exp(u)
     t_star = split_of_coupling(p, sigma_star)
-    lam = t_star ** (-2.0 / p.d1) * sol.energy
+    lam = _split_eigenvalue(p, t_star, sol.energy)
     a = _objective_exponent(p)
     # sigma^(-a-2) (sigma^2 E1'' - 2 a sigma E1' + a (a+1) E1), without sigma^2
     f_second = math.exp(-a * u) * (

@@ -90,7 +90,7 @@ _RITZ_RTOL = 1e-10
 #: LU solves there (307 at n=129), while 40 take 1113-1515 or more than 3000
 #: and 30 more than 3000, the count turning on rounding alone (BLAS threads,
 #: how S - 0 I is formed, SuperLU's blocking).  On the cascade's shifts the
-#: width hardly matters: that disk's n=128 and 129 levels take 115 and 143
+#: width hardly matters: that disk's n=128 and 129 levels take 115 and 144
 #: solves with 60 vectors, 132 and 175 with 40, 210 and 458 with 20; the
 #: unit-area disks never restart.
 _LANCZOS_NCV = 60
@@ -295,6 +295,11 @@ def _smallest_eig(matrix, guess: float) -> tuple[float, float, int]:
     """
     import numpy as np
 
+    # S / c, c the power of two just above max diag(S), scales every factor,
+    # solve and norm exactly, and keeps v.v in range for radii far from 1
+    c = math.ldexp(1.0, math.frexp(float(matrix.diagonal().max()))[1])
+    matrix = matrix / c
+    guess /= c
     margin = _SHIFT_MARGIN
     while True:
         sigma = guess * (1.0 - margin) if margin < 1.0 else 0.0
@@ -326,7 +331,7 @@ def _smallest_eig(matrix, guess: float) -> tuple[float, float, int]:
         resid = float(np.linalg.norm(sv - lam * v) / (lam * np.sqrt(vv)))
     if not (lam > 0.0 and resid <= RESIDUAL_RTOL):
         raise NonConvergence(f"eigenpair residual {resid:.3e} exceeds {RESIDUAL_RTOL:g} relative")
-    return lam, sigma, solves
+    return c * lam, c * sigma, solves
 
 
 def _disk_matrix(rho: float, s: float, n: int):

@@ -376,10 +376,12 @@ def _line_operator(links, mass, pot, h: float):
     """T = D^(-1/2) A D^(-1/2) of a line pencil (A, D) (see _line_ground_state).
 
     Returns (t_diag, t_off, sqrt_d): T = tridiag(t_off, t_diag, t_off) and
-    the diagonal of D^(1/2).  Raises InvalidProblem if T is not finite.
+    the diagonal of D^(1/2).  InvalidProblem unless h^2 is a normal float and T is finite.
     """
     import numpy as np
 
+    if not sys.float_info.min <= h * h <= sys.float_info.max:
+        raise InvalidProblem(f"grid spacing h={h} is out of range: h^2 leaves the normal floats")
     t_diag = links.copy()
     t_diag[1:] += links[:-1]
     t_diag /= h**2

@@ -100,7 +100,16 @@ def test_lower_envelope_tight_at_large_exponent():
 
 
 def test_upper_envelope_overflow_returns_inf():
+    # either term may overflow: the coupling term at large s and t, and
+    # t^(-2/d1), a float ** that raises OverflowError, at tiny t
     assert math.isinf(upper_envelope(ProblemParams(1, 1, 600.0), 4.0, 512))
+    assert math.isinf(upper_envelope(ProblemParams(1, 1, 0.5), 1e-200))
+
+
+def test_lower_envelope_overflow_names_t():
+    # math.exp raises an untyped OverflowError there; the bound names t
+    with pytest.raises(InvalidProblem, match=r"lower envelope overflows a float at t=1e\+300"):
+        lower_envelope(ProblemParams(1, 1, 0.5), 1e300)
 
 
 # ---------------------------------------------------- convergence report

@@ -22,7 +22,7 @@ from grushin.cli import (
     parse_config,
 )
 from grushin.errors import InvalidProblem, NonConvergence, UsageError
-from grushin.minimizer import ProblemParams, lambda1_product
+from grushin.minimizer import ProblemParams, lambda1_product, minimize
 from grushin.planar import DiskProblem, segment_limit_probe, solve_disk, solve_rectangle_full
 from oracles import read_csv_text, run_cli, run_python
 
@@ -162,8 +162,14 @@ _OVERFLOWS = [
     ("limits --t-grid 1e-300,1", lambda: large_s_limit(1, 1e-300)),
     ("solve1d --t 1e-200 --s 1 --n 64",
      lambda: lambda1_product(ProblemParams(1, 1, 1.0), 1e-200, 64)),
+    ("minimize --s 0.01 --V 5e-324 --n 256",
+     lambda: minimize(ProblemParams(1, 1, 0.01, 5e-324), 256)),
     ("probe --rho 1e-200 --s-list 1 --n 64", lambda: segment_limit_probe(1e-200, (1.0,), 64)),
     ("rectangle --t 1 --V 1e-300 --s 1 --n 64", lambda: solve_rectangle_full(1.0, 1e-300, 1.0, 64)),
+    ("rectangle --t 1e-200 --V 1 --s 1 --n 64",
+     lambda: solve_rectangle_full(1e-200, 1.0, 1.0, 64)),
+    ("rectangle --t 1e200 --V 1e300 --s 1 --n 64",
+     lambda: solve_rectangle_full(1e200, 1e300, 1.0, 64)),
     ("disk --rho 1e-200 --s 1 --n 64", lambda: solve_disk(DiskProblem(1e-200, 1.0, 64))),
     ("disk --rho 1e200 --s 1 --n 64", lambda: solve_disk(DiskProblem(1e200, 1.0, 64))),
 ]
@@ -171,7 +177,9 @@ _OVERFLOWS = [
 
 @pytest.mark.parametrize("argv, call", _OVERFLOWS, ids=[argv for argv, _ in _OVERFLOWS])
 def test_overflowing_inputs_are_invalid_problems(argv, call):
-    # each used to exit 1 with an OverflowError or ZeroDivisionError traceback
+    # each used to exit 1 with an OverflowError or ZeroDivisionError
+    # traceback, or (a rectangle of width 1e-200) to print NumPy warnings
+    # above its error line
     with pytest.raises(InvalidProblem):
         call()
     proc = run_cli(argv.split(), timeout=120)

@@ -258,24 +258,46 @@ def test_whole_space_validation_and_budget(monkeypatch):
                  lambda: lower_envelope(p, 1.0, 0)):
         with pytest.raises(InvalidProblem):
             call()
-    monkeypatch.setattr(minimizer, "_WHOLE_SPACE_ROUNDS", 1)
-    with pytest.raises(NonConvergence):
+    # the node budget is the truncation loop's one limit: at n_base = 2048
+    # it admits the 2048-node first round but not the 3072-node second
+    monkeypatch.setattr(minimizer, "_WHOLE_SPACE_NODES", 2500)
+    with pytest.raises(NonConvergence, match="grid budget"):
         whole_space_energy(1, 1.0, 2048)
 
 
 # ------------------------------------------------------- failure handling
 
 
-def test_bracket_failure_when_derivative_never_positive(monkeypatch):
-    monkeypatch.setattr(minimizer, "_critical_terms", lambda *a, **k: (-1.0, 1.0, None))
-    with pytest.raises(BracketFailure):
+def _assert_bracket_failure(monkeypatch, g):
+    # one span rule ends the search up (G < 0) and down (G > 0) alike, and
+    # every solve counts against the one budget
+    solves = []
+    monkeypatch.setattr(minimizer, "_critical_terms",
+                        lambda *a: solves.append(a) or (g, 1.0, None))
+    with pytest.raises(BracketFailure, match="no sign change of the split objective derivative"):
         minimize(ProblemParams(1, 1, 1.0), 256)
+    assert 0 < len(solves) <= minimizer._MAX_SOLVES
+
+
+def test_bracket_failure_when_derivative_never_positive(monkeypatch):
+    _assert_bracket_failure(monkeypatch, -1.0)
 
 
 def test_bracket_failure_when_derivative_never_negative(monkeypatch):
-    monkeypatch.setattr(minimizer, "_critical_terms", lambda *a, **k: (1.0, 1.0, None))
-    with pytest.raises(BracketFailure):
-        minimize(ProblemParams(1, 1, 1.0), 256)
+    _assert_bracket_failure(monkeypatch, 1.0)
+
+
+def test_minimize_walks_down_from_a_floor_above_the_root(monkeypatch):
+    # the floor is strict in theory; one that rounding put above the root is
+    # walked down until G < 0, and the search converges inside that bracket
+    p = ProblemParams(1, 1, 1.0)
+    sigma_star = minimize(p, 1024).sigma_star
+    monkeypatch.setattr(minimizer, "_log_sigma_floor", lambda p, c: math.log(sigma_star) + 3.0)
+    solves = []
+    terms = minimizer._critical_terms
+    monkeypatch.setattr(minimizer, "_critical_terms", lambda *a: solves.append(a) or terms(*a))
+    assert abs(minimize(p, 1024).sigma_star / sigma_star - 1.0) < 1e-9
+    assert len(solves) <= minimizer._MAX_SOLVES
 
 
 @pytest.mark.parametrize(

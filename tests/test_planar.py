@@ -242,6 +242,15 @@ def test_disk_mesh_refinement_first_order():
     assert errs[0] > errs[1] > errs[2]
 
 
+@pytest.mark.parametrize("rho", [1e-120, 1e100])
+def test_disk_far_from_unit_radius_scales_as_rho_squared(rho):
+    # at s = 0 lambda1 scales as rho^-2; on the unscaled matrix the iterate's
+    # v.v underflows (rho = 1e-120) or overflows (rho = 1e100)
+    unit = solve_disk(DiskProblem(1.0, 0.0, 64)).extrapolated
+    far = solve_disk(DiskProblem(rho, 0.0, 64)).extrapolated
+    assert rho * rho * far == pytest.approx(unit, rel=1e-12)
+
+
 def test_disk_solve_metadata():
     p = DiskProblem(rho=1.0, s=0.5, n=64)
     solve = solve_disk(p)
@@ -522,13 +531,15 @@ def test_wrong_inertia_raises(monkeypatch, factor, message):
 
 
 def test_non_positive_pivot_at_every_shift_stops_at_zero(monkeypatch):
-    # the margin grows 8-fold per refused shift and ends at the shift 0
+    # the margin grows 8-fold per refused shift and ends at the shift 0;
+    # the factored matrix is S / c, c the power of two above max diag(S)
     matrix = _disk_matrix(1.0, 1.0, 64)
+    c = math.ldexp(1.0, math.frexp(matrix.diagonal().max())[1])
     shifts = []
 
     class _Recording(_NonPositivePivot):
         def __init__(self, shifted, **kwargs):
-            shifts.append(matrix.diagonal()[0] - shifted.diagonal()[0])
+            shifts.append(matrix.diagonal()[0] - c * shifted.diagonal()[0])
             super().__init__(shifted)
 
     monkeypatch.setattr(scipy.sparse.linalg, "splu", _Recording)

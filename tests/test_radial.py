@@ -322,6 +322,13 @@ def test_invalid_problems_rejected(kwargs):
         RadialProblem(**kwargs)
 
 
+@pytest.mark.parametrize("R", [1e-200, 1e200])
+def test_grid_spacing_whose_square_leaves_the_floats_is_invalid(R):
+    # h^2 underflows to 0 (a divide-by-zero warning) or raises OverflowError
+    with pytest.raises(InvalidProblem, match="grid spacing h=.* h\\^2 leaves the normal floats"):
+        solve_radial(RadialProblem(1, 0.0, 0.0, R, 64))
+
+
 def test_integral_float_counts_solve_as_ints():
     # d1 = 1.0 and n = 64.0 pass validation; a stored float n reached
     # np.linspace as a count and raised TypeError
