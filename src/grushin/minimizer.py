@@ -221,9 +221,9 @@ def split_of_coupling(p: ProblemParams, sigma: float) -> float:
     return math.exp(log_t)
 
 
-def _ball1_solution(p: ProblemParams, sigma: float, n: int) -> RadialSolution:
+def _ball1_solution(p: ProblemParams, sigma: float, n: int, start=None) -> RadialSolution:
     prob = RadialProblem(d1=p.d1, s=p.s, mu=sigma, R=ball1_radius(p.d1), n=n)
-    return solve_radial(prob)
+    return solve_radial(prob, start)
 
 
 def _split_eigenvalue(p: ProblemParams, t: float, energy: float) -> float:
@@ -251,11 +251,12 @@ def scaled_energy_derivative(p: ProblemParams, sigma: float, n: int = DEFAULT_N)
     )
 
 
-def _critical_terms(p: ProblemParams, log_sigma: float, n: int) -> tuple:
+def _critical_terms(p: ProblemParams, log_sigma: float, n: int, warm=None) -> tuple:
     """(G, dG/du, solution) at u = log_sigma, from one radial solve.
 
     G = sigma E1' - a E1 has the sign of F'(sigma); dG/du = sigma ((1-a) E1'
-    + sigma E1'').
+    + sigma E1'').  warm, the solution of an earlier iterate on the same grid,
+    gives the solve its start; its profile is overwritten.
     """
     if log_sigma > _LOG_SIGMA_MAX:
         raise InvalidProblem(
@@ -264,7 +265,9 @@ def _critical_terms(p: ProblemParams, log_sigma: float, n: int) -> tuple:
         )
     sigma = math.exp(log_sigma)
     a = _objective_exponent(p)
-    sol = _ball1_solution(p, sigma, n)
+    # the unknowns: all but the Dirichlet zero and the d1 >= 2 origin
+    start = None if warm is None else warm.v[(0 if p.d1 == 1 else 1) : -1]
+    sol = _ball1_solution(p, sigma, n, start)
     g = sigma * sol.hf_derivative - a * sol.energy
     slope = sigma * ((1.0 - a) * sol.hf_derivative + sigma * sol.second_derivative)
     return g, slope, sol
@@ -286,8 +289,14 @@ def whole_space_energy(d1: int, s: float, n_base: int = DEFAULT_N) -> float:
     truncated energies decrease monotonically to the limit).  The grid
     spacing is held fixed while the radius grows by factors of 1.5, so the
     change between rounds tracks the truncation error alone; iteration stops
-    once that change drops below _WHOLE_SPACE_TOL.
+    once that change drops below _WHOLE_SPACE_TOL.  The first round starts
+    inverse iteration from solve_radial's cos profile; each later round
+    starts from the previous round's ground state, copied node for node (the
+    spacing is 8 / n_base up to the rounding of n) with zeros beyond the old
+    radius.
     """
+    import numpy as np
+
     _positive("s", s)
     _positive_integer("n_base", n_base)
     # crude upper estimate of the energy gives a turning-point radius guess
@@ -295,12 +304,22 @@ def whole_space_energy(d1: int, s: float, n_base: int = DEFAULT_N) -> float:
     growth = math.exp(min(math.log(e_guess) / (2.0 * s), math.log(16.0)))
     radius = max(8.0, min(4.0 * growth, 64.0))
     h0 = 8.0 / n_base
-    prev = None
+    lo = 0 if d1 == 1 else 1  # the d1 >= 2 origin is not an unknown
+    prev = profile = None
     while (n := int(round(radius / h0))) <= _WHOLE_SPACE_NODES:
-        energy = solve_radial(RadialProblem(d1=d1, s=s, mu=1.0, R=radius, n=n)).energy
+        start = None
+        if profile is not None:
+            # the last round's ground state node for node, zeros beyond its
+            # radius; it is dropped before the solve, so one profile is alive
+            start = np.zeros(n - lo)
+            start[: profile.size] = profile
+            profile = None
+        sol = solve_radial(RadialProblem(d1=d1, s=s, mu=1.0, R=radius, n=n), start)
+        energy = sol.energy
         if prev is not None and abs(prev - energy) < _WHOLE_SPACE_TOL * max(1.0, abs(energy)):
             return energy
-        prev = energy
+        prev, profile = energy, sol.v[lo:-1]
+        del sol
         radius *= 1.5
     raise NonConvergence(f"whole-space truncation for d1={d1}, s={s} exceeded the grid budget")
 
@@ -339,10 +358,13 @@ def minimize(p: ProblemParams, n: int = DEFAULT_N) -> MinimizeResult:
 
     Finds the single sign change of F' by safeguarded Newton iteration on
     G(u) = sigma E1' - a E1 in u = log(sigma), one radial solve per step,
-    starting at the provable lower floor of the critical coupling.  One
-    bracket [lo, hi] starts there as (-inf, +inf); each solve moves lo
-    (G < 0) or hi (G > 0).  While hi is +inf, each step is the Newton step
-    in sigma (exact where E1 is affine in sigma), but at least the x4
+    starting at the provable lower floor of the critical coupling.  The
+    first solve starts inverse iteration from solve_radial's cos profile,
+    and each later one, on the same grid, from the ground state of the
+    iterate before it.  One bracket [lo, hi] starts there as (-inf, +inf);
+    each solve moves lo (G < 0) or hi (G > 0).  While hi is +inf, each step
+    is the Newton step in sigma (exact where E1 is affine in sigma), but at
+    least the x4
     expansion; while lo is -inf (G > 0 at the floor, by rounding), each is a
     x4 step down.  Inside the bracket, a Newton step in u that leaves it is
     replaced by the midpoint.  The search stops when the Newton step is at
@@ -360,12 +382,13 @@ def minimize(p: ProblemParams, n: int = DEFAULT_N) -> MinimizeResult:
     max_step = math.log(_BRACKET_FACTOR)
     u, lo, hi = log_floor, -math.inf, math.inf
     last_step = math.inf
+    sol = None
     for _ in range(_MAX_SOLVES):
         if abs(u - log_floor) > math.log(_BRACKET_SPAN):
             floor = math.exp(log_floor)
             raise BracketFailure("no sign change of the split objective derivative in "
                                  f"[{floor / _BRACKET_SPAN:.3e}, {floor * _BRACKET_SPAN:.3e}]")
-        g, slope, sol = _critical_terms(p, u, n)
+        g, slope, sol = _critical_terms(p, u, n, sol)
         if g < 0.0:
             lo = u
         elif g > 0.0:

@@ -32,7 +32,11 @@ Eigensolve.  The pencil is reduced by the diagonal congruence D^(-1/2) A
 D^(-1/2) to a symmetric positive definite tridiagonal matrix T.  Its lowest
 eigenpair is found by shifted inverse iteration on O(n) LDL^T factors (LAPACK
 pttrf/pttrs; Parlett, The Symmetric Eigenvalue Problem, ch. 4), started from
-the fixed positive profile cos(pi r / 2R) in congruence coordinates.  Each
+the fixed positive profile cos(pi r / 2R) in congruence coordinates, or from
+a caller's nonnegative profile on the unknown nodes: a sequence of solves
+(minimize's Newton iterates, the whole-space truncation rounds) starts each
+from the ground state before it.  The start changes only how many steps a
+solve takes, since the stop rule and the certificate below do not read it.  Each
 step takes the Rayleigh quotient lam of the unit iterate x and the residual
 bound rho: the norm of Tx - lam x plus its rounding level eps || |T||x| +
 lam |x| ||.  It shifts to sigma = lam - 2 rho, but only if T - sigma I
@@ -433,22 +437,29 @@ def _line_ground_state(links, mass, pot, h: float, start):
     return energy, shift, solves, x, v / math.sqrt(h * norm), t_diag, t_off
 
 
-def solve_radial(p: RadialProblem) -> RadialSolution:
+def solve_radial(p: RadialProblem, start: np.ndarray | None = None) -> RadialSolution:
     """Solve for the lowest eigenpair of the radial problem.
 
-    Every return rests on a certified shift (see _ground_state).  Raises
-    NonConvergence if the ground state cannot be certified or the inverse
-    iteration does not settle at the rounding level (_ground_state says
-    when), or if the second derivative's solve fails; DegenerateGrid if the
-    grid does not resolve the origin's well (_WELL_GAP); InvalidProblem for
-    bad inputs.
+    start is the profile inverse iteration starts from on the unknown nodes
+    (v[lo:n] of a RadialSolution, lo = 1 where d1 >= 2 eliminates the
+    origin): nonnegative and not zero, and overwritten.  Without it the
+    iteration starts from cos(pi r / 2R).  Every return rests on a certified
+    shift (see _ground_state).  Raises NonConvergence if the ground state
+    cannot be certified or the inverse iteration does not settle at the
+    rounding level (_ground_state says when), or if the second derivative's
+    solve fails; DegenerateGrid if the grid does not resolve the origin's
+    well (_WELL_GAP); InvalidProblem for bad inputs, a start of the wrong
+    length included.
     """
     import numpy as np
 
     r = p.grid()
     lo, links, mass, pot, w = _line_pencil(r, p.d1, p.mu, p.s)
-    energy, _, _, x, v_unknown, t_diag, t_off = _line_ground_state(
-        links, mass, pot, p.h, np.cos((0.5 * math.pi / p.R) * r[lo : p.n]))
+    if start is None:
+        start = np.cos((0.5 * math.pi / p.R) * r[lo : p.n])
+    elif start.shape != (p.n - lo,):
+        raise InvalidProblem(f"start has shape {start.shape}, not the {p.n - lo} unknown nodes")
+    energy, _, _, x, v_unknown, t_diag, t_off = _line_ground_state(links, mass, pot, p.h, start)
     nx2 = float(x @ x)
 
     # E' = x'Wx and E'' = 2 x'Wy with (T - E) y = -(W - E') x, y orthogonal

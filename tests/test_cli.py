@@ -322,13 +322,18 @@ def test_regress_parallel_output_identical(tmp_path, capsys, monkeypatch):
     for t in (1.5, 2.0):
         value = lambda1_product(ProblemParams(1, 1, 1.0), t, 512)
         rows.append((f"gs_t{t}", "gs", 1, 1, 1.0, 1.0, t, "", 512, value, 1e-9))
-    path = tmp_path / "two.csv"
+    # minimize warm-starts its Newton iterates; its value is exact here, so a
+    # start that leaked from an earlier call would show as rel_dev != 0
+    value = minimize(ProblemParams(1, 1, 1.0), 512).lambda1
+    rows.append(("minimize_s1", "minimize", 1, 1, 1.0, 1.0, "", "", 512, value, 1e-9))
+    path = tmp_path / "three.csv"
     _write_baseline(path, rows)
     assert main(["regress", "--baseline", str(path)]) == 0
     serial = capsys.readouterr().out
     assert main(["regress", "--baseline", str(path), "--jobs", "2"]) == 0
     assert capsys.readouterr().out == serial
-    assert serial.count("[OK]") == 2
+    assert serial.count("[OK]") == 3
+    assert serial.count("rel_dev=0.000e+00") == 3
     assert pools == [2]  # only the --jobs 2 run used worker processes
 
 

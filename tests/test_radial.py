@@ -436,6 +436,13 @@ def test_ground_state_certificate(d1, s, mu, radius, n):
     p = RadialProblem(d1, s, mu, radius, n)
     t_diag, t_off, start = _congruence_operator(p)
     x, shift, _ = radial._ground_state(t_diag, t_off, start)
+    res, lam = _assert_certified(p, t_diag, t_off, x, shift)
+    if n == 10**6:
+        assert res > 1e-6 * lam
+
+
+def _assert_certified(p, t_diag, t_off, x, shift):
+    """Assert shift < E1 <= lam, lam the Rayleigh quotient of x, within 4 rho; (res, lam)."""
     tx = t_diag * x
     tx[:-1] += t_off * x[1:]
     tx[1:] += t_off * x[:-1]
@@ -453,9 +460,49 @@ def test_ground_state_certificate(d1, s, mu, radius, n):
     level[1:] -= t_off * ax[:-1]
     rounding = np.finfo(float).eps * float(np.linalg.norm(level)) / float(np.linalg.norm(x))
     assert lam - shift <= 4.0 * (res + rounding)
-    if n == 10**6:
-        assert res > 1e-6 * lam
     assert shift < tridiagonal_reference_energy(p) <= lam + rounding
+    return res, lam
+
+
+@pytest.mark.parametrize(
+    "d1,s,mu,radius,n",
+    [
+        (1, 1.0, 195.5, 0.5, 4096),
+        (3, 0.001, 1.0, 8.0, 4096),
+        (1, 300.0, 1e200, 1.3, 4096),
+        (8, 150.0, 1e96, 1.0, 4096),
+    ],
+)
+def test_warm_start_keeps_the_certificate(monkeypatch, d1, s, mu, radius, n):
+    # minimize starts each solve from the last Newton iterate's ground state
+    # on the same grid, whole_space_energy from the last round's on a smaller
+    # radius, zero-padded: the start may change the step count, not the result
+    p = RadialProblem(d1, s, mu, radius, n)
+    lo = 0 if d1 == 1 else 1
+    m = round(2 * n / 3)
+    padded = np.zeros(n - lo)
+    padded[: m - lo] = solve_radial(RadialProblem(d1, s, mu, radius * m / n, m)).v[lo:m]
+    starts = [solve_radial(RadialProblem(d1, s, mu * f, radius, n)).v[lo:n] for f in (0.25, 4.0)]
+    cold = solve_radial(p).energy
+    seen = []
+    ground_state = radial._ground_state
+
+    def recording(t_diag, t_off, x):
+        out = ground_state(t_diag, t_off, x)
+        seen.append((t_diag.copy(), t_off.copy(), out[0].copy(), out[1]))
+        return out
+
+    monkeypatch.setattr(radial, "_ground_state", recording)
+    for start in [*starts, padded]:
+        seen.clear()
+        warm = solve_radial(p, start).energy
+        _assert_certified(p, *seen[0])
+        assert abs(warm - cold) <= 1e-14 * cold
+
+
+def test_start_of_the_wrong_length_is_rejected():
+    with pytest.raises(InvalidProblem, match="unknown nodes"):
+        solve_radial(RadialProblem(2, 1.0, 1.0, 1.0, 64), np.ones(64))
 
 
 def test_factorization_that_always_fails_raises(monkeypatch):
