@@ -39,7 +39,14 @@ from .minimizer import (
     lambda1_product,
     log_coupling_of_split,
 )
-from .radial import DEFAULT_N, _finite, _positive, ball_volume_constant, mu1_ball
+from .radial import (
+    DEFAULT_N,
+    _finite,
+    _positive,
+    _positive_integer,
+    ball_volume_constant,
+    mu1_ball,
+)
 from .tables import SweepTable
 
 __all__ = [
@@ -130,7 +137,7 @@ def lower_envelope(p: ProblemParams, t: float, n: int = DEFAULT_N) -> float:
     Raises InvalidProblem naming t if the bound overflows a float.
     """
     log_sigma = log_coupling_of_split(p, t)
-    e_inf = _whole_space_cached(int(p.d1), float(p.s), int(n))
+    e_inf = _whole_space_cached(int(p.d1), float(p.s), _positive_integer("n", n))
     log_value = log_sigma / (1.0 + p.s) + math.log(e_inf) - (2.0 / p.d1) * math.log(t)
     return _finite("the lower envelope", lambda: math.exp(log_value), t=t)
 

@@ -135,7 +135,9 @@ def _cmd_solve1d(cfg: RunConfig) -> None:
     prob = RadialProblem(d1=p.d1, s=p.s, mu=sigma, R=ball1_radius(p.d1), n=cfg.grid_n)
     sol = solve_radial(prob)
     lam = _split_eigenvalue(p, cfg.t, sol.energy)
-    _emit(cfg, SweepTable(headers=("r", "v"), rows=np.column_stack((prob.grid(), sol.v))))
+    v = sol.v
+    del sol  # its unread E'' operands would stay alive through emission
+    _emit(cfg, SweepTable(headers=("r", "v"), rows=np.column_stack((prob.grid(), v))))
     print(f"lambda1 = {lam:.12g} (coupling {sigma:.6g})", file=sys.stderr)
 
 

@@ -24,7 +24,7 @@ objective into
 whose derivative has exactly one sign change: the split is unique.  In
 u = log(sigma), F' has the sign of G(u) = sigma E1' - a E1, with slope
 dG/du = sigma ((1-a) E1' + sigma E1''), where the primes are derivatives in
-the coupling.  Every radial solve returns E1, E1' and the exact E1'' of the
+the coupling.  Every radial solution gives E1, E1' and the exact E1'' of the
 discrete eigenvalue, so this module finds the root of G by safeguarded
 Newton iteration, one solve per step, and reports the exact curvature F'' at
 the root.  It also computes closed-form lower bounds for the optimal split
@@ -286,10 +286,13 @@ def whole_space_energy(d1: int, s: float, n_base: int = DEFAULT_N) -> float:
     """Ground energy E1(1, R^d1) of -Laplace + |x|^(2s) on the whole space.
 
     Computed by Dirichlet truncation to balls of growing radius (the
-    truncated energies decrease monotonically to the limit).  The grid
-    spacing is held fixed while the radius grows by factors of 1.5, so the
-    change between rounds tracks the truncation error alone; iteration stops
-    once that change drops below _WHOLE_SPACE_TOL.  The first round starts
+    truncated energies decrease monotonically to the limit).  The first
+    radius is four times the turning point E^(1/(2s)) of the trial-ball bound
+    E <= (1+s) (j^2/s)^(s/(1+s)), j^2 the unit ball's Dirichlet eigenvalue,
+    kept within [8, 64].  The grid spacing is held fixed while the radius
+    grows by factors of 1.5, so the change between rounds tracks the
+    truncation error alone; iteration stops once that change drops below
+    _WHOLE_SPACE_TOL.  The first round starts
     inverse iteration from solve_radial's cos profile; each later round
     starts from the previous round's ground state, copied node for node (the
     spacing is 8 / n_base up to the rounding of n) with zeros beyond the old
@@ -299,9 +302,12 @@ def whole_space_energy(d1: int, s: float, n_base: int = DEFAULT_N) -> float:
 
     _positive("s", s)
     _positive_integer("n_base", n_base)
-    # crude upper estimate of the energy gives a turning-point radius guess
-    e_guess = mu1_ball(d1, ball_volume_constant(d1)) + 1.0
-    growth = math.exp(min(math.log(e_guess) / (2.0 * s), math.log(16.0)))
+    # the ball B(0, a) as a trial domain gives E <= j^2 / a^2 + a^(2s), j^2 =
+    # mu1(B(0, 1)); at its best a, E <= (1+s) (j^2/s)^(s/(1+s)), whose
+    # turning point E^(1/(2s)) is the growth below, formed in log space
+    log_j2 = math.log(mu1_ball(d1, ball_volume_constant(d1)))
+    log_turn = math.log1p(s) / (2.0 * s) + (log_j2 - math.log(s)) / (2.0 + 2.0 * s)
+    growth = math.exp(min(log_turn, math.log(16.0)))
     radius = max(8.0, min(4.0 * growth, 64.0))
     h0 = 8.0 / n_base
     lo = 0 if d1 == 1 else 1  # the d1 >= 2 origin is not an unknown
@@ -343,7 +349,7 @@ def lower_bounds(p: ProblemParams, n: int = DEFAULT_N) -> tuple[float, float]:
     log_vol = (log_core + (2.0 / p.d2) * math.log(p.V)) * p.d1 * p.d2 / (2.0 * denom)
     vol_lb = math.exp(log_vol)
 
-    e_inf = _whole_space_cached(int(p.d1), float(p.s), int(n))
+    e_inf = _whole_space_cached(int(p.d1), float(p.s), _positive_integer("n", n))
     log_lam = (
         math.log(c.mu1_b2) / (p.s + 1.0)
         - (2.0 / denom) * math.log(p.V)

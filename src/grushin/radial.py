@@ -75,23 +75,23 @@ The derivative of the energy with respect to the coupling mu is
     dE/dmu = integral_0^R r^(2s+d1-1) v(r)^2 dr
 
 for v normalized by integral_0^R r^(d1-1) v^2 dr = 1 (Hellmann-Feynman).
-Every solve also returns the exact second derivative of the discrete
-eigenvalue.  In congruence coordinates the pencil is T(mu) = T0 + mu W with
-W = diag(r^(2s)) (zero where POTENTIAL_CAP clips the potential, which then no
-longer depends on mu).  For the unit eigenvector x, second-order perturbation
-theory gives E' = x'Wx and E'' = 2 x'Wy, where y is orthogonal to x and solves
-(T - E) y = -(W - E') x.  T - E is singular only along x, and the right-hand
-side is orthogonal to x, so one tridiagonal solve followed by projecting out
-x gives y at O(n) cost.
+Every solution also gives the exact second derivative of the discrete
+eigenvalue, formed when it is first read.  In congruence coordinates the
+pencil is T(mu) = T0 + mu W with W = diag(r^(2s)) (zero where POTENTIAL_CAP
+clips the potential, which then no longer depends on mu).  For the unit
+eigenvector x, second-order perturbation theory gives E' = x'Wx and E'' =
+2 x'Wy, where y is orthogonal to x and solves (T - E) y = -(W - E') x.
+T - E is singular only along x, and the right-hand side is orthogonal to x,
+so one tridiagonal solve followed by projecting out x gives y at O(n) cost.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from decimal import Decimal, localcontext
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .errors import DegenerateGrid, InvalidProblem, NonConvergence
 
@@ -252,13 +252,33 @@ class RadialSolution:
            the discrete eigenvalue.
         second_derivative: d2E/dmu2 of the discrete eigenvalue, by second
            order perturbation theory (see the module docstring); <= 0.
+           Formed on first read, one tridiagonal solve, and cached; reading
+           it raises NonConvergence if that solve fails.
     """
 
     energy: float
     v: np.ndarray
     boundary_slope: float
     hf_derivative: float
-    second_derivative: float
+    # (t_diag, t_off, x, wx, e_dot, c) of solve_radial, until E'' is formed
+    _curvature: tuple | None = field(repr=False, compare=False)
+
+    @cached_property
+    def second_derivative(self) -> float:
+        # E'' = 2 x'Wy with (T - E) y = -(W - E') x, y orthogonal to x, for
+        # W / c (module docstring); the solve overwrites only its own copies,
+        # and the operands are dropped once E'' is formed
+        t_diag, t_off, x, wx, e_dot, c = self._curvature
+        nx2 = float(x @ x)
+        _, _, _, z, info = _lapack().dgtsv(t_off.copy(), t_diag - self.energy, t_off.copy(),
+                                         e_dot * x - wx, overwrite_dl=1, overwrite_d=1,
+                                         overwrite_du=1, overwrite_b=1)
+        if info != 0:
+            raise NonConvergence(f"second-derivative solve failed (LAPACK gtsv info={info})")
+        object.__setattr__(self, "_curvature", None)
+        z = z.ravel()
+        z -= (float(x @ z) / nx2) * x
+        return c * (c * (2.0 * float(wx @ z) / nx2))
 
 
 def _line_pencil(x: np.ndarray, d1: int, mu: float, s: float):
@@ -444,12 +464,13 @@ def solve_radial(p: RadialProblem, start: np.ndarray | None = None) -> RadialSol
     (v[lo:n] of a RadialSolution, lo = 1 where d1 >= 2 eliminates the
     origin): nonnegative and not zero, and overwritten.  Without it the
     iteration starts from cos(pi r / 2R).  Every return rests on a certified
-    shift (see _ground_state).  Raises NonConvergence if the ground state
-    cannot be certified or the inverse iteration does not settle at the
-    rounding level (_ground_state says when), or if the second derivative's
-    solve fails; DegenerateGrid if the grid does not resolve the origin's
-    well (_WELL_GAP); InvalidProblem for bad inputs, a start of the wrong
-    length included.
+    shift (see _ground_state).  The solution keeps the operator and
+    eigenvector until its second_derivative is read.  Raises NonConvergence
+    if the ground state cannot be certified or the inverse iteration does
+    not settle at the rounding level (_ground_state says when);
+    DegenerateGrid if the grid does not resolve the origin's well
+    (_WELL_GAP); InvalidProblem for bad inputs, a start of the wrong length
+    included.
     """
     import numpy as np
 
@@ -460,22 +481,13 @@ def solve_radial(p: RadialProblem, start: np.ndarray | None = None) -> RadialSol
     elif start.shape != (p.n - lo,):
         raise InvalidProblem(f"start has shape {start.shape}, not the {p.n - lo} unknown nodes")
     energy, _, _, x, v_unknown, t_diag, t_off = _line_ground_state(links, mass, pot, p.h, start)
-    nx2 = float(x @ x)
 
-    # E' = x'Wx and E'' = 2 x'Wy with (T - E) y = -(W - E') x, y orthogonal
-    # to x (module docstring).  Both are formed for W / c, c the power of two
-    # just above max W, so no intermediate overflows (r^(2s) reaches 1e290
-    # where the cap is off); the solve overwrites t_off and its inputs.
+    # E' = x'Wx (module docstring), formed for W / c, c the power of two just
+    # above max W, so no intermediate overflows (r^(2s) reaches 1e290 where
+    # the cap is off); so is E'' from the same operands, on first read
     c = math.ldexp(1.0, math.frexp(float(np.max(w)))[1])
     wx = (w / c) * x
-    e_dot = float(x @ wx) / nx2
-    _, _, _, z, info = _lapack().dgtsv(t_off, t_diag - energy, t_off.copy(), e_dot * x - wx,
-                                     overwrite_dl=1, overwrite_d=1, overwrite_du=1, overwrite_b=1)
-    if info != 0:
-        raise NonConvergence(f"second-derivative solve failed (LAPACK gtsv info={info})")
-    z = z.ravel()
-    z -= (float(x @ z) / nx2) * x
-    e_ddot = 2.0 * float(wx @ z) / nx2
+    e_dot = float(x @ wx) / float(x @ x)
 
     v = np.zeros(p.n + 1)
     v[lo : p.n] = v_unknown
@@ -495,7 +507,7 @@ def solve_radial(p: RadialProblem, start: np.ndarray | None = None) -> RadialSol
         v=v,
         boundary_slope=slope,
         hf_derivative=c * e_dot,
-        second_derivative=c * (c * e_ddot),
+        _curvature=(t_diag, t_off, x, wx, e_dot, c),
     )
 
 

@@ -32,6 +32,11 @@ from grushin.minimizer import (
 from oracles import scaled_energy
 
 PI2_4 = math.pi**2 / 4.0
+# |a1'| and |a1|, the first zeros of Airy's Ai' and Ai: the whole-space
+# energies at s = 1/2 for d1 = 1 (v = Ai(|x| - E), even) and d1 = 3 (r v(r) =
+# Ai(r - E), zero at r = 0)
+AIRY_A1_PRIME = 1.0187929716474715
+AIRY_A1 = 2.3381074104597674
 TWO_PI_SQUARED = 2.0 * math.pi**2
 
 
@@ -265,6 +270,38 @@ def test_whole_space_oscillator_anchors():
         assert abs(e - float(d1)) / d1 < 1e-4
 
 
+def test_whole_space_airy_closed_forms(monkeypatch):
+    nodes = []
+    solve = minimizer.solve_radial
+    monkeypatch.setattr(minimizer, "solve_radial",
+                        lambda prob, start=None: nodes.append(prob.n) or solve(prob, start))
+    assert abs(whole_space_energy(1, 0.5, 4096) - AIRY_A1_PRIME) < 1e-6
+    nodes.clear()
+    assert abs(whole_space_energy(3, 0.5, 4096) - AIRY_A1) < 1e-7
+    # the first radius comes from the trial-ball bound minimized over the
+    # ball's radius: two rounds, at radii 16.2 and 24.3, 20,755 nodes
+    assert sum(nodes) <= 25_000
+
+
+class _FirstRound(Exception):
+    pass
+
+
+@pytest.mark.parametrize("d1", [1, 2, 3])
+@pytest.mark.parametrize("s", [2.0, 10.0, 50.0, 150.0])
+def test_whole_space_first_radius_floor_binds(monkeypatch, d1, s):
+    # at large s the turning point lies below 2, so the radius floor of 8
+    # sets the first round and the rounds are those of the crude bound
+    def first_round(prob, start=None):
+        raise _FirstRound(prob)
+
+    monkeypatch.setattr(minimizer, "solve_radial", first_round)
+    with pytest.raises(_FirstRound) as round_one:
+        whole_space_energy(d1, s, 4096)
+    prob = round_one.value.args[0]
+    assert (prob.R, prob.n) == (8.0, 4096)
+
+
 def test_whole_space_slow_flattening_is_real():
     # at s=50 the whole-space energy is still ~15% below pi^2/4; the gap
     # decays like log(s)/s, so no moderate s reaches a 2% band
@@ -282,6 +319,11 @@ def test_whole_space_validation_and_budget(monkeypatch):
                  lambda: lower_envelope(p, 1.0, 0)):
         with pytest.raises(InvalidProblem):
             call()
+    # a grid size that is not an integer is rejected as given, not truncated
+    for call in (lambda n: lower_bounds(p, n), lambda n: lower_envelope(p, 1.0, n)):
+        for n in (4096.7, 0.5):
+            with pytest.raises(InvalidProblem, match=f"n must be a positive integer, got {n}"):
+                call(n)
     # the node budget is the truncation loop's one limit: at n_base = 2048
     # it admits the 2048-node first round but not the 3072-node second
     monkeypatch.setattr(minimizer, "_WHOLE_SPACE_NODES", 2500)

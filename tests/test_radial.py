@@ -286,8 +286,24 @@ def test_second_derivative_overflow_is_quiet():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         sol = solve_radial(RadialProblem(1, 1000.0, 0.0, 2.0, 256))
+        second = sol.second_derivative
     assert math.isfinite(sol.energy) and math.isfinite(sol.hf_derivative)
-    assert sol.second_derivative == -math.inf
+    assert second == -math.inf
+
+
+def test_second_derivative_is_formed_on_first_read(monkeypatch):
+    # E'' costs a tridiagonal solve that only minimize and
+    # second_derivative_sign read: a solution forms it on first read, once
+    calls = []
+    dgtsv = radial._lapack().dgtsv
+    monkeypatch.setattr(radial._lapack(), "dgtsv",
+                        lambda *args, **kwargs: calls.append(1) or dgtsv(*args, **kwargs))
+    sol = solve_radial(RadialProblem(2, 1.0, 5.0, 1.0, 1024))
+    whole_space_energy(1, 1.0, 256)
+    assert calls == []
+    first = sol.second_derivative
+    assert sol.second_derivative == first < 0.0
+    assert len(calls) == 1
 
 
 def test_second_derivative_sign_nonnegative():
