@@ -202,13 +202,8 @@ def convergence_report(
 
 def max_deviation_per_s(table: SweepTable) -> list[tuple[float, float]]:
     """Collapse a convergence report to (s, sup_t abs_dev), in ladder order."""
-    order: list[float] = []
     sup: dict[float, float] = {}
     for row in table.rows:
         s, dev = float(row[0]), float(row[4])
-        if s not in sup:
-            order.append(s)
-            sup[s] = dev
-        else:
-            sup[s] = max(sup[s], dev)
-    return [(s, sup[s]) for s in order]
+        sup[s] = max(sup[s], dev) if s in sup else dev
+    return list(sup.items())

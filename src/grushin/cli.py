@@ -2,11 +2,10 @@
 
 `_COMMANDS` names the flags of each subcommand (`grushin --help` lists them);
 the RunConfig field a flag sets holds its converter and default.  Flags are
-never abbreviated.  A `--config` file of `key = value` lines (`#` comments)
-may set any flag of the command being run, named without dashes; command-line
-flags win.  `--jobs K` (`sweep-s`, `regress`) spreads independent rows over K
-worker processes with byte-identical output.  GRUSHIN_DEFAULT_N replaces the
-default --n (4096 in 1-D, 512 per axis in 2-D).  Exit codes: 0 success, 1 I/O
+never abbreviated, and flags are the only input: no file or environment
+variable sets a value.  `--n` defaults to 4096 in 1-D and 512 per axis in
+2-D.  `--jobs K` (`sweep-s`, `regress`) spreads independent rows over K
+worker processes with byte-identical output.  Exit codes: 0 success, 1 I/O
 failure, 2 usage error, invalid problem or DegenerateGrid (too coarse a grid),
 3 regression failure or missing baseline, 4 solver non-convergence.
 """
@@ -15,11 +14,9 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
-from pathlib import Path
 
 from .asymptotics import LimitKind, convergence_report, limit_profile
 from .baseline import DEFAULT_BASELINE, regression_suite
@@ -196,8 +193,8 @@ def _cmd_regress(cfg: RunConfig) -> int:
     return 0
 
 
-#: command -> (handler, help, the flags it takes besides --config, whether
-#: its default --n is DEFAULT_N_2D rather than DEFAULT_N)
+#: command -> (handler, help, the flags it takes, whether its default --n is
+#: DEFAULT_N_2D rather than DEFAULT_N)
 _COMMANDS = {
     "solve1d": (_cmd_solve1d, "radial eigenfunction at a given split",
                 "d1 d2 s V t n out svg".split(), False),
@@ -222,8 +219,7 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(f"{self.prog}: {message}\n{self.format_usage().rstrip()}")
 
 
-def _build_parser():
-    """The argument parser, plus its subparsers by command name."""
+def _build_parser() -> _Parser:
     parser = _Parser(
         prog="grushin",
         description="Eigenvalue computations for the degenerate product operator.",
@@ -237,46 +233,15 @@ def _build_parser():
         for flag in flags:
             p.add_argument(f"--{flag}", dest=_FLAGS[flag].name, metavar=flag.upper(),
                            type=_FLAGS[flag].metadata["convert"])
-        p.add_argument("--config")
-    return parser, sub.choices
-
-
-def _load_config_file(path: str, command: str) -> dict[str, str]:
-    """The file's `key = value` lines as unconverted values by RunConfig field."""
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise UsageError(f"--config: cannot read {path!r}: {exc}") from exc
-    values = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        key, equals, value = raw.split("#", 1)[0].partition("=")
-        key = key.strip()
-        if not (key or equals):
-            continue
-        if not equals or key not in _COMMANDS[command][2]:
-            raise UsageError(f"--config: line {lineno}: {raw!r} sets no {command} flag")
-        values[_FLAGS[key].name] = value.strip()
-    return values
+    return parser
 
 
 def parse_config(argv) -> RunConfig:
-    """Parse flags plus optional config file into a RunConfig."""
-    argv = list(argv)
-    parser, subparsers = _build_parser()
-    values = vars(parser.parse_args(argv))
-    command, config_path = values["command"], values.pop("config", None)
-    _, _, flags, planar = _COMMANDS[command]
-    if config_path:
-        # the file's values become defaults, which argparse converts like flags
-        subparsers[command].set_defaults(**_load_config_file(config_path, command))
-        values = vars(parser.parse_args(argv))
-        del values["config"]
+    """Parse the command line into a RunConfig."""
+    values = vars(_build_parser().parse_args(argv))
+    _, _, flags, planar = _COMMANDS[values["command"]]
     if "n" in flags and "grid_n" not in values:
-        env = os.environ.get("GRUSHIN_DEFAULT_N")
-        try:
-            values["grid_n"] = int(env) if env else DEFAULT_N_2D if planar else DEFAULT_N
-        except ValueError as exc:
-            raise UsageError(f"GRUSHIN_DEFAULT_N: expected an integer, got {env!r}") from exc
+        values["grid_n"] = DEFAULT_N_2D if planar else DEFAULT_N
     if "s-list" in flags and "s_list" not in values:
         zero = values.get("limit") is LimitKind.S_TO_ZERO
         values["s_list"] = DEFAULT_S_LADDER_ZERO if zero else DEFAULT_S_LADDER_INF

@@ -265,9 +265,7 @@ def _critical_terms(p: ProblemParams, log_sigma: float, n: int, warm=None) -> tu
         )
     sigma = math.exp(log_sigma)
     a = _objective_exponent(p)
-    # the unknowns: all but the Dirichlet zero and the d1 >= 2 origin
-    start = None if warm is None else warm.v[(0 if p.d1 == 1 else 1) : -1]
-    sol = _ball1_solution(p, sigma, n, start)
+    sol = _ball1_solution(p, sigma, n, None if warm is None else warm.v)
     g = sigma * sol.hf_derivative - a * sol.energy
     slope = sigma * ((1.0 - a) * sol.hf_derivative + sigma * sol.second_derivative)
     return g, slope, sol
@@ -310,21 +308,20 @@ def whole_space_energy(d1: int, s: float, n_base: int = DEFAULT_N) -> float:
     growth = math.exp(min(log_turn, math.log(16.0)))
     radius = max(8.0, min(4.0 * growth, 64.0))
     h0 = 8.0 / n_base
-    lo = 0 if d1 == 1 else 1  # the d1 >= 2 origin is not an unknown
     prev = profile = None
     while (n := int(round(radius / h0))) <= _WHOLE_SPACE_NODES:
         start = None
         if profile is not None:
             # the last round's ground state node for node, zeros beyond its
             # radius; it is dropped before the solve, so one profile is alive
-            start = np.zeros(n - lo)
+            start = np.zeros(n + 1)
             start[: profile.size] = profile
             profile = None
         sol = solve_radial(RadialProblem(d1=d1, s=s, mu=1.0, R=radius, n=n), start)
         energy = sol.energy
         if prev is not None and abs(prev - energy) < _WHOLE_SPACE_TOL * max(1.0, abs(energy)):
             return energy
-        prev, profile = energy, sol.v[lo:-1]
+        prev, profile = energy, sol.v
         del sol
         radius *= 1.5
     raise NonConvergence(f"whole-space truncation for d1={d1}, s={s} exceeded the grid budget")

@@ -33,7 +33,7 @@ D^(-1/2) to a symmetric positive definite tridiagonal matrix T.  Its lowest
 eigenpair is found by shifted inverse iteration on O(n) LDL^T factors (LAPACK
 pttrf/pttrs; Parlett, The Symmetric Eigenvalue Problem, ch. 4), started from
 the fixed positive profile cos(pi r / 2R) in congruence coordinates, or from
-a caller's nonnegative profile on the unknown nodes: a sequence of solves
+a caller's nonnegative profile on the grid: a sequence of solves
 (minimize's Newton iterates, the whole-space truncation rounds) starts each
 from the ground state before it.  The start changes only how many steps a
 solve takes, since the stop rule and the certificate below do not read it.  Each
@@ -134,8 +134,12 @@ _EPS = sys.float_info.epsilon
 
 
 def ball_volume_constant(d: int) -> float:
-    """Volume of the unit ball in dimension d: pi^(d/2) / Gamma(1 + d/2)."""
-    return math.pi ** (d / 2.0) / math.gamma(1.0 + d / 2.0)
+    """Volume of the unit ball in dimension d: pi^(d/2) / Gamma(1 + d/2).
+
+    InvalidProblem from d = 342 on, where Gamma(1 + d/2) overflows a float.
+    """
+    return _finite("the unit ball's volume pi^(d/2) / Gamma(1 + d/2)",
+                   lambda: math.pi ** (d / 2.0) / math.gamma(1.0 + d / 2.0), d=d)
 
 
 def _positive_integer(name: str, value) -> int:
@@ -290,6 +294,8 @@ def _line_pencil(x: np.ndarray, d1: int, mu: float, s: float):
     coefficients x_{i+1/2}^(d1-1) from it up; the lumped mass x_i^(d1-1), 1/2
     on a d1 = 1 node at the origin; and the capped potential mu x^(2s) with
     its mu-derivative, x^(2s) where the cap is inactive and 0 where it clips.
+    InvalidProblem if the first unknown's mass underflows to 0 (on the unit
+    volume ball at n = 4096, from d1 = 102 on); a subnormal one still solves.
     """
     import numpy as np
 
@@ -298,6 +304,11 @@ def _line_pencil(x: np.ndarray, d1: int, mu: float, s: float):
     mass = _rpow(x[lo:-1], d1 - 1.0)
     if lo == 0 and x[0] == 0.0:
         mass[0] = 0.5
+    elif mass[0] == 0.0:
+        raise InvalidProblem(
+            f"the volume weight r^(d1-1) underflows to 0 at the first unknown "
+            f"r={x[lo]:.6g} (d1={d1}, {x.size - 1} cells)"
+        )
     dpot = _rpow(x, 2.0 * s)
     with np.errstate(over="ignore"):  # the cap clips an infinite sample
         pot = mu * dpot
@@ -460,9 +471,10 @@ def _line_ground_state(links, mass, pot, h: float, start):
 def solve_radial(p: RadialProblem, start: np.ndarray | None = None) -> RadialSolution:
     """Solve for the lowest eigenpair of the radial problem.
 
-    start is the profile inverse iteration starts from on the unknown nodes
-    (v[lo:n] of a RadialSolution, lo = 1 where d1 >= 2 eliminates the
-    origin): nonnegative and not zero, and overwritten.  Without it the
+    start is the profile inverse iteration starts from, on the n + 1 grid
+    nodes like RadialSolution.v (a profile from a shorter grid zero-padded):
+    nonnegative and not zero on the unknowns, and overwritten there; the
+    eliminated d1 >= 2 origin and the Dirichlet node are ignored.  Without it the
     iteration starts from cos(pi r / 2R).  Every return rests on a certified
     shift (see _ground_state).  The solution keeps the operator and
     eigenvector until its second_derivative is read.  Raises NonConvergence
@@ -477,10 +489,11 @@ def solve_radial(p: RadialProblem, start: np.ndarray | None = None) -> RadialSol
     r = p.grid()
     lo, links, mass, pot, w = _line_pencil(r, p.d1, p.mu, p.s)
     if start is None:
-        start = np.cos((0.5 * math.pi / p.R) * r[lo : p.n])
-    elif start.shape != (p.n - lo,):
-        raise InvalidProblem(f"start has shape {start.shape}, not the {p.n - lo} unknown nodes")
-    energy, _, _, x, v_unknown, t_diag, t_off = _line_ground_state(links, mass, pot, p.h, start)
+        start = np.cos((0.5 * math.pi / p.R) * r)
+    elif start.shape != (p.n + 1,):
+        raise InvalidProblem(f"start has shape {start.shape}, not the {p.n + 1} grid nodes")
+    energy, _, _, x, v_unknown, t_diag, t_off = _line_ground_state(
+        links, mass, pot, p.h, start[lo : p.n])
 
     # E' = x'Wx (module docstring), formed for W / c, c the power of two just
     # above max W, so no intermediate overflows (r^(2s) reaches 1e290 where

@@ -27,11 +27,6 @@ from grushin.planar import DiskProblem, segment_limit_probe, solve_disk, solve_r
 from oracles import read_csv_text, run_cli, run_python
 
 
-@pytest.fixture(autouse=True)
-def _clean_env(monkeypatch):
-    monkeypatch.delenv("GRUSHIN_DEFAULT_N", raising=False)
-
-
 def _write_baseline(path, rows):
     lines = [",".join(BASELINE_HEADERS)]
     lines.extend(",".join(str(c) for c in row) for row in rows)
@@ -72,48 +67,26 @@ def test_parse_limit_selects_default_ladder():
     assert inf.s_list == DEFAULT_S_LADDER_INF
 
 
-def test_env_var_sets_default_grid(monkeypatch):
-    monkeypatch.setenv("GRUSHIN_DEFAULT_N", "777")
-    assert parse_config(["minimize", "--s", "1"]).grid_n == 777
-    # an explicit flag still wins
-    assert parse_config(["minimize", "--s", "1", "--n", "256"]).grid_n == 256
-    monkeypatch.setenv("GRUSHIN_DEFAULT_N", "abc")
-    with pytest.raises(UsageError):
-        parse_config(["minimize", "--s", "1"])
-
-
-def test_config_file_merges_under_flags(tmp_path):
+def test_config_file_is_not_a_flag(tmp_path, capsys):
+    # flags are the only input: a `key = value` file is an unrecognized argument
     cfg_file = tmp_path / "run.cfg"
-    cfg_file.write_text("# comment line\ns = 2.0\nn = 512\n")
-    cfg = parse_config(["minimize", "--config", str(cfg_file), "--s", "3"])
-    assert cfg.s == 3.0  # flag overrides file
-    assert cfg.grid_n == 512  # file fills the gap
+    cfg_file.write_text("n = 512\n")
+    assert main(["minimize", "--config", str(cfg_file)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    errors = [line for line in captured.err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and "unrecognized arguments: --config" in errors[0]
+    for command in cli._COMMANDS:
+        assert main([command, "--help"]) == 0
+        assert "--config" not in capsys.readouterr().out
 
 
-def test_config_file_errors(tmp_path):
-    bad_key = tmp_path / "a.cfg"
-    bad_key.write_text("bogus = 1\n")
-    with pytest.raises(UsageError):
-        parse_config(["minimize", "--config", str(bad_key)])
-    bad_line = tmp_path / "b.cfg"
-    bad_line.write_text("just words\n")
-    with pytest.raises(UsageError):
-        parse_config(["minimize", "--config", str(bad_line)])
-    with pytest.raises(UsageError):
-        parse_config(["minimize", "--config", str(tmp_path / "missing.cfg")])
-    # keys must name flags of the command being run; `config` is not one
-    for line in ("rho = 1", "config = x", "jobs = 2"):
-        foreign = tmp_path / "foreign.cfg"
-        foreign.write_text(line + "\n")
-        with pytest.raises(UsageError):
-            parse_config(["minimize", "--config", str(foreign)])
-    # closed-form limit curves take no grid size
-    foreign.write_text("n = 512\n")
-    with pytest.raises(UsageError):
-        parse_config(["limits", "--config", str(foreign)])
+def test_environment_sets_no_default_grid(monkeypatch):
+    monkeypatch.setenv("GRUSHIN_DEFAULT_N", "777")
+    assert parse_config(["minimize", "--s", "1"]).grid_n == 4096
 
 
-def test_flag_validation(tmp_path):
+def test_flag_validation():
     with pytest.raises(UsageError):
         parse_config(["minimize", "--s", "abc"])
     with pytest.raises(UsageError):
@@ -121,12 +94,7 @@ def test_flag_validation(tmp_path):
     with pytest.raises(UsageError):
         parse_config(["sweep-s", "--t-grid", "3:1:5"])
     assert main(["minimize", "--s", "0"]) == 2  # InvalidProblem, from the handler
-    # svg is only a flag of plotting commands, on the command line and as a
-    # config key
-    cfg_file = tmp_path / "svg.cfg"
-    cfg_file.write_text("svg = x.svg\n")
-    with pytest.raises(UsageError):
-        parse_config(["minimize", "--config", str(cfg_file)])
+    # svg is only a flag of plotting commands
     assert main(["minimize", "--svg", "x.svg"]) == 2  # argparse rejection
 
 
@@ -172,6 +140,11 @@ _OVERFLOWS = [
      lambda: solve_rectangle_full(1e200, 1e300, 1.0, 64)),
     ("disk --rho 1e-200 --s 1 --n 64", lambda: solve_disk(DiskProblem(1e-200, 1.0, 64))),
     ("disk --rho 1e200 --s 1 --n 64", lambda: solve_disk(DiskProblem(1e200, 1.0, 64))),
+    ("limits --d1 2000", lambda: limit_profile(ProblemParams(2000, 1, 1.0),
+                                                LimitKind.S_TO_INFINITY, (1.0,))),
+    ("minimize --d1 2 --d2 500 --s 1", lambda: minimize(ProblemParams(2, 500, 1.0))),
+    # the volume weight h^(d1-1) underflows to 0 at n = 4096
+    ("minimize --d1 160 --s 1", lambda: lambda1_product(ProblemParams(160, 1, 1.0), 1.0)),
 ]
 
 

@@ -103,6 +103,22 @@ def test_ball_volume_constant():
     assert abs(ball_volume_constant(1) - 2.0) < 1e-14
     assert abs(ball_volume_constant(2) - math.pi) < 1e-14
     assert abs(ball_volume_constant(3) - 4.0 * math.pi / 3.0) < 1e-14
+    # Gamma(1 + d/2) overflows a float from d = 342 on
+    assert ball_volume_constant(341) == math.pi ** 170.5 / math.gamma(171.5)
+    for d in (342, 2000):
+        with pytest.raises(InvalidProblem, match=f"at d={d}$"):
+            ball_volume_constant(d)
+
+
+def test_volume_weight_that_underflows_is_an_invalid_problem():
+    # the first unknown's weight h^(d1-1) on the unit-volume ball at n = 4096
+    # is subnormal at d1 = 101, which solves, and 0 at d1 = 102, which the
+    # operator must not divide by
+    r101, r102 = ball1_radius(101), ball1_radius(102)
+    assert 0.0 < (r101 / 4096) ** 100 < 1e-300 and (r102 / 4096) ** 101 == 0.0
+    assert solve_radial(RadialProblem(101, 1.0, 1.0, r101, 4096)).energy > 0.0
+    with pytest.raises(InvalidProblem, match=r"\(d1=102, 4096 cells\)$"):
+        solve_radial(RadialProblem(102, 1.0, 1.0, r102, 4096))
 
 
 @pytest.mark.parametrize("d1", [1, 3])
@@ -494,11 +510,10 @@ def test_warm_start_keeps_the_certificate(monkeypatch, d1, s, mu, radius, n):
     # on the same grid, whole_space_energy from the last round's on a smaller
     # radius, zero-padded: the start may change the step count, not the result
     p = RadialProblem(d1, s, mu, radius, n)
-    lo = 0 if d1 == 1 else 1
     m = round(2 * n / 3)
-    padded = np.zeros(n - lo)
-    padded[: m - lo] = solve_radial(RadialProblem(d1, s, mu, radius * m / n, m)).v[lo:m]
-    starts = [solve_radial(RadialProblem(d1, s, mu * f, radius, n)).v[lo:n] for f in (0.25, 4.0)]
+    padded = np.zeros(n + 1)
+    padded[: m + 1] = solve_radial(RadialProblem(d1, s, mu, radius * m / n, m)).v
+    starts = [solve_radial(RadialProblem(d1, s, mu * f, radius, n)).v for f in (0.25, 4.0)]
     cold = solve_radial(p).energy
     seen = []
     ground_state = radial._ground_state
@@ -517,8 +532,11 @@ def test_warm_start_keeps_the_certificate(monkeypatch, d1, s, mu, radius, n):
 
 
 def test_start_of_the_wrong_length_is_rejected():
-    with pytest.raises(InvalidProblem, match="unknown nodes"):
-        solve_radial(RadialProblem(2, 1.0, 1.0, 1.0, 64), np.ones(64))
+    # a start spans all n + 1 grid nodes, like RadialSolution.v; the 63
+    # unknowns of d1 = 2 alone are too short
+    for size in (63, 64, 66):
+        with pytest.raises(InvalidProblem, match="65 grid nodes"):
+            solve_radial(RadialProblem(2, 1.0, 1.0, 1.0, 64), np.ones(size))
 
 
 def test_factorization_that_always_fails_raises(monkeypatch):
