@@ -31,22 +31,23 @@ so a rectangle shares its potential cap (which also clips a |x|^(2s) that
 overflows), resolution guard, certificate and sum-of-squares energy.
 
 A disk's smallest eigenvalue comes from shift-invert Lanczos on one sparse LU
-factorization of S - sigma I per grid, at a shift the factor certifies.
-SuperLU factors it with one symmetric ordering and diagonal pivots, so
-U = D L^T and, by Sylvester's law of inertia, the pivots <= 0 count the
-eigenvalues <= sigma; a count of zero certifies sigma < lambda1 (the
-inertia check of Grimes, Lewis & Simon, SIAM J. Matrix Anal. Appl. 15
-(1994) 228-272).  A residual alone cannot do this: on the s=150, n=256
-unit-area disk sixteen chord modes lie within 1e-9 of lambda1.  SuperLU
-factors one column per panel without relaxed supernodes, as a masked 5-point
-quadrant forms no large dense supernodes for its default blocking (Demmel,
-Eisenstat, Gilbert, Li & Liu, SIAM J. Matrix Anal. Appl. 20 (1999) 720-755)
-to pay off.  The shifts come from a coarse-to-fine cascade over the grids
-n//2^k >= 64 (k >= 2), n//2 and n, each just below the eigenvalue of the
-grid before; the masked eigenvalue is not monotone in n, so a refused shift
-backs off (`_smallest_eig`).  Lanczos reorthogonalizes fully, tests
-convergence after every LU solve, and restarts thick, keeping the leading
-half of the basis (Wu & Simon, SIAM J. Matrix Anal. Appl. 22 (2000)
+factorization of S - sigma I per grid, at a shift the factor certifies:
+SuperLU (SciPy's extension _superlu, called as splu calls it, on S's CSR
+arrays built here, which are its CSC arrays as S is symmetric) orders
+symmetrically and pivots on the diagonal, so U = D L^T and, by Sylvester's
+law of inertia, the pivots <= 0 count the eigenvalues <= sigma; a count of
+zero certifies sigma < lambda1 (the inertia check of Grimes, Lewis & Simon,
+SIAM J. Matrix Anal. Appl. 15 (1994) 228-272).  A residual alone cannot do
+this: on the s=150, n=256 unit-area disk sixteen chord modes lie within 1e-9
+of lambda1.  SuperLU factors one column per panel without relaxed supernodes,
+as a masked 5-point quadrant forms no large dense supernodes for its default
+blocking (Demmel, Eisenstat, Gilbert, Li & Liu, SIAM J. Matrix Anal. Appl. 20
+(1999) 720-755) to pay off.  The shifts come from a coarse-to-fine cascade
+over the grids n//2^k >= 64 (k >= 2), n//2 and n, each just below the
+eigenvalue of the grid before; the masked eigenvalue is not monotone in n, so
+a refused shift backs off (`_smallest_eig`).  Lanczos reorthogonalizes fully,
+tests convergence after every LU solve, and restarts thick, keeping the
+leading half of the basis (Wu & Simon, SIAM J. Matrix Anal. Appl. 22 (2000)
 602-616).  It starts from the constant vector, so repeated solves are
 bit-identical, and one inverse-iteration step from its Ritz vector follows.
 
@@ -56,7 +57,7 @@ must pass ||S v - lambda v|| <= RESIDUAL_RTOL lambda ||v|| on the solved matrix
 S, or NonConvergence is raised; a rectangle's carries grushin.radial's
 certificate instead, as a fixed tolerance fails on fine grids (eps ||S|| ~
 n^2).  The functions that call NumPy or SciPy import them, so importing this
-module loads neither, and a rectangle loads no scipy.sparse.
+module loads neither, and no solve loads scipy.sparse or scipy.linalg.
 """
 
 from __future__ import annotations
@@ -68,7 +69,7 @@ from dataclasses import dataclass
 from .errors import InvalidProblem, NonConvergence
 from .minimizer import ProblemParams, lambda1_product
 from .radial import (DEFAULT_N, _finite, _line_ground_state, _line_operator, _line_pencil,
-                     _nonnegative, _positive, _positive_integer)
+                     _nonnegative, _positive, _positive_integer, _scipy_extension)
 from .tables import SweepTable
 
 __all__ = ["DEFAULT_N_2D", "DiskProblem", "DiskSolve", "decoupled_rectangle_value",
@@ -173,34 +174,47 @@ def _half_axis(a: float, n: int) -> np.ndarray:
 
 def _assemble(mask: np.ndarray, c_row: np.ndarray, h: float, links: np.ndarray,
               mass: np.ndarray):
-    """Scaled 5-point matrix over the masked quadrant nodes; exactly symmetric.
+    """Scaled 5-point matrix over the masked quadrant nodes.
 
     mask is square with spacing h on both axes, and (links, mass, c_row) is
     the half-axis pencil of its rows and columns at mu = 1
     (radial._line_pencil): c_row[i], the y-coefficient of row i, is its
     capped potential |x_i|^(2s).  The result is the rows and columns over the
     mask of T (x) I + diag(c_row) (x) T, T that pencil's line operator
-    (module docstring); node (i, j), i along the x axis, is row i * size + j
-    of that square matrix.
+    (module docstring), as canonical CSR arrays (data, indices, indptr) with
+    no stored zeros; node (i, j), i along the x axis, precedes (i, j+1).
     """
     import numpy as np
-    from scipy import sparse
 
-    size = mask.shape[0]
-    # T = T1 / h^2, T1 at unit spacing: the bands scale T1 by 1/h^2 and by
+    # T = T1 / h^2, T1 at unit spacing: the entries scale T1 by 1/h^2 and by
     # c_row / h^2, so no coefficient c / h^2 rounds through a rounded 1 / h^2
-    t_diag, t_off = _line_operator(links, mass, np.zeros(size), 1.0)[:2]
+    t_diag, t_off = _line_operator(links, mass, np.zeros(mask.shape[0]), 1.0)[:2]
     cx = 1.0 / (h * h)
-    cy = (c_row / (h * h))[:, None]
-    x_off = np.repeat(cx * t_off, size)
-    y_off = (cy * np.append(t_off, 0.0)).ravel()[:-1]
-    square = sparse.diags([(cx * t_diag[:, None] + cy * t_diag).ravel(), x_off, x_off,
-                           y_off, y_off], [0, size, -size, 1, -1], format="csr")
-    keep = np.flatnonzero(mask)
-    matrix = square[keep][:, keep]
-    if (matrix != matrix.T).nnz != 0:
-        raise InvalidProblem("assembled stencil is not symmetric")
-    return matrix
+    t_off = np.append(t_off, 0.0)
+    # each node's neighbours in column order; off the grid they land in the padding
+    step = mask.shape[0] + 1
+    inside = np.pad(mask, (0, 1)).ravel()
+    node = np.flatnonzero(inside)
+    i, j = np.divmod(node, step)
+    neighbours = node[:, None] + [-step, -1, 0, 1, step]
+    cy = c_row[i] / (h * h)
+    values = np.stack([cx * t_off[i - 1], cy * t_off[j - 1], cx * t_diag[i] + cy * t_diag[j],
+                       cy * t_off[j], cx * t_off[i]], axis=1)
+    keep = inside[neighbours] & (values != 0.0)
+    data, indices = values[keep], (np.cumsum(inside, dtype=np.intc) - 1)[neighbours[keep]]
+    return data, indices, np.cumsum(np.append(0, keep.sum(axis=1)), dtype=np.intc)
+
+
+def _rows(indptr: np.ndarray) -> np.ndarray:  # of each entry, in CSR (column in CSC)
+    import numpy as np
+
+    return np.repeat(np.arange(indptr.size - 1, dtype=indptr.dtype), np.diff(indptr))
+
+
+def _stored_diagonal(arrays: tuple, shape=None) -> np.ndarray:
+    """The stored diagonal of CSR (or CSC) arrays, which may end in unused space (SuperLU's)."""
+    data, indices, indptr = arrays
+    return data[: indptr[-1]][indices[: indptr[-1]] == _rows(indptr)]
 
 
 def _lanczos(solve, m: int) -> np.ndarray:
@@ -245,39 +259,39 @@ def _lanczos(solve, m: int) -> np.ndarray:
     raise NonConvergence(f"shift-invert Lanczos did not converge in {_LANCZOS_SOLVES} LU solves")
 
 
-def _shifted_factor(matrix, sigma: float):
+def _shifted_factor(matrix: tuple, sigma: float):
     """LU factor of matrix - sigma I and the number of eigenvalues <= sigma.
 
+    matrix is _assemble's arrays, shifted at their diagonal alone and handed
+    over without stored zeros, as splu takes (matrix - sigma I).tocsc().
     SuperLU factors P (S - sigma I) P^T = L U with one symmetric ordering P
     and diagonal pivots, so U = D L^T and, by Sylvester's law of inertia, the
-    pivots <= 0 count the eigenvalues of S at or below sigma.  Panels are
-    one column wide and supernodes unrelaxed (panel_size=1, relax=1), which
-    factors these matrices ~1.5x faster than the defaults at n = 256 and 512.
-    Raises NonConvergence if the row and column permutations differ, which
-    voids that count.
+    pivots <= 0 count the eigenvalues of S at or below sigma.  One-column
+    panels and unrelaxed supernodes (PanelSize=1, Relax=1) factor these
+    matrices ~1.5x faster than the defaults at n = 256 and 512.  Raises
+    NonConvergence if the row and column permutations differ, voiding that count.
     """
     import numpy as np
-    from scipy import sparse
-    from scipy.sparse.linalg import splu
 
-    shifted = matrix - sigma * sparse.identity(matrix.shape[0], format="csr")
-    # median factor time (ms) of S - sigma I, s = 1 unit-area disk, one
-    # thread, SciPy 1.17.1 on a 2-core Xeon VM:
-    #   n                        64   128   256   512
-    #   default                 1.4   6.7  39.1   237
-    #   relax=1, panel_size=1   1.1   6.2  25.1   155
-    # relax=1, panel_size=20 reads like the default; panel_size=1 alone takes
-    # 222 ms at n = 512
-    lu = splu(shifted.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-              relax=1, panel_size=1, options={"SymmetricMode": True})
+    data, indices, indptr = matrix
+    shifted = np.where(indices == _rows(indptr), data - sigma, data)
+    keep = shifted != 0.0
+    # splu's arguments; L and U, built on access, keep only their stored diagonals
+    lu = _superlu().gstrf(indptr.size - 1, np.count_nonzero(keep), shifted[keep], indices[keep],
+                          np.cumsum(np.append(0, keep), dtype=np.intc)[indptr],
+                          csc_construct_func=_stored_diagonal, ilu=False,
+                          options={"ColPerm": "MMD_AT_PLUS_A", "DiagPivotThresh": 0.0, "Relax": 1,
+                                   "PanelSize": 1, "SymmetricMode": True})
     if not np.array_equal(lu.perm_r, lu.perm_c):
         raise NonConvergence(
             f"the factor at the shift {sigma!r} pivoted off the diagonal: its inertia is unknown"
         )
-    # U is built as a copy on access; keep only its diagonal.  A nan pivot
-    # certifies nothing, so it counts as non-positive.
-    pivots = lu.U.diagonal()
-    return lu, int(np.count_nonzero(~(pivots > 0.0)))
+    # a nan or unstored pivot certifies nothing, so it counts as non-positive
+    return lu, indptr.size - 1 - int(np.count_nonzero(lu.U > 0.0))
+
+
+def _superlu():  # SciPy's SuperLU wrapper, the extension scipy.sparse.linalg._dsolve._superlu
+    return _scipy_extension("scipy.sparse.linalg._dsolve._superlu")
 
 
 def _smallest_eig(matrix, guess: float) -> tuple[float, float, int]:
@@ -297,8 +311,8 @@ def _smallest_eig(matrix, guess: float) -> tuple[float, float, int]:
 
     # S / c, c the power of two just above max diag(S), scales every factor,
     # solve and norm exactly, and keeps v.v in range for radii far from 1
-    c = math.ldexp(1.0, math.frexp(float(matrix.diagonal().max()))[1])
-    matrix = matrix / c
+    c = math.ldexp(1.0, math.frexp(float(_stored_diagonal(matrix).max()))[1])
+    data, indices, indptr = matrix = (matrix[0] / c, *matrix[1:])
     guess /= c
     margin = _SHIFT_MARGIN
     while True:
@@ -319,12 +333,12 @@ def _smallest_eig(matrix, guess: float) -> tuple[float, float, int]:
         solves += 1
         return lu.solve(b)
 
-    ritz = _lanczos(inverse, matrix.shape[0])
+    ritz = _lanczos(inverse, indptr.size - 1)
     # The Ritz vector carries rounding of order eps ||v|| in rows whose
     # diagonal is huge (|x|^(2s) >> 1 on wide domains), which dominates its
     # residual; one inverse-iteration step removes it.
     v = inverse(ritz)
-    sv = matrix @ v
+    sv = np.bincount(_rows(indptr), data * v[indices])  # each row in column order, as CSR
     vv = v @ v
     with np.errstate(invalid="ignore", divide="ignore"):
         lam = float(v @ sv / vv)
@@ -350,13 +364,17 @@ def _disk_matrix(rho: float, s: float, n: int):
     links, mass, c_row = _line_pencil(xs, 1, 1.0, s)[1:4]
     xs = xs[:-1]
     mask = xs[:, None] ** 2 + xs[None, :] ** 2 < rho * rho
-    return _assemble(mask, c_row, h, links, mass)
+    data, indices, indptr = matrix = _assemble(mask, c_row, h, links, mass)
+    rows, t = _rows(indptr), indices.argsort(kind="stable")  # t: the transpose's CSR order
+    if not ((indices[t] == rows).all() and (rows[t] == indices).all() and (data[t] == data).all()):
+        raise InvalidProblem("assembled stencil is not symmetric")
+    return matrix
 
 
 def _disk_eig(rho: float, s: float, n: int, guess: float) -> tuple[float, int, int, float]:
     matrix = _disk_matrix(rho, s, n)
     lam, sigma, solves = _smallest_eig(matrix, guess)
-    return lam, matrix.shape[0], solves, sigma
+    return lam, matrix[2].size - 1, solves, sigma
 
 
 def _rectangle_eig(t: float, V: float, s: float, n: int) -> tuple[float, int, int, float]:

@@ -316,30 +316,32 @@ def _line_pencil(x: np.ndarray, d1: int, mu: float, s: float):
     return lo, links, mass, pot[lo:-1], dpot[lo:-1]
 
 
-def _lapack():
-    """SciPy's compiled LAPACK wrappers, the extension scipy.linalg._flapack.
+def _scipy_extension(name: str):
+    """SciPy's compiled extension module `name`, found under scipy's spec.
 
-    Loaded without running scipy/linalg/__init__.py, whose ~0.2 s import
-    (mostly numpy.f2py, numpy.testing and numpy.ma, via scipy._lib._array_api)
-    dwarfs a 1-D solve; finding scipy.linalg's spec imports only the top-level
-    scipy.  sys.modules caches the module, so a later scipy.linalg.lapack
-    star-imports it and one loaded first by scipy.linalg is reused: either
-    way the routines are the same objects.  ImportError without SciPy.
+    No __init__ of scipy or its subpackages runs (scipy.linalg's and
+    scipy.sparse's cost ~0.2 s each, more than a 1-D or n = 256 disk solve);
+    sys.modules shares the module with its package, imported before or after.
     """
     import importlib.util
+    import os
     from importlib.machinery import PathFinder
 
-    name = "scipy.linalg._flapack"
     if name in sys.modules:
         return sys.modules[name]
-    package = importlib.util.find_spec("scipy.linalg")
-    spec = package and PathFinder.find_spec(name, package.submodule_search_locations)
+    scipy = importlib.util.find_spec("scipy")
+    spec = scipy and PathFinder.find_spec(name, [
+        os.path.join(root, *name.split(".")[1:-1]) for root in scipy.submodule_search_locations])
     if spec is None:
         raise ModuleNotFoundError(f"No module named {name!r}", name=name)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[name] = module
+    module = sys.modules[name] = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def _lapack():
+    """SciPy's compiled LAPACK wrappers, the extension scipy.linalg._flapack."""
+    return _scipy_extension("scipy.linalg._flapack")
 
 
 def _ground_state(t_diag: np.ndarray, t_off: np.ndarray, x: np.ndarray):

@@ -23,7 +23,7 @@ from scipy.special import jn_zeros, jv
 
 from grushin.minimizer import ball1_radius
 from grushin.radial import RadialProblem, solve_radial
-from grushin.radial import _line_pencil
+from grushin.radial import _line_operator, _line_pencil
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -157,6 +157,40 @@ def power_coefficients(xs: np.ndarray, s: float) -> np.ndarray:
     """
     with np.errstate(over="ignore"):
         return np.abs(xs) ** (2.0 * s)
+
+
+def csr(arrays) -> sparse.csr_array:
+    """The scipy.sparse matrix of grushin.planar's (data, indices, indptr) arrays.
+
+    Read as CSR; the disk matrices are symmetric, so as CSC they are the same.
+    """
+    data, indices, indptr = arrays
+    return sparse.csr_array((data, indices, indptr), shape=(indptr.size - 1,) * 2)
+
+
+def banded_disk_matrix(rho: float, s: float, n: int) -> sparse.csr_matrix:
+    """The quadrant matrix of grushin.planar._disk_matrix, assembled as five bands.
+
+    scipy.sparse.diags over the whole square quadrant, then the rows and
+    columns over the mask, from the same pencil and coefficients: a second
+    assembly, by scipy.sparse's rules (no stored zeros, sorted indices).
+    """
+    from grushin.planar import _half_axis
+
+    h = 2.0 * rho / (n - 1)
+    xs = _half_axis(rho, n)
+    links, mass, c_row = _line_pencil(xs, 1, 1.0, s)[1:4]
+    xs = xs[:-1]
+    size = xs.size
+    t_diag, t_off = _line_operator(links, mass, np.zeros(size), 1.0)[:2]
+    cx = 1.0 / (h * h)
+    cy = (c_row / (h * h))[:, None]
+    x_off = np.repeat(cx * t_off, size)
+    y_off = (cy * np.append(t_off, 0.0)).ravel()[:-1]
+    square = sparse.diags([(cx * t_diag[:, None] + cy * t_diag).ravel(), x_off, x_off,
+                           y_off, y_off], [0, size, -size, 1, -1], format="csr")
+    keep = np.flatnonzero((xs[:, None] ** 2 + xs[None, :] ** 2 < rho * rho).ravel())
+    return square[keep][:, keep]
 
 
 def full_grid_lowest_eigenvalue(mask: np.ndarray, c_row: np.ndarray, hx: float, hy: float) -> float:

@@ -420,6 +420,13 @@ assert not sparse(), sparse()
 assert main(["rectangle", "--n", "256"]) == 0
 assert lapack_alone(), loaded()
 assert not sparse(), sparse()
+assert main(["disk", "--n", "64"]) == 0
+assert main(["probe", "--s-list", "1", "--n", "64"]) == 0
+assert lapack_alone(), loaded()
+superlu = "scipy.sparse.linalg._dsolve._superlu"
+assert sparse() == [superlu], sparse()
+import scipy.sparse.linalg
+assert scipy.sparse.linalg._dsolve.linsolve._superlu is sys.modules[superlu]
 """
 
 
@@ -427,7 +434,8 @@ def test_limits_never_imports_numerics():
     # importing every module and the closed-form path, d = 1, 2, 3 and 6
     # alike, and its SVG, load neither NumPy, SciPy nor the process pool; a 1-D solve
     # loads NumPy and SciPy's LAPACK extension but not scipy.linalg, and
-    # neither it nor a rectangle the sparse solver
+    # neither it nor a rectangle the sparse solver; a disk loads SuperLU's
+    # extension alone, which a later scipy.sparse.linalg reuses
     result = run_python(["-c", _NO_NUMERICS_SCRIPT])
     assert result.returncode == 0, result.stderr
     assert result.stdout.count("G_limit") == 3

@@ -15,7 +15,6 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse
-import scipy.sparse.linalg
 
 import grushin.planar
 from grushin.errors import DegenerateGrid, InvalidProblem, NonConvergence
@@ -33,11 +32,13 @@ from grushin.planar import (
     _disk_matrix,
     _half_axis,
     _rectangle_eig,
+    _rows,
     _shifted_factor,
     _smallest_eig,
 )
 from grushin.radial import POTENTIAL_CAP, RadialProblem, _line_pencil, mu1_ball, solve_radial
-from oracles import J01_SQUARED, full_grid_lowest_eigenvalue, power_coefficients
+from oracles import (J01_SQUARED, banded_disk_matrix, csr, full_grid_lowest_eigenvalue,
+                     power_coefficients)
 
 PI2_4 = math.pi**2 / 4.0
 TWO_PI_SQUARED = 2.0 * math.pi**2
@@ -55,7 +56,7 @@ def test_assembled_stencil_exactly_symmetric(n, s):
     xs = xs[:-1]
     mask = xs[:, None] ** 2 + xs[None, :] ** 2 < 1.0
     h = 2.0 / (n - 1)
-    matrix = _assemble(mask, power_coefficients(xs, s), h, links, mass)
+    matrix = csr(_assemble(mask, power_coefficients(xs, s), h, links, mass))
     assert (matrix != matrix.T).nnz == 0
     assert matrix.shape == (int(mask.sum()),) * 2
 
@@ -81,8 +82,58 @@ def test_assembled_stencil_is_the_masked_kronecker_sum(n, s):
     square = scipy.sparse.kron(t, np.eye(size)) + scipy.sparse.kron(np.diag(c), t)
     keep = np.flatnonzero(mask)
     expected = square.tocsr()[keep][:, keep].toarray()
-    actual = _assemble(mask, c, h, links, mass).toarray()
+    actual = csr(_assemble(mask, c, h, links, mass)).toarray()
     np.testing.assert_allclose(actual, expected, rtol=1e-15, atol=0.0)
+
+
+@pytest.mark.parametrize("fraction", [0.0, 0.9])
+@pytest.mark.parametrize("n, s", [(n, s) for n in (64, 65) for s in (0.0, 1.0, 150.0)]
+                         + [(79, 300.0)])
+def test_factor_input_is_the_banded_assembly(monkeypatch, n, s, fraction):
+    # SuperLU receives (S / c - sigma I).tocsc() of the five-band scipy.sparse
+    # assembly, entry for entry, at sigma = 0 and just below 0.9 lambda.  At
+    # s = 150 the y-coefficients next to the axis underflow to 0 and are not
+    # stored, as scipy.sparse drops them; at s = 300, n = 79 more of them
+    # underflow in S / c, and the factor's input drops those too
+    superlu = grushin.planar._superlu()
+    gstrf = superlu.gstrf
+    received = []
+
+    def recording(m, nnz, *arrays, **kwargs):
+        received.append(arrays)
+        return gstrf(m, nnz, *arrays, **kwargs)
+
+    matrix = _disk_matrix(UNIT_AREA_RHO, s, n)
+    guess = fraction * _smallest_eig(matrix, 0.0)[0]
+    monkeypatch.setattr(superlu, "gstrf", recording)
+    _smallest_eig(matrix, guess)
+    banded = banded_disk_matrix(UNIT_AREA_RHO, s, n)
+    c = math.ldexp(1.0, math.frexp(banded.diagonal().max())[1])
+    sigma = guess / c * (1.0 - grushin.planar._SHIFT_MARGIN)
+    expected = (banded / c - sigma * scipy.sparse.identity(banded.shape[0], format="csr")).tocsc()
+    for got, want in zip(received[0], (expected.data, expected.indices, expected.indptr)):
+        assert np.array_equal(got, want)
+    assert np.all(matrix[0] != 0.0)
+    if s == 150.0:
+        assert expected.nnz < _disk_matrix(UNIT_AREA_RHO, 0.0, n)[0].size
+    if s == 300.0:
+        assert np.count_nonzero(matrix[0] / c == 0.0) > 0
+
+
+def test_unsymmetric_assembly_raises(monkeypatch):
+    # one off-diagonal entry of the assembled arrays moved by an ulp fails the
+    # exact symmetry check
+    assemble = grushin.planar._assemble
+
+    def broken(*args):
+        data, indices, indptr = assemble(*args)
+        k = np.flatnonzero(indices != _rows(indptr))[0]
+        data[k] = np.nextafter(data[k], 0.0)
+        return data, indices, indptr
+
+    monkeypatch.setattr(grushin.planar, "_assemble", broken)
+    with pytest.raises(InvalidProblem, match="assembled stencil is not symmetric"):
+        _disk_matrix(UNIT_AREA_RHO, 1.0, 64)
 
 
 def test_integral_float_n_solves_as_int():
@@ -386,16 +437,15 @@ def test_lanczos_thick_restart_on_clustered_chord_modes():
 
 class _NanSolve:
     """A factor with a symmetric permutation and positive pivots whose
-    solve returns nan."""
+    solve returns nan, made as SuperLU's gstrf is called."""
 
     pivot = 1.0
 
-    def __init__(self, matrix, **kwargs):
-        m = matrix.shape[0]
+    def __init__(self, m, nnz, data, indices, indptr, csc_construct_func, **kwargs):
         self.perm_r = self.perm_c = np.arange(m)
         pivots = np.ones(m)
         pivots[-1] = self.pivot
-        self.U = scipy.sparse.diags(pivots, format="csc")
+        self.U = csc_construct_func((pivots, np.arange(m), np.arange(m + 1)), (m, m))
 
     def solve(self, b):
         return np.full_like(b, np.nan)
@@ -406,8 +456,8 @@ class _NonPositivePivot(_NanSolve):
 
 
 class _UnsymmetricPermutation(_NanSolve):
-    def __init__(self, matrix, **kwargs):
-        super().__init__(matrix)
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
         self.perm_r = self.perm_r[::-1]
 
 
@@ -415,7 +465,7 @@ class _UnsymmetricPermutation(_NanSolve):
     "module, name, value, message",
     [
         (grushin.planar, "_LANCZOS_SOLVES", 3, "did not converge in 3 LU solves"),
-        (scipy.sparse.linalg, "splu", _NanSolve, "non-finite"),
+        (grushin.planar._superlu(), "gstrf", _NanSolve, "non-finite"),
     ],
     ids=["no-convergence", "arpack-error"],
 )
@@ -475,7 +525,7 @@ def test_inertia_count_matches_the_dense_spectrum(s, n):
     # eigenvalues, the factor counts what a dense eigensolver counts.  (s=150
     # is left out: its chord-mode gaps are ~1e-13, rounding level)
     matrix = _disk_matrix(UNIT_AREA_RHO, s, n)
-    eigs = scipy.linalg.eigvalsh(matrix.toarray())
+    eigs = scipy.linalg.eigvalsh(csr(matrix).toarray())
     shifts = [0.5 * eigs[0]] + [0.5 * (eigs[k] + eigs[k + 1]) for k in range(4)]
     counts = [_shifted_factor(matrix, shift)[1] for shift in shifts]
     assert counts == [np.count_nonzero(eigs <= shift) for shift in shifts]
@@ -525,7 +575,7 @@ def test_rho13_s1000_disk_is_certified_across_non_monotone_levels():
     ids=["non-positive-pivot", "unsymmetric-permutation"],
 )
 def test_wrong_inertia_raises(monkeypatch, factor, message):
-    monkeypatch.setattr(scipy.sparse.linalg, "splu", factor)
+    monkeypatch.setattr(grushin.planar._superlu(), "gstrf", factor)
     with pytest.raises(NonConvergence, match=message):
         solve_disk(DiskProblem(rho=UNIT_AREA_RHO, s=150.0, n=64))
 
@@ -534,15 +584,16 @@ def test_non_positive_pivot_at_every_shift_stops_at_zero(monkeypatch):
     # the margin grows 8-fold per refused shift and ends at the shift 0;
     # the factored matrix is S / c, c the power of two above max diag(S)
     matrix = _disk_matrix(1.0, 1.0, 64)
-    c = math.ldexp(1.0, math.frexp(matrix.diagonal().max())[1])
+    diagonal = csr(matrix).diagonal()
+    c = math.ldexp(1.0, math.frexp(diagonal.max())[1])
     shifts = []
 
     class _Recording(_NonPositivePivot):
-        def __init__(self, shifted, **kwargs):
-            shifts.append(matrix.diagonal()[0] - c * shifted.diagonal()[0])
-            super().__init__(shifted)
+        def __init__(self, m, nnz, *arrays, **kwargs):
+            shifts.append(diagonal[0] - c * csr(arrays).diagonal()[0])
+            super().__init__(m, nnz, *arrays, **kwargs)
 
-    monkeypatch.setattr(scipy.sparse.linalg, "splu", _Recording)
+    monkeypatch.setattr(grushin.planar._superlu(), "gstrf", _Recording)
     with pytest.raises(NonConvergence, match="at or below 0"):
         _smallest_eig(matrix, 10.0)
     assert shifts == pytest.approx([10.0 * (1.0 - 1e-3 * 8.0**k) for k in range(4)] + [0.0])

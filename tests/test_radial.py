@@ -590,21 +590,24 @@ def test_lapack_is_scipy_linalg_lapack_in_either_order():
 
 
 _NO_FLAPACK_SCRIPT = """
-from grushin import radial
-try:
-    radial._lapack()
-except ImportError as exc:
-    assert exc.name == "scipy.linalg._flapack", exc
-else:
-    raise AssertionError("loaded a _flapack from a SciPy without one")
+from grushin import planar, radial
+for load, name in ((radial._lapack, "scipy.linalg._flapack"),
+                   (planar._superlu, "scipy.sparse.linalg._dsolve._superlu")):
+    try:
+        load()
+    except ImportError as exc:
+        assert exc.name == name, exc
+    else:
+        raise AssertionError(f"loaded a {name} from a SciPy without one")
 """
 
 
 def test_lapack_missing_raises_import_error(tmp_path):
-    # a SciPy whose linalg has no compiled extension raises ImportError,
-    # with no second way to the routines
+    # a SciPy without compiled extensions raises ImportError, for LAPACK's
+    # and SuperLU's alike, with no second way to the routines; no package's
+    # __init__ runs to find them
     (tmp_path / "scipy" / "linalg").mkdir(parents=True)
-    (tmp_path / "scipy" / "__init__.py").write_text("")
+    (tmp_path / "scipy" / "__init__.py").write_text("raise AssertionError\n")
     (tmp_path / "scipy" / "linalg" / "__init__.py").write_text("raise AssertionError\n")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(tmp_path), str(REPO_ROOT / "src")]))
     result = run_python(["-c", _NO_FLAPACK_SCRIPT], env=env)
