@@ -34,7 +34,7 @@ from enum import Enum
 from .errors import InvalidProblem
 from .minimizer import (
     ProblemParams,
-    _whole_space_cached,
+    _log_lower_envelope,
     ball_constants,
     lambda1_product,
     log_coupling_of_split,
@@ -43,7 +43,6 @@ from .radial import (
     DEFAULT_N,
     _finite,
     _positive,
-    _positive_integer,
     ball_volume_constant,
     mu1_ball,
 )
@@ -93,11 +92,8 @@ def small_s_argmin(p: ProblemParams) -> float:
 
 
 def small_s_min_value(p: ProblemParams) -> float:
-    """Closed-form minimum of the zero-exponent limit curve."""
-    c = ball_constants(p.d1, p.d2)
-    d = p.d1 + p.d2
-    ratio = (p.d1 * c.mu1_b2) / (p.d2 * c.mu1_b1)
-    return p.V ** (-2.0 / d) * (d / p.d1) * c.mu1_b1 * ratio ** (p.d2 / d)
+    """Minimum of the zero-exponent limit curve: small_s_limit at small_s_argmin."""
+    return small_s_limit(p, small_s_argmin(p))
 
 
 def large_s_limit(d1: int, t: float) -> float:
@@ -116,8 +112,10 @@ def large_s_limit(d1: int, t: float) -> float:
 def upper_envelope(p: ProblemParams, t: float, n: int = DEFAULT_N) -> float:
     """Test-function upper bound for the finite-exponent curve at split t; inf on overflow.
 
-    n is unused: the bound is closed form.  It stays only because
-    bench/workloads.py passes a grid size, and goes when that file next changes.
+    Where the split exponent 2s/d1 itself overflows (s from ~9e307), it raises
+    InvalidProblem naming s.  n is unused: the bound is closed form.  It stays
+    only because bench/workloads.py passes a grid size, and goes when that
+    file next changes.
     """
     c = ball_constants(p.d1, p.d2)
     log_term = (
@@ -134,11 +132,10 @@ def upper_envelope(p: ProblemParams, t: float, n: int = DEFAULT_N) -> float:
 def lower_envelope(p: ProblemParams, t: float, n: int = DEFAULT_N) -> float:
     """Whole-space lower bound for the finite-exponent curve at split t.
 
-    Raises InvalidProblem naming t if the bound overflows a float.
+    Raises InvalidProblem naming t if the bound overflows a float, s if 2s/d1 does.
     """
-    log_sigma = log_coupling_of_split(p, t)
-    e_inf = _whole_space_cached(int(p.d1), float(p.s), _positive_integer("n", n))
-    log_value = log_sigma / (1.0 + p.s) + math.log(e_inf) - (2.0 / p.d1) * math.log(t)
+    _positive("t", t)
+    log_value = _log_lower_envelope(p, math.log(t), n)
     return _finite("the lower envelope", lambda: math.exp(log_value), t=t)
 
 

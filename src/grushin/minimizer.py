@@ -27,10 +27,11 @@ dG/du = sigma ((1-a) E1' + sigma E1''), where the primes are derivatives in
 the coupling.  Every radial solution gives E1, E1' and the exact E1'' of the
 discrete eigenvalue, so this module finds the root of G by safeguarded
 Newton iteration, one solve per step, and reports the exact curvature F'' at
-the root.  It also computes closed-form lower bounds for the optimal split
-volume and for the eigenvalue itself, the latter through the ground energy
-E1(1, R^d1) of the whole-space confinement problem obtained by adaptive
-domain truncation.
+the root.  It also bounds both from below: the split volume by the split at
+the floor coupling where that search starts, and the eigenvalue by the
+whole-space lower envelope there, through the ground energy E1(1, R^d1) of
+the whole-space confinement problem obtained by adaptive domain truncation.
+Every map between t and sigma runs in log space, so it stays finite.
 """
 
 from __future__ import annotations
@@ -178,8 +179,9 @@ def ball_constants(d1: int, d2: int, n: int = DEFAULT_N) -> BallConstants:
 
 
 def _split_exponent(p: ProblemParams) -> float:
-    """Exponent of t in the coupling substitution sigma(t)."""
-    return 2.0 / p.d1 + 2.0 / p.d2 + 2.0 * p.s / p.d1
+    """Exponent of t in the coupling substitution sigma(t); InvalidProblem naming s on overflow."""
+    return _finite("the split exponent 2/d1 + 2/d2 + 2s/d1",
+                   lambda: 2.0 / p.d1 + 2.0 / p.d2 + 2.0 * p.s / p.d1, s=p.s)
 
 
 def _objective_exponent(p: ProblemParams) -> float:
@@ -192,15 +194,22 @@ def ball1_radius(d1: int) -> float:
     return ball_volume_constant(d1) ** (-1.0 / _positive_integer("d1", d1))
 
 
+def _log_coupling(p: ProblemParams, log_t: float) -> float:
+    """log sigma at log t: the one split -> coupling map, in log space."""
+    c = ball_constants(p.d1, p.d2)
+    return math.log(c.mu1_b2) - (2.0 / p.d2) * math.log(p.V) + _split_exponent(p) * log_t
+
+
+def _log_split(p: ProblemParams, log_sigma: float) -> float:
+    """log t at log sigma: the inverse of _log_coupling, finite where sigma is not."""
+    c = ball_constants(p.d1, p.d2)
+    return (log_sigma - math.log(c.mu1_b2) + (2.0 / p.d2) * math.log(p.V)) / _split_exponent(p)
+
+
 def log_coupling_of_split(p: ProblemParams, t: float) -> float:
     """log sigma(t); stays finite even where sigma overflows a float."""
     _positive("t", t)
-    c = ball_constants(p.d1, p.d2)
-    return (
-        math.log(c.mu1_b2)
-        - (2.0 / p.d2) * math.log(p.V)
-        + _split_exponent(p) * math.log(t)
-    )
+    return _log_coupling(p, math.log(t))
 
 
 def coupling_of_split(p: ProblemParams, t: float) -> float:
@@ -214,11 +223,7 @@ def coupling_of_split(p: ProblemParams, t: float) -> float:
 def split_of_coupling(p: ProblemParams, sigma: float) -> float:
     """Inverse of coupling_of_split."""
     _positive("sigma", sigma)
-    c = ball_constants(p.d1, p.d2)
-    log_t = (
-        math.log(sigma) - math.log(c.mu1_b2) + (2.0 / p.d2) * math.log(p.V)
-    ) / _split_exponent(p)
-    return math.exp(log_t)
+    return math.exp(_log_split(p, math.log(sigma)))
 
 
 def _ball1_solution(p: ProblemParams, sigma: float, n: int, start=None) -> RadialSolution:
@@ -332,28 +337,22 @@ def _whole_space_cached(d1: int, s: float, n_base: int) -> float:
     return whole_space_energy(d1, s, n_base)
 
 
-def lower_bounds(p: ProblemParams, n: int = DEFAULT_N) -> tuple[float, float]:
-    """Closed-form lower bounds (optimal split volume, optimal eigenvalue).
-
-    The volume bound comes from the critical-coupling inequality; the
-    eigenvalue bound additionally uses the whole-space ground energy
-    E1(1, R^d1) and the scaling E1(sigma, R^d1) = sigma^(1/(1+s)) E1(1, R^d1).
-    All powers are assembled in log space so extreme exponents stay finite.
-    """
-    c = ball_constants(p.d1, p.d2)
-    denom = p.d1 + (1.0 + p.s) * p.d2
-    log_core = _log_sigma_floor(p, c) - math.log(c.mu1_b2)
-    log_vol = (log_core + (2.0 / p.d2) * math.log(p.V)) * p.d1 * p.d2 / (2.0 * denom)
-    vol_lb = math.exp(log_vol)
-
+def _log_lower_envelope(p: ProblemParams, log_t: float, n: int) -> float:
+    """log of the whole-space lower bound t^(-2/d1) sigma(t)^(1/(1+s)) E1(1, R^d1) at log t."""
+    log_sigma = _log_coupling(p, log_t)
     e_inf = _whole_space_cached(int(p.d1), float(p.s), _positive_integer("n", n))
-    log_lam = (
-        math.log(c.mu1_b2) / (p.s + 1.0)
-        - (2.0 / denom) * math.log(p.V)
-        + math.log(e_inf)
-        + log_core * p.d1 / ((p.s + 1.0) * denom)
-    )
-    return vol_lb, math.exp(log_lam)
+    return log_sigma / (1.0 + p.s) + math.log(e_inf) - (2.0 / p.d1) * log_t
+
+
+def lower_bounds(p: ProblemParams, n: int = DEFAULT_N) -> tuple[float, float]:
+    """Lower bounds (optimal split volume, optimal eigenvalue).
+
+    The volume bound is the split at the floor coupling where `minimize`
+    starts, below which F' is provably negative; the eigenvalue bound is the
+    whole-space lower envelope (`asymptotics.lower_envelope`) at that split.
+    """
+    log_t = _log_split(p, _log_sigma_floor(p, ball_constants(p.d1, p.d2)))
+    return math.exp(log_t), math.exp(_log_lower_envelope(p, log_t, n))
 
 
 def minimize(p: ProblemParams, n: int = DEFAULT_N) -> MinimizeResult:

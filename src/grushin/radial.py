@@ -178,13 +178,14 @@ def _finite(name: str, evaluate, **inputs) -> float:
 
 
 def _rpow(r: np.ndarray, p: float) -> np.ndarray:
-    """r**p, elementwise, overflow-capped, with 0**0 = 1 and 0**p = 0 (p > 0)."""
+    """r**p, elementwise, overflow-capped; 0**0 = 1, and 0**p = 0 and 1**p = 1 for p > 0 or inf."""
     import numpy as np
 
     if p == 0.0:
         return np.ones_like(r)
     with np.errstate(divide="ignore", over="ignore"):
-        logs = p * np.log(r, out=np.full_like(r, -np.inf), where=r > 0)
+        logs = np.log(r, out=np.full_like(r, -np.inf), where=r > 0)
+        np.multiply(logs, p, out=logs, where=logs != 0.0)
         out = np.exp(np.minimum(logs, math.log(_POWER_CAP)))
     return out
 

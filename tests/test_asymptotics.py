@@ -106,6 +106,15 @@ def test_upper_envelope_overflow_returns_inf():
     assert math.isinf(upper_envelope(ProblemParams(1, 1, 0.5), 1e-200))
 
 
+def test_envelopes_name_s_where_the_split_exponent_overflows():
+    # 2s/d1 = inf made the coupling term inf - inf = nan at t = 1 and 2
+    p = ProblemParams(1, 1, 1e308)
+    for envelope in (upper_envelope, lower_envelope):
+        for t in (1.0, 2.0):
+            with pytest.raises(InvalidProblem, match=r"at s=1e\+308"):
+                envelope(p, t)
+
+
 def test_lower_envelope_overflow_names_t():
     # math.exp raises an untyped OverflowError there; the bound names t
     with pytest.raises(InvalidProblem, match=r"lower envelope overflows a float at t=1e\+300"):

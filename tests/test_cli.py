@@ -161,6 +161,27 @@ def test_overflowing_inputs_are_invalid_problems(argv, call):
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", ["solve1d --s 1e308 --n 64",
+                                  "sweep-s --s-list 1e308 --t-grid 1:2:2 --n 64"])
+def test_split_exponent_overflow_names_s(argv, capsys):
+    # 2s/d1 overflows to inf, and at t = 1 the log coupling was inf * 0 = nan,
+    # which surfaced as "mu must be finite and >= 0, got nan"
+    assert main(argv.split()) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "s=1e+308" in err
+
+
+@pytest.mark.parametrize("argv", ["disk --rho 1 --s 1e308 --n 64", "disk --rho 2 --s 1e308 --n 65",
+                                  "rectangle --t 2 --s 1e308 --n 65",
+                                  "rectangle --t 4 --s 1e308 --n 65"])
+def test_planar_rows_at_an_infinite_potential_exponent(argv, capsys):
+    # 2s = inf: nodes at |x| = 1 sample 1^inf = 1, not a nan with a warning
+    assert main(argv.split()) == 0
+    headers, rows = read_csv_text(capsys.readouterr().out)
+    assert headers[4] == "lambda1" and len(rows) == 1
+    assert 0.0 < float(rows[0][4]) < math.inf
+
+
 def test_exit_code_degenerate_grid(tmp_path, capsys):
     # 1024 cells do not resolve the d1 = 2 well at mu ~ 9.9e12, s = 1: the
     # solve returned 6855.98, 9.1% above 6283.37 at n = 65536

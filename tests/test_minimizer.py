@@ -6,6 +6,7 @@ eigenvalue from scratch at the reported split all hold to rounding,
 independent of discretization error.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -252,6 +253,20 @@ def test_volume_bound_sharp_at_large_exponent():
     vol_lb, lam_lb = lower_bounds(ProblemParams(1, 1, 1e3), 2048)
     assert abs(vol_lb - 2.0) / 2.0 < 0.01
     assert lam_lb > 0.0
+
+
+def test_lower_bounds_are_the_envelope_at_the_floor_split():
+    # vol_lb is the split at minimize's floor coupling and lambda_lb the lower
+    # envelope there; at s = 1e3 and 1e6 that coupling overflows a float (from
+    # s ~ 515 at d1 = d2 = 1) while its split does not
+    for d1, d2, s, V in itertools.product((1, 2, 3, 8), (1, 2, 3),
+                                          (1e-3, 0.1, 0.5, 1.0, 3.0, 10.0, 150.0, 1e3, 1e6),
+                                          (1e-3, 1.0, 7.5)):
+        p = ProblemParams(d1, d2, s, V)
+        vol_lb, lam_lb = lower_bounds(p, 512)
+        assert math.isclose(lam_lb, lower_envelope(p, vol_lb, 512), rel_tol=1e-14)
+        floor = minimizer._log_sigma_floor(p, ball_constants(d1, d2))
+        assert math.isclose(log_coupling_of_split(p, vol_lb), floor, rel_tol=1e-14)
 
 
 def test_minimize_overflow_guard_at_extreme_exponent():

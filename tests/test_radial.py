@@ -307,6 +307,15 @@ def test_second_derivative_overflow_is_quiet():
     assert second == -math.inf
 
 
+def test_power_of_one_at_an_infinite_exponent():
+    # 2s overflows to inf from s ~ 9e307, where inf * log(1) = inf * 0 was a
+    # nan and an "invalid value" warning at every node with |x| = 1
+    r = np.array([0.0, 0.5, 1.0, 2.0])
+    powers = radial._rpow(r, math.inf)
+    assert powers[:3].tolist() == [0.0, 0.0, 1.0]
+    assert abs(powers[3] - radial._POWER_CAP) / radial._POWER_CAP < 1e-12
+
+
 def test_second_derivative_is_formed_on_first_read(monkeypatch):
     # E'' costs a tridiagonal solve that only minimize and
     # second_derivative_sign read: a solution forms it on first read, once
