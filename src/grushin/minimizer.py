@@ -31,7 +31,7 @@ the root.  It also bounds both from below: the split volume by the split at
 the floor coupling where that search starts, and the eigenvalue by the
 whole-space lower envelope there, through the ground energy E1(1, R^d1) of
 the whole-space confinement problem obtained by adaptive domain truncation.
-Every map between t and sigma runs in log space, so it stays finite.
+Maps between t and sigma run in log space, finite where sigma overflows.
 """
 
 from __future__ import annotations

@@ -178,7 +178,7 @@ def _finite(name: str, evaluate, **inputs) -> float:
 
 
 def _rpow(r: np.ndarray, p: float) -> np.ndarray:
-    """r**p, elementwise, overflow-capped; 0**0 = 1, and 0**p = 0 and 1**p = 1 for p > 0 or inf."""
+    """r**p, elementwise, overflow-capped; 0**0 = 1, 0**p = 0 and 1**p = 1 for p in (0, inf]."""
     import numpy as np
 
     if p == 0.0:
