@@ -72,13 +72,14 @@ class LimitKind(Enum):
 
 
 def small_s_limit(p: ProblemParams, t: float) -> float:
-    """Limit curve as the exponent tends to zero, evaluated at split t."""
+    """Limit curve as s -> 0 at split t; t/V is one power base, finite at the argmin."""
     _positive("t", t)
     c = ball_constants(p.d1, p.d2)
+    a, ratio = 2.0 / p.d2, t / p.V
     return _finite(
         "the s -> 0 limit",
         lambda: t ** (-2.0 / p.d1) * c.mu1_b1
-        + t ** (2.0 / p.d2) * p.V ** (-2.0 / p.d2) * c.mu1_b2,
+        + (ratio ** a if ratio < math.inf else t ** a * p.V ** -a) * c.mu1_b2,
         t=t,
     )
 
@@ -113,7 +114,7 @@ def upper_envelope(p: ProblemParams, t: float, n: int = DEFAULT_N) -> float:
     """Test-function upper bound for the finite-exponent curve at split t; inf on overflow.
 
     Where the split exponent 2s/d1 itself overflows (s from ~9e307), it raises
-    InvalidProblem naming s.  n is unused: the bound is closed form.  It stays
+    InvalidProblem naming s at every t.  n is unused: the bound is closed form.  It stays
     only because bench/workloads.py passes a grid size, and goes when that
     file next changes.
     """

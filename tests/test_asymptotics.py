@@ -6,6 +6,7 @@ against the Bessel constant, and the finite-exponent objective is
 sandwiched between its two envelopes on a parameter grid.
 """
 
+import itertools
 import math
 import re
 
@@ -25,7 +26,7 @@ from grushin.asymptotics import (
     upper_envelope,
 )
 from grushin.errors import InvalidProblem
-from grushin.minimizer import ProblemParams, lambda1_product
+from grushin.minimizer import ProblemParams, ball_constants, lambda1_product
 from grushin.radial import ball_volume_constant, mu1_ball
 from grushin.tables import SweepTable
 from oracles import J01_SQUARED, golden_minimize
@@ -46,10 +47,38 @@ def test_small_s_argmin_against_golden_section_oracle():
         p = ProblemParams(d1=d1, d2=d2, s=1.0, V=vol)
         oracle = golden_minimize(lambda t: small_s_limit(p, t), 0.05, 20.0)
         assert abs(oracle - small_s_argmin(p)) < 1e-6
-        assert (
-            abs(small_s_min_value(p) - small_s_limit(p, small_s_argmin(p)))
-            < 1e-10
-        )
+        # the curve is flat at its minimum, so the oracle's t pins the value
+        assert abs(small_s_min_value(p) - small_s_limit(p, oracle)) < 1e-10
+
+
+def test_small_s_min_value_matches_the_closed_form():
+    # min_t mu_b1 t^(-2/d1) + mu_b2 (t/V)^(2/d2), by calculus
+    for d1, d2, vol in itertools.product((1, 2, 3, 8), (1, 2, 3), (1e-3, 1.0, 7.5)):
+        p = ProblemParams(d1, d2, 1.0, vol)
+        c = ball_constants(d1, d2)
+        d = d1 + d2
+        ratio = (d1 * c.mu1_b2) / (d2 * c.mu1_b1)
+        expected = vol ** (-2.0 / d) * (d / d1) * c.mu1_b1 * ratio ** (d2 / d)
+        assert math.isclose(small_s_min_value(p), expected, rel_tol=1e-14)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("vol", [1e-200, 1e200])
+def test_small_s_min_value_at_extreme_volumes(d, vol):
+    # d1 = d2 = d: the minimum is 2 mu_b1 V^(-1/d) at t = V^(1/2).  Powering
+    # t and V apart underflowed V^(-2) to 0 at V = 1e200 (half the value)
+    # and overflowed it at V = 1e-200, an error naming t = 1e-100
+    expected = 2.0 * ball_constants(d, d).mu1_b1 * vol ** (-1.0 / d)
+    assert math.isclose(small_s_min_value(ProblemParams(d, d, 1.0, vol)), expected, rel_tol=1e-14)
+
+
+def test_small_s_limit_where_t_over_v_overflows():
+    # t/V = 1e310 is past the float range, but at d2 = 3 its power is not
+    p = ProblemParams(1, 3, 1.0, 1e-300)
+    c = ball_constants(1, 3)
+    log_ratio = math.log(1e10) - math.log(1e-300)
+    expected = 1e-20 * c.mu1_b1 + math.exp(log_ratio * 2.0 / 3.0) * c.mu1_b2
+    assert math.isclose(small_s_limit(p, 1e10), expected, rel_tol=1e-12)
 
 
 def test_small_s_square_case_value():
@@ -107,10 +136,12 @@ def test_upper_envelope_overflow_returns_inf():
 
 
 def test_envelopes_name_s_where_the_split_exponent_overflows():
-    # 2s/d1 = inf made the coupling term inf - inf = nan at t = 1 and 2
+    # 2s/d1 = inf made the coupling term inf - inf = nan at t = 1 and 2.
+    # Below t = 1 the coupling underflowed to 0 and the envelopes answered;
+    # the exponent range now ends where 2s/d1 is a float, at every t
     p = ProblemParams(1, 1, 1e308)
     for envelope in (upper_envelope, lower_envelope):
-        for t in (1.0, 2.0):
+        for t in (0.5, 1.0, 2.0):
             with pytest.raises(InvalidProblem, match=r"at s=1e\+308"):
                 envelope(p, t)
 

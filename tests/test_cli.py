@@ -162,10 +162,14 @@ def test_overflowing_inputs_are_invalid_problems(argv, call):
 
 
 @pytest.mark.parametrize("argv", ["solve1d --s 1e308 --n 64",
-                                  "sweep-s --s-list 1e308 --t-grid 1:2:2 --n 64"])
+                                  "sweep-s --s-list 1e308 --t-grid 1:2:2 --n 64",
+                                  "solve1d --s 1e308 --t 0.5 --n 64",
+                                  "sweep-s --s-list 1e308 --t-grid 0.5:0.9:2 --n 64"])
 def test_split_exponent_overflow_names_s(argv, capsys):
     # 2s/d1 overflows to inf, and at t = 1 the log coupling was inf * 0 = nan,
-    # which surfaced as "mu must be finite and >= 0, got nan"
+    # which surfaced as "mu must be finite and >= 0, got nan".  Below t = 1
+    # the coupling underflowed to 0 and the rows answered as at s = 1e307;
+    # they now end with the same error, one boundary for every t
     assert main(argv.split()) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "s=1e+308" in err
