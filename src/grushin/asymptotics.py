@@ -34,10 +34,10 @@ from enum import Enum
 from .errors import InvalidProblem
 from .minimizer import (
     ProblemParams,
+    _log_coupling,
     _log_lower_envelope,
     ball_constants,
     lambda1_product,
-    log_coupling_of_split,
 )
 from .radial import (
     DEFAULT_N,
@@ -118,9 +118,10 @@ def upper_envelope(p: ProblemParams, t: float, n: int = DEFAULT_N) -> float:
     only because bench/workloads.py passes a grid size, and goes when that
     file next changes.
     """
+    _positive("t", t)
     c = ball_constants(p.d1, p.d2)
     log_term = (
-        log_coupling_of_split(p, t)
+        _log_coupling(p, math.log(t))
         - (2.0 * p.s / p.d1) * math.log(c.tau_d1)
         - (2.0 / p.d1) * math.log(t)
     )

@@ -21,11 +21,10 @@ from dataclasses import dataclass, field, fields
 from .asymptotics import LimitKind, convergence_report, limit_profile
 from .baseline import DEFAULT_BASELINE, regression_suite
 from .errors import BaselineMissing, BracketFailure, GrushinError, NonConvergence, UsageError
-from .minimizer import (MinimizeResult, ProblemParams, _split_eigenvalue, ball1_radius,
-                        coupling_of_split, minimize)
+from .minimizer import MinimizeResult, ProblemParams, _split_solution, minimize
 from .planar import (DEFAULT_N_2D, DiskProblem, segment_limit_probe, solve_disk,
                      solve_rectangle_full)
-from .radial import DEFAULT_N, RadialProblem, _lapack, solve_radial
+from .radial import DEFAULT_N, _lapack
 from .tables import SweepTable, emit_csv, emit_svg
 
 __all__ = ["RunConfig", "console_entry", "main", "parse_config"]
@@ -127,15 +126,11 @@ def _params(cfg: RunConfig) -> ProblemParams:
 def _cmd_solve1d(cfg: RunConfig) -> None:
     import numpy as np
 
-    p = _params(cfg)
-    sigma = coupling_of_split(p, cfg.t)
-    prob = RadialProblem(d1=p.d1, s=p.s, mu=sigma, R=ball1_radius(p.d1), n=cfg.grid_n)
-    sol = solve_radial(prob)
-    lam = _split_eigenvalue(p, cfg.t, sol.energy)
+    lam, prob, sol = _split_solution(_params(cfg), cfg.t, cfg.grid_n)
     v = sol.v
     del sol  # its unread E'' operands would stay alive through emission
     _emit(cfg, SweepTable(headers=("r", "v"), rows=np.column_stack((prob.grid(), v))))
-    print(f"lambda1 = {lam:.12g} (coupling {sigma:.6g})", file=sys.stderr)
+    print(f"lambda1 = {lam:.12g} (coupling {prob.mu:.6g})", file=sys.stderr)
 
 
 def _cmd_minimize(cfg: RunConfig) -> None:

@@ -32,6 +32,8 @@ the floor coupling where that search starts, and the eigenvalue by the
 whole-space lower envelope there, through the ground energy E1(1, R^d1) of
 the whole-space confinement problem obtained by adaptive domain truncation.
 Maps between t and sigma run in log space, finite where sigma overflows.
+One function builds and solves the problem on B1; the eigenvalue at a split,
+the CLI's profile there and each Newton iterate all come from it.
 """
 
 from __future__ import annotations
@@ -45,7 +47,6 @@ from .errors import BracketFailure, InvalidProblem, NonConvergence
 from .radial import (
     DEFAULT_N,
     RadialProblem,
-    RadialSolution,
     _finite,
     _positive,
     _positive_integer,
@@ -56,8 +57,8 @@ from .radial import (
 )
 
 __all__ = ["BallConstants", "MinimizeResult", "ProblemParams", "ball1_radius", "ball_constants",
-           "coupling_of_split", "lambda1_product", "log_coupling_of_split", "lower_bounds",
-           "minimize", "scaled_energy_derivative", "split_of_coupling", "whole_space_energy"]
+           "coupling_of_split", "lambda1_product", "lower_bounds", "minimize",
+           "whole_space_energy"]
 
 #: Geometric factor of each step the search takes before a sign change of
 #: F' is bracketed: the shortest step up, and every step down.
@@ -206,34 +207,30 @@ def _log_split(p: ProblemParams, log_sigma: float) -> float:
     return (log_sigma - math.log(c.mu1_b2) + (2.0 / p.d2) * math.log(p.V)) / _split_exponent(p)
 
 
-def log_coupling_of_split(p: ProblemParams, t: float) -> float:
-    """log sigma(t); stays finite even where sigma overflows a float."""
-    _positive("t", t)
-    return _log_coupling(p, math.log(t))
-
-
 def coupling_of_split(p: ProblemParams, t: float) -> float:
     """sigma(t) = mu1(B2) V^(-2/d2) t^(2/d1 + 2/d2 + 2s/d1)."""
-    log_sigma = log_coupling_of_split(p, t)
+    _positive("t", t)
+    log_sigma = _log_coupling(p, math.log(t))
     if log_sigma > 690.0:
         raise InvalidProblem(f"coupling overflows for t={t}, s={p.s}")
     return math.exp(log_sigma)
 
 
-def split_of_coupling(p: ProblemParams, sigma: float) -> float:
-    """Inverse of coupling_of_split."""
-    _positive("sigma", sigma)
-    return math.exp(_log_split(p, math.log(sigma)))
-
-
-def _ball1_solution(p: ProblemParams, sigma: float, n: int, start=None) -> RadialSolution:
+def _ball1_solution(p: ProblemParams, sigma: float, n: int, start=None) -> tuple:
+    """(problem, solution) at coupling sigma on the unit-volume ball B1; built nowhere else."""
     prob = RadialProblem(d1=p.d1, s=p.s, mu=sigma, R=ball1_radius(p.d1), n=n)
-    return solve_radial(prob, start)
+    return prob, solve_radial(prob, start)
 
 
 def _split_eigenvalue(p: ProblemParams, t: float, energy: float) -> float:
     """lambda1 = t^(-2/d1) E1 at split t, from the ground energy E1 on the unit-volume ball."""
     return _finite("lambda1", lambda: t ** (-2.0 / p.d1) * energy, t=t)
+
+
+def _split_solution(p: ProblemParams, t: float, n: int) -> tuple:
+    """(lambda1, problem, solution) at split t: the problem on B1 at coupling sigma(t)."""
+    prob, sol = _ball1_solution(p, coupling_of_split(p, t), n)
+    return _split_eigenvalue(p, t, sol.energy), prob, sol
 
 
 def lambda1_product(p: ProblemParams, t: float, n: int = DEFAULT_N) -> float:
@@ -242,38 +239,29 @@ def lambda1_product(p: ProblemParams, t: float, n: int = DEFAULT_N) -> float:
     Both factors are balls; t is the volume of the degenerate factor and
     V/t the volume of the second factor.
     """
-    sigma = coupling_of_split(p, t)
-    return _split_eigenvalue(p, t, _ball1_solution(p, sigma, n).energy)
-
-
-def scaled_energy_derivative(p: ProblemParams, sigma: float, n: int = DEFAULT_N) -> float:
-    """F'(sigma) = sigma^(-a-1) (sigma dE1/dsigma - a E1), by Hellmann-Feynman."""
-    _positive("sigma", sigma)
-    a = _objective_exponent(p)
-    sol = _ball1_solution(p, sigma, n)
-    return math.exp((-a - 1.0) * math.log(sigma)) * (
-        sigma * sol.hf_derivative - a * sol.energy
-    )
+    return _split_solution(p, t, n)[0]
 
 
 def _critical_terms(p: ProblemParams, log_sigma: float, n: int, warm=None) -> tuple:
-    """(G, dG/du, solution) at u = log_sigma, from one radial solve.
+    """(G, dG/du, problem, solution) at u = log_sigma, from one radial solve.
 
     G = sigma E1' - a E1 has the sign of F'(sigma); dG/du = sigma ((1-a) E1'
     + sigma E1'').  warm, the solution of an earlier iterate on the same grid,
-    gives the solve its start; its profile is overwritten.
+    gives the solve its start; its profile is overwritten.  Raises
+    InvalidProblem naming s where sigma^2 overflows a float; `lower_bounds`
+    solve no problem at a coupling, so they still answer there.
     """
     if log_sigma > _LOG_SIGMA_MAX:
         raise InvalidProblem(
             f"critical coupling overflows the float range at s={p.s}; "
-            "the closed-form lower_bounds remain available"
+            "lower_bounds still bound the split and the eigenvalue"
         )
     sigma = math.exp(log_sigma)
     a = _objective_exponent(p)
-    sol = _ball1_solution(p, sigma, n, None if warm is None else warm.v)
+    prob, sol = _ball1_solution(p, sigma, n, None if warm is None else warm.v)
     g = sigma * sol.hf_derivative - a * sol.energy
     slope = sigma * ((1.0 - a) * sol.hf_derivative + sigma * sol.second_derivative)
-    return g, slope, sol
+    return g, slope, prob, sol
 
 
 def _log_sigma_floor(p: ProblemParams, c: BallConstants) -> float:
@@ -350,9 +338,12 @@ def lower_bounds(p: ProblemParams, n: int = DEFAULT_N) -> tuple[float, float]:
     The volume bound is the split at the floor coupling where `minimize`
     starts, below which F' is provably negative; the eigenvalue bound is the
     whole-space lower envelope (`asymptotics.lower_envelope`) at that split.
+    Raises InvalidProblem naming s and V if either bound overflows a float.
     """
     log_t = _log_split(p, _log_sigma_floor(p, ball_constants(p.d1, p.d2)))
-    return math.exp(log_t), math.exp(_log_lower_envelope(p, log_t, n))
+    vol_lb = _finite("the split volume bound", lambda: math.exp(log_t), s=p.s, V=p.V)
+    log_lam = _log_lower_envelope(p, log_t, n)
+    return vol_lb, _finite("the eigenvalue bound", lambda: math.exp(log_lam), s=p.s, V=p.V)
 
 
 def minimize(p: ProblemParams, n: int = DEFAULT_N) -> MinimizeResult:
@@ -384,13 +375,13 @@ def minimize(p: ProblemParams, n: int = DEFAULT_N) -> MinimizeResult:
     max_step = math.log(_BRACKET_FACTOR)
     u, lo, hi = log_floor, -math.inf, math.inf
     last_step = math.inf
-    sol = None
+    prob = sol = None
     for _ in range(_MAX_SOLVES):
         if abs(u - log_floor) > math.log(_BRACKET_SPAN):
             floor = math.exp(log_floor)
             raise BracketFailure("no sign change of the split objective derivative in "
                                  f"[{floor / _BRACKET_SPAN:.3e}, {floor * _BRACKET_SPAN:.3e}]")
-        g, slope, sol = _critical_terms(p, u, n, sol)
+        g, slope, prob, sol = _critical_terms(p, u, n, sol)
         if g < 0.0:
             lo = u
         elif g > 0.0:
@@ -416,7 +407,8 @@ def minimize(p: ProblemParams, n: int = DEFAULT_N) -> MinimizeResult:
             f"critical-point search did not settle in {_MAX_SOLVES} radial solves"
         )
     sigma_star = math.exp(u)
-    t_star = split_of_coupling(p, sigma_star)
+    log_t = _log_split(p, math.log(sigma_star))
+    t_star = _finite("the optimal split", lambda: math.exp(log_t), sigma=sigma_star)
     lam = _split_eigenvalue(p, t_star, sol.energy)
     a = _objective_exponent(p)
     # sigma^(-a-2) (sigma^2 E1'' - 2 a sigma E1' + a (a+1) E1), without sigma^2
@@ -424,8 +416,7 @@ def minimize(p: ProblemParams, n: int = DEFAULT_N) -> MinimizeResult:
         sol.second_derivative
         + a * ((a + 1.0) * sol.energy / sigma_star - 2.0 * sol.hf_derivative) / sigma_star
     )
-
-    prob = RadialProblem(d1=p.d1, s=p.s, mu=sigma_star, R=ball1_radius(p.d1), n=n)
+    # the last iterate's problem: its coupling is sigma_star
     grad = gradient_integral(sol, prob)
     crit = grad - ((p.d1 + p.s * p.d2) / p.d2) * sigma_star * sol.hf_derivative
 

@@ -149,6 +149,18 @@ def scaled_energy(p, sigma: float, n: int) -> float:
     return math.exp(-a * math.log(sigma)) * solve_radial(prob).energy
 
 
+def scaled_energy_derivative(p, sigma: float, n: int) -> float:
+    """F'(sigma) = sigma^(-a-1) (sigma dE1/dsigma - a E1), by Hellmann-Feynman.
+
+    The derivative of `scaled_energy`, for the sign-change and curvature
+    checks of the split search.
+    """
+    a = p.d2 / (p.d1 + (1.0 + p.s) * p.d2)
+    prob = RadialProblem(d1=p.d1, s=p.s, mu=sigma, R=ball1_radius(p.d1), n=n)
+    sol = solve_radial(prob)
+    return math.exp((-a - 1.0) * math.log(sigma)) * (sigma * sol.hf_derivative - a * sol.energy)
+
+
 def power_coefficients(xs: np.ndarray, s: float) -> np.ndarray:
     """|x|^(2s) at the nodes xs by NumPy's power, inf where it overflows a double.
 

@@ -31,13 +31,7 @@ import time
 
 import numpy as np
 
-from grushin.minimizer import (
-    ProblemParams,
-    lambda1_product,
-    lower_bounds,
-    minimize,
-    scaled_energy_derivative,
-)
+from grushin.minimizer import ProblemParams, lambda1_product, lower_bounds, minimize
 from grushin.planar import DiskProblem, solve_disk
 from grushin.radial import RadialProblem, identity_residuals, solve_radial
 from oracles import (
@@ -47,6 +41,7 @@ from oracles import (
     half_interval_lowest_eigenvalue,
     read_csv_text,
     run_cli,
+    scaled_energy_derivative,
 )
 
 PI2_4 = math.pi**2 / 4.0

@@ -22,8 +22,10 @@ from grushin.cli import (
     parse_config,
 )
 from grushin.errors import InvalidProblem, NonConvergence, UsageError
-from grushin.minimizer import ProblemParams, lambda1_product, minimize
+from grushin.minimizer import (ProblemParams, ball1_radius, coupling_of_split, lambda1_product,
+                               minimize)
 from grushin.planar import DiskProblem, segment_limit_probe, solve_disk, solve_rectangle_full
+from grushin.radial import RadialProblem, solve_radial
 from oracles import read_csv_text, run_cli, run_python
 
 
@@ -228,6 +230,23 @@ def test_solve1d_emits_profile(tmp_path, capsys):
     assert headers == ["r", "v"]
     assert len(rows) == 257  # n + 1 grid nodes
     assert float(rows[-1][1]) == 0.0
+
+
+@pytest.mark.parametrize("d1, d2, s, t", [(1, 1, 1.0, 1.645), (3, 2, 0.5, 0.7)])
+def test_solve1d_prints_the_library_values(d1, d2, s, t, capsys):
+    # the stderr line is lambda1_product and coupling_of_split at the split,
+    # and each row a node and the ground state there on the unit-volume ball
+    argv = ["solve1d", "--d1", str(d1), "--d2", str(d2), "--s", str(s), "--t", str(t)]
+    assert main(argv + ["--n", "256"]) == 0
+    captured = capsys.readouterr()
+    p = ProblemParams(d1, d2, s)
+    sigma = coupling_of_split(p, t)
+    lam = lambda1_product(p, t, 256)
+    assert captured.err == f"lambda1 = {lam:.12g} (coupling {sigma:.6g})\n"
+    prob = RadialProblem(d1=d1, s=s, mu=sigma, R=ball1_radius(d1), n=256)
+    headers, rows = read_csv_text(captured.out)
+    assert headers == ["r", "v"]
+    assert rows == [["%.17e" % r, "%.17e" % v] for r, v in zip(prob.grid(), solve_radial(prob).v)]
 
 
 def test_minimize_emits_result_row(capsys):

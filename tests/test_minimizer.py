@@ -23,14 +23,11 @@ from grushin.minimizer import (
     ball_constants,
     coupling_of_split,
     lambda1_product,
-    log_coupling_of_split,
     lower_bounds,
     minimize,
-    scaled_energy_derivative,
-    split_of_coupling,
     whole_space_energy,
 )
-from oracles import scaled_energy
+from oracles import scaled_energy, scaled_energy_derivative
 
 PI2_4 = math.pi**2 / 4.0
 # |a1'| and |a1|, the first zeros of Airy's Ai' and Ai: the whole-space
@@ -78,18 +75,14 @@ def test_split_coupling_roundtrip():
     p = ProblemParams(1, 1, 1.0)
     for t in (0.5, 1.0, 2.5):
         sigma = coupling_of_split(p, t)
-        assert abs(split_of_coupling(p, sigma) - t) / t < 1e-12
-        assert abs(math.log(sigma) - log_coupling_of_split(p, t)) < 1e-12
-    # a coupling <= 0 has no split: a typed error, not a math domain error
-    for sigma in (0.0, -1.0, math.nan):
-        with pytest.raises(InvalidProblem):
-            split_of_coupling(p, sigma)
+        assert abs(math.exp(minimizer._log_split(p, math.log(sigma))) - t) / t < 1e-12
+        assert abs(math.log(sigma) - minimizer._log_coupling(p, math.log(t))) < 1e-12
 
 
 def test_coupling_overflow_guarded():
     p = ProblemParams(1, 1, 150.0)
     # the log form stays finite where the plain value would overflow
-    assert log_coupling_of_split(p, 10.0) > 690.0
+    assert minimizer._log_coupling(p, math.log(10.0)) > 690.0
     with pytest.raises(InvalidProblem):
         coupling_of_split(p, 10.0)
 
@@ -266,14 +259,26 @@ def test_lower_bounds_are_the_envelope_at_the_floor_split():
         vol_lb, lam_lb = lower_bounds(p, 512)
         assert math.isclose(lam_lb, lower_envelope(p, vol_lb, 512), rel_tol=1e-14)
         floor = minimizer._log_sigma_floor(p, ball_constants(d1, d2))
-        assert math.isclose(log_coupling_of_split(p, vol_lb), floor, rel_tol=1e-14)
+        assert math.isclose(minimizer._log_coupling(p, math.log(vol_lb)), floor, rel_tol=1e-14)
 
 
 def test_minimize_overflow_guard_at_extreme_exponent():
-    # the bisection needs the coupling as a float; past the float range the
-    # failure must be a clean error while lower_bounds still answers
-    with pytest.raises(InvalidProblem):
-        minimize(ProblemParams(1, 1, 1e3), 512)
+    # the search needs the coupling as a float; past the float range the
+    # error names s and points to lower_bounds, which solve no problem at a
+    # coupling (a whole-space solve and log-space maps) and answer at that p
+    for s in (250.0, 1e3):
+        p = ProblemParams(1, 1, s)
+        with pytest.raises(InvalidProblem, match=f"s={s}; lower_bounds still"):
+            minimize(p, 512)
+        vol_lb, lam_lb = lower_bounds(p, 512)
+        assert 0.0 < vol_lb < math.inf and 0.0 < lam_lb < math.inf
+
+
+def test_lower_bounds_past_the_float_range_are_invalid_problems():
+    # at V = 5e-324 the eigenvalue bound is ~e^743, and its exp raised a bare
+    # OverflowError ("math range error")
+    with pytest.raises(InvalidProblem, match=r"eigenvalue bound overflows a float at s=0\.01"):
+        lower_bounds(ProblemParams(1, 1, 0.01, 5e-324), 256)
 
 
 # ----------------------------------------------------------- whole space
@@ -354,7 +359,7 @@ def _assert_bracket_failure(monkeypatch, g):
     # every solve counts against the one budget
     solves = []
     monkeypatch.setattr(minimizer, "_critical_terms",
-                        lambda *a: solves.append(a) or (g, 1.0, None))
+                        lambda *a: solves.append(a) or (g, 1.0, None, None))
     with pytest.raises(BracketFailure, match="no sign change of the split objective derivative"):
         minimize(ProblemParams(1, 1, 1.0), 256)
     assert 0 < len(solves) <= minimizer._MAX_SOLVES
