@@ -31,21 +31,23 @@ so a rectangle shares its potential cap (which also clips a |x|^(2s) that
 overflows), resolution guard, certificate and sum-of-squares energy.
 
 A disk's smallest eigenvalue comes from shift-invert Lanczos on one sparse LU
-factorization of S - sigma I per grid, at a shift the factor certifies:
-SuperLU (SciPy's extension _superlu, called as splu calls it, on S's CSR
-arrays built here, which are its CSC arrays as S is symmetric) orders
-symmetrically and pivots on the diagonal, so U = D L^T and, by Sylvester's
-law of inertia, the pivots <= 0 count the eigenvalues <= sigma; a count of
-zero certifies sigma < lambda1 (the inertia check of Grimes, Lewis & Simon,
-SIAM J. Matrix Anal. Appl. 15 (1994) 228-272).  A residual alone cannot do
-this: on the s=150, n=256 unit-area disk sixteen chord modes lie within 1e-9
-of lambda1.  SuperLU factors one column per panel without relaxed supernodes,
-as a masked 5-point quadrant forms no large dense supernodes for its default
-blocking (Demmel, Eisenstat, Gilbert, Li & Liu, SIAM J. Matrix Anal. Appl. 20
-(1999) 720-755) to pay off.  The shifts come from a coarse-to-fine cascade
-over the grids n//2^k >= 64 (k >= 2), n//2 and n, each just below the
-eigenvalue of the grid before; the masked eigenvalue is not monotone in n, so
-a refused shift backs off (`_smallest_eig`).  Lanczos reorthogonalizes fully,
+factorization of S - sigma I per grid (SuperLU: SciPy's extension _superlu,
+called as splu calls it, on S's CSR arrays built here, which are its CSC
+arrays as S is symmetric), at a shift that the factor's first solve
+certifies.  S - sigma I is a symmetric Z-matrix, checked on assembly, so it
+is positive definite, and sigma < lambda1, iff it is a nonsingular M-matrix,
+that is iff (S - sigma I) x > 0 for some x > 0; the solve w of Lanczos'
+constant start is such an x whenever sigma < lambda1, and w is tested
+against that condition with a rounding bound (_shifted_factor), then used as
+Lanczos' first step.  The factor's L and U are never read.  A residual alone
+cannot certify a shift: on the s=150, n=256 unit-area disk sixteen chord
+modes lie within 1e-9 of lambda1.  SuperLU factors one column per panel
+without relaxed supernodes, as a masked 5-point quadrant forms no large dense
+supernodes for its default blocking (Demmel, Eisenstat, Gilbert, Li & Liu,
+SIAM J. Matrix Anal. Appl. 20 (1999) 720-755) to pay off.  The shifts come
+from a coarse-to-fine cascade over the grids n//2^k >= 64 (k >= 2), n//2 and
+n, each just below the eigenvalue of the grid before; the masked eigenvalue is
+not monotone in n, so a refused shift backs off (`_smallest_eig`).  Lanczos reorthogonalizes fully,
 tests convergence after every LU solve, and restarts thick, keeping the
 leading half of the basis (Wu & Simon, SIAM J. Matrix Anal. Appl. 22 (2000)
 602-616).  It starts from the constant vector, so repeated solves are
@@ -102,8 +104,8 @@ _LANCZOS_NCV = 60
 _LANCZOS_SOLVES = 10_000
 
 #: A grid is first factored at guess (1 - _SHIFT_MARGIN), guess the next
-#: coarser grid's eigenvalue; each factor that counts an eigenvalue at or
-#: below its shift multiplies the margin by _SHIFT_GROWTH.
+#: coarser grid's eigenvalue; each shift that its factor's first solve fails
+#: to certify (_shifted_factor) multiplies the margin by _SHIFT_GROWTH.
 _SHIFT_MARGIN = 1e-3
 _SHIFT_GROWTH = 8.0
 
@@ -135,9 +137,10 @@ class DiskSolve:
     interior_count is the number of unknowns solved on the fine grid (the
     quadrant nodes of a disk, the line nodes of a rectangle), and iterations
     the number of LU (disk) or LDL^T (rectangle) solves spent there.  sigma
-    is the fine grid's certified shift: its factor counts no eigenvalue at or
-    below it, so the fine grid's smallest eigenvalue lies in (sigma, lambda1],
-    lambda1 being a Rayleigh quotient (in grushin.radial's form on a line).
+    is the fine grid's certified shift (a disk's by an M-matrix test on its
+    factor's first solve, a rectangle's by a Sturm count), so the fine grid's
+    smallest eigenvalue lies in (sigma, lambda1], lambda1 being a Rayleigh
+    quotient (in grushin.radial's form on a line).
     """
 
     lambda1: float
@@ -211,30 +214,32 @@ def _rows(indptr: np.ndarray) -> np.ndarray:  # of each entry, in CSR (column in
     return np.repeat(np.arange(indptr.size - 1, dtype=indptr.dtype), np.diff(indptr))
 
 
-def _stored_diagonal(arrays: tuple, shape=None) -> np.ndarray:
-    """The stored diagonal of CSR (or CSC) arrays, which may end in unused space (SuperLU's)."""
+def _stored_diagonal(arrays: tuple) -> np.ndarray:
+    """The stored diagonal of CSR arrays."""
     data, indices, indptr = arrays
-    return data[: indptr[-1]][indices[: indptr[-1]] == _rows(indptr)]
+    return data[indices == _rows(indptr)]
 
 
-def _lanczos(solve, m: int) -> np.ndarray:
+def _lanczos(solve, first: np.ndarray) -> np.ndarray:
     """Ritz vector of the largest eigenvalue of the inverse that solve applies.
 
-    Thick-restart Lanczos from the constant vector, with two Gram-Schmidt
-    passes against the whole basis.  The projected matrix holds the
-    orthogonalization coefficients, so after a restart its leading block is
-    diag(theta) of the kept Ritz vectors, coupled only to the residual vector.
+    Thick-restart Lanczos from the constant vector, whose solve first is.
+    Two Gram-Schmidt passes run against the whole basis.  The projected matrix
+    holds the orthogonalization coefficients, so after a restart its leading
+    block is diag(theta) of the kept Ritz vectors, coupled only to the
+    residual vector.
     """
     import numpy as np
 
+    m = first.size
     ncv = min(_LANCZOS_NCV, m)
     keep = ncv // 2
     basis = np.empty((ncv, m))
     basis[0] = 1.0 / math.sqrt(m)
     projected = np.zeros((ncv, ncv))
     j = 0
-    for _ in range(_LANCZOS_SOLVES):
-        w = solve(basis[j])
+    for step in range(_LANCZOS_SOLVES):
+        w = solve(basis[j]) if step else first
         h = np.zeros(j + 1)
         for _ in range(2):
             c = basis[: j + 1] @ w
@@ -260,34 +265,46 @@ def _lanczos(solve, m: int) -> np.ndarray:
 
 
 def _shifted_factor(matrix: tuple, sigma: float):
-    """LU factor of matrix - sigma I and the number of eigenvalues <= sigma.
+    """LU factor of matrix - sigma I, and its solve w of Lanczos' start if w certifies sigma.
 
     matrix is _assemble's arrays, shifted at their diagonal alone and handed
     over without stored zeros, as splu takes (matrix - sigma I).tocsc().
-    SuperLU factors P (S - sigma I) P^T = L U with one symmetric ordering P
-    and diagonal pivots, so U = D L^T and, by Sylvester's law of inertia, the
-    pivots <= 0 count the eigenvalues of S at or below sigma.  One-column
-    panels and unrelaxed supernodes (PanelSize=1, Relax=1) factor these
-    matrices ~1.5x faster than the defaults at n = 256 and 512.  Raises
-    NonConvergence if the row and column permutations differ, voiding that count.
+    One-column panels and unrelaxed supernodes (PanelSize=1, Relax=1) factor
+    these matrices ~1.5x faster than the defaults at n = 256 and 512.
+
+    A = matrix - sigma I is a symmetric Z-matrix (_disk_matrix), and a
+    Z-matrix is a nonsingular M-matrix iff A x > 0 for some x > 0 (Berman &
+    Plemmons, Nonnegative Matrices in the Mathematical Sciences, 1994, Thm
+    6.2.3, I27); a symmetric one is positive definite, so sigma < lambda1.
+    Then A^(-1) >= 0 has a positive diagonal, so w = A^(-1) 1/sqrt(m), the
+    solve of Lanczos' constant start, is such an x up to rounding.  The test
+    takes w as it is: w > 0, and r = matrix w - sigma w, summed row by row,
+    passes r_i > 16 eps ((|matrix| w)_i + |sigma| w_i) + tiny at every row
+    (tiny the smallest normal float).  The bound exceeds the rounding of a
+    row's five products and sums and of sigma w_i, underflow included, so an
+    accepted w proves A w > 0 whatever the factor's pivoting or accuracy.
+    Returns (lu, w), or (lu, None) if the test refuses sigma.
     """
     import numpy as np
 
     data, indices, indptr = matrix
-    shifted = np.where(indices == _rows(indptr), data - sigma, data)
+    m, rows = indptr.size - 1, _rows(indptr)
+    shifted = np.where(indices == rows, data - sigma, data)
     keep = shifted != 0.0
-    # splu's arguments; L and U, built on access, keep only their stored diagonals
-    lu = _superlu().gstrf(indptr.size - 1, np.count_nonzero(keep), shifted[keep], indices[keep],
+    # splu's arguments; L and U are never read, so nothing constructs them
+    lu = _superlu().gstrf(m, np.count_nonzero(keep), shifted[keep], indices[keep],
                           np.cumsum(np.append(0, keep), dtype=np.intc)[indptr],
-                          csc_construct_func=_stored_diagonal, ilu=False,
+                          csc_construct_func=None, ilu=False,
                           options={"ColPerm": "MMD_AT_PLUS_A", "DiagPivotThresh": 0.0, "Relax": 1,
                                    "PanelSize": 1, "SymmetricMode": True})
-    if not np.array_equal(lu.perm_r, lu.perm_c):
-        raise NonConvergence(
-            f"the factor at the shift {sigma!r} pivoted off the diagonal: its inertia is unknown"
-        )
-    # a nan or unstored pivot certifies nothing, so it counts as non-positive
-    return lu, indptr.size - 1 - int(np.count_nonzero(lu.U > 0.0))
+    w = lu.solve(np.full(m, 1.0 / math.sqrt(m)))
+    if not (w > 0.0).all():  # nan included
+        return lu, None
+    with np.errstate(over="ignore", invalid="ignore"):
+        r = np.bincount(rows, data * w[indices]) - sigma * w
+        bound = np.bincount(rows, np.abs(data) * w[indices]) + abs(sigma) * w
+        certified = (r > 16.0 * sys.float_info.epsilon * bound + sys.float_info.min).all()
+    return lu, w if certified else None
 
 
 def _superlu():  # SciPy's SuperLU wrapper, the extension scipy.sparse.linalg._dsolve._superlu
@@ -298,14 +315,15 @@ def _smallest_eig(matrix, guess: float) -> tuple[float, float, int]:
     """Shift-invert Lanczos at a certified shift, gated by an a-posteriori residual.
 
     guess estimates the smallest eigenvalue (the next coarser grid's value,
-    or 0.0).  The first shift is guess (1 - _SHIFT_MARGIN); while a factor
-    counts an eigenvalue at or below its shift, the margin grows
+    or 0.0).  The first shift is guess (1 - _SHIFT_MARGIN); while a factor's
+    first solve fails _shifted_factor's M-matrix test, the margin grows
     _SHIFT_GROWTH-fold, and once it reaches 1 the shift is 0.  S is positive
     definite by construction, so NonConvergence is raised if even the factor
-    at 0 counts one.  Returns the eigenvalue lam (a Rayleigh quotient, so
-    lambda1 <= lam), the certified shift sigma < lambda1, and the number of
-    LU solves spent.  NonConvergence is also raised unless the Rayleigh pair
-    passes ||S v - lam v|| <= RESIDUAL_RTOL lam ||v||.
+    at 0 fails it.  The accepted solve is Lanczos' first.  Returns the
+    eigenvalue lam (a Rayleigh quotient, so lambda1 <= lam), the certified
+    shift sigma < lambda1, and the number of LU solves spent at that shift.
+    NonConvergence is also raised unless the Rayleigh pair passes
+    ||S v - lam v|| <= RESIDUAL_RTOL lam ||v||.
     """
     import numpy as np
 
@@ -317,23 +335,23 @@ def _smallest_eig(matrix, guess: float) -> tuple[float, float, int]:
     margin = _SHIFT_MARGIN
     while True:
         sigma = guess * (1.0 - margin) if margin < 1.0 else 0.0
-        lu, below = _shifted_factor(matrix, sigma)
-        if below == 0:
+        lu, first = _shifted_factor(matrix, sigma)
+        if first is not None:
             break
         if sigma == 0.0:
             raise NonConvergence(
-                f"{below} eigenvalues at or below 0: the factor's inertia contradicts "
+                "the factor at the shift 0 fails the M-matrix test, which contradicts "
                 "a positive definite matrix"
             )
         margin *= _SHIFT_GROWTH
-    solves = 0
+    solves = 1  # the factor's solve of Lanczos' start
 
     def inverse(b: np.ndarray) -> np.ndarray:
         nonlocal solves
         solves += 1
         return lu.solve(b)
 
-    ritz = _lanczos(inverse, indptr.size - 1)
+    ritz = _lanczos(inverse, first)
     # The Ritz vector carries rounding of order eps ||v|| in rows whose
     # diagonal is huge (|x|^(2s) >> 1 on wide domains), which dominates its
     # residual; one inverse-iteration step removes it.
@@ -353,6 +371,8 @@ def _disk_matrix(rho: float, s: float, n: int):
 
     InvalidProblem unless h^2 and 2 rho^2 are normal floats: the stencil
     divides by h^2, and the mask compares x^2 + y^2 < 2 rho^2 with rho^2.
+    InvalidProblem also unless the matrix is exactly symmetric and a
+    Z-matrix (no off-diagonal entry > 0), as _shifted_factor's test assumes.
     """
     h = 2.0 * rho / (n - 1)
     if not (h * h >= sys.float_info.min and rho * rho <= 0.5 * sys.float_info.max):
@@ -368,6 +388,8 @@ def _disk_matrix(rho: float, s: float, n: int):
     rows, t = _rows(indptr), indices.argsort(kind="stable")  # t: the transpose's CSR order
     if not ((indices[t] == rows).all() and (rows[t] == indices).all() and (data[t] == data).all()):
         raise InvalidProblem("assembled stencil is not symmetric")
+    if (data[indices != rows] > 0.0).any():
+        raise InvalidProblem("assembled stencil has a positive off-diagonal entry")
     return matrix
 
 

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 from scipy import sparse
 from scipy.linalg import eigh, eigh_tridiagonal
-from scipy.sparse.linalg import eigsh
+from scipy.sparse.linalg import eigsh, splu
 from scipy.special import jn_zeros, jv
 
 from grushin.minimizer import ball1_radius
@@ -203,6 +203,20 @@ def banded_disk_matrix(rho: float, s: float, n: int) -> sparse.csr_matrix:
                            y_off, y_off], [0, size, -size, 1, -1], format="csr")
     keep = np.flatnonzero((xs[:, None] ** 2 + xs[None, :] ** 2 < rho * rho).ravel())
     return square[keep][:, keep]
+
+
+def count_eigenvalues_below(matrix: sparse.csr_array, sigma: float) -> int:
+    """The eigenvalues of the symmetric matrix at or below sigma, by Sylvester's law of inertia.
+
+    splu ordered symmetrically with diagonal pivots factors P (A - sigma I) P^T
+    = L U with U = D L^T, so the pivots <= 0 count them (the inertia check of
+    Grimes, Lewis & Simon, SIAM J. Matrix Anal. Appl. 15 (1994) 228-272).
+    """
+    lu = splu((matrix - sigma * sparse.identity(matrix.shape[0], format="csr")).tocsc(),
+              permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+              options={"SymmetricMode": True})
+    assert np.array_equal(lu.perm_r, lu.perm_c)
+    return int(np.count_nonzero(~(lu.U.diagonal() > 0.0)))
 
 
 def full_grid_lowest_eigenvalue(mask: np.ndarray, c_row: np.ndarray, hx: float, hy: float) -> float:

@@ -37,8 +37,8 @@ from grushin.planar import (
     _smallest_eig,
 )
 from grushin.radial import POTENTIAL_CAP, RadialProblem, _line_pencil, mu1_ball, solve_radial
-from oracles import (J01_SQUARED, banded_disk_matrix, csr, full_grid_lowest_eigenvalue,
-                     power_coefficients)
+from oracles import (J01_SQUARED, banded_disk_matrix, count_eigenvalues_below, csr,
+                     full_grid_lowest_eigenvalue, power_coefficients)
 
 PI2_4 = math.pi**2 / 4.0
 TWO_PI_SQUARED = 2.0 * math.pi**2
@@ -133,6 +133,24 @@ def test_unsymmetric_assembly_raises(monkeypatch):
 
     monkeypatch.setattr(grushin.planar, "_assemble", broken)
     with pytest.raises(InvalidProblem, match="assembled stencil is not symmetric"):
+        _disk_matrix(UNIT_AREA_RHO, 1.0, 64)
+
+
+def test_positive_off_diagonal_pair_raises(monkeypatch):
+    # one symmetric pair of off-diagonal entries made positive keeps the
+    # matrix symmetric but not a Z-matrix, which the certificate assumes
+    assemble = grushin.planar._assemble
+
+    def flipped(*args):
+        data, indices, indptr = assemble(*args)
+        rows = _rows(indptr)
+        k = np.flatnonzero(indices != rows)[0]
+        data[k] = -data[k]
+        data[(rows == indices[k]) & (indices == rows[k])] = data[k]
+        return data, indices, indptr
+
+    monkeypatch.setattr(grushin.planar, "_assemble", flipped)
+    with pytest.raises(InvalidProblem, match="positive off-diagonal entry"):
         _disk_matrix(UNIT_AREA_RHO, 1.0, 64)
 
 
@@ -435,30 +453,18 @@ def test_lanczos_thick_restart_on_clustered_chord_modes():
     assert 2.0 < lam < 2.5
 
 
+_GSTRF = grushin.planar._superlu().gstrf
+
+
 class _NanSolve:
-    """A factor with a symmetric permutation and positive pivots whose
-    solve returns nan, made as SuperLU's gstrf is called."""
+    """SuperLU's factor, made as gstrf is called, whose solves after the first return nan."""
 
-    pivot = 1.0
-
-    def __init__(self, m, nnz, data, indices, indptr, csc_construct_func, **kwargs):
-        self.perm_r = self.perm_c = np.arange(m)
-        pivots = np.ones(m)
-        pivots[-1] = self.pivot
-        self.U = csc_construct_func((pivots, np.arange(m), np.arange(m + 1)), (m, m))
+    def __init__(self, *args, **kwargs):
+        self.lu, self.solves = _GSTRF(*args, **kwargs), 0
 
     def solve(self, b):
-        return np.full_like(b, np.nan)
-
-
-class _NonPositivePivot(_NanSolve):
-    pivot = 0.0
-
-
-class _UnsymmetricPermutation(_NanSolve):
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.perm_r = self.perm_r[::-1]
+        self.solves += 1
+        return self.lu.solve(b) if self.solves == 1 else np.full_like(b, np.nan)
 
 
 @pytest.mark.parametrize(
@@ -467,10 +473,11 @@ class _UnsymmetricPermutation(_NanSolve):
         (grushin.planar, "_LANCZOS_SOLVES", 3, "did not converge in 3 LU solves"),
         (grushin.planar._superlu(), "gstrf", _NanSolve, "non-finite"),
     ],
-    ids=["no-convergence", "arpack-error"],
+    ids=["no-convergence", "nan-solve"],
 )
 def test_nonconvergence_when_lanczos_fails(monkeypatch, module, name, value, message):
-    # too few LU solves for the s=150 cluster, or an LU solve that returns nan
+    # too few LU solves for the s=150 cluster, or an LU solve past the first
+    # (which certifies the shift) that returns nan
     monkeypatch.setattr(module, name, value)
     with pytest.raises(NonConvergence, match=message):
         solve_disk(DiskProblem(rho=UNIT_AREA_RHO, s=150.0, n=64))
@@ -504,32 +511,55 @@ def test_nonconvergence_on_bad_eigenpair(monkeypatch, corrupt):
         solve_rectangle_full(1.0, 1.0, 1.0, 64)
 
 
-# ------------------------------------------------------------- inertia
+# ------------------------------------------------------------- certificate
+
+
+def _certifies(matrix, sigma):
+    return _shifted_factor(matrix, sigma)[1] is not None
 
 
 def test_inertia_count_on_the_s150_chord_cluster():
     # sixteen chord modes sit within 1e-9 of the reported value, so a residual
-    # alone cannot tell lambda1 from its neighbours; the factor at the
-    # returned shift counts none below it
+    # alone cannot tell lambda1 from its neighbours; the certificate refuses a
+    # shift above the lowest one and accepts the returned shift
     solve = solve_disk(DiskProblem(rho=UNIT_AREA_RHO, s=150.0, n=256))
     matrix = _disk_matrix(UNIT_AREA_RHO, 150.0, 256)
-    assert _shifted_factor(matrix, solve.lambda1 * (1.0 + 1e-9))[1] == 16
-    assert _shifted_factor(matrix, solve.sigma)[1] == 0
+    above = solve.lambda1 * (1.0 + 1e-9)
+    assert count_eigenvalues_below(csr(matrix), above) == 16
+    assert not _certifies(matrix, above)
+    assert _certifies(matrix, solve.sigma)
     assert 0.0 < solve.sigma < solve.lambda1
 
 
 @pytest.mark.parametrize("n", [64, 65])
-@pytest.mark.parametrize("s", [0.0, 1.0])
+@pytest.mark.parametrize("s", [0.0, 1.0, 150.0])
 def test_inertia_count_matches_the_dense_spectrum(s, n):
-    # below lambda1 and between each neighbouring pair of the five lowest
-    # eigenvalues, the factor counts what a dense eigensolver counts.  (s=150
-    # is left out: its chord-mode gaps are ~1e-13, rounding level)
+    # the certificate accepts exactly the shifts below the dense eigensolver's
+    # lambda1: it accepts at 0.5 lambda1 and within 1e-9 below it, and refuses
+    # within 1e-9 above it, between each neighbouring pair of the five lowest
+    # eigenvalues (s=150's chord-mode gaps are ~1e-13) and at twice lambda6
     matrix = _disk_matrix(UNIT_AREA_RHO, s, n)
     eigs = scipy.linalg.eigvalsh(csr(matrix).toarray())
-    shifts = [0.5 * eigs[0]] + [0.5 * (eigs[k] + eigs[k + 1]) for k in range(4)]
-    counts = [_shifted_factor(matrix, shift)[1] for shift in shifts]
-    assert counts == [np.count_nonzero(eigs <= shift) for shift in shifts]
-    assert counts == [0, 1, 2, 3, 4]
+    for shift in (0.5 * eigs[0], eigs[0] * (1.0 - 1e-9)):
+        assert _certifies(matrix, shift)
+    refused = ([eigs[0] * (1.0 + 1e-9)] + [0.5 * (eigs[k] + eigs[k + 1]) for k in range(4)]
+               + [2.0 * eigs[5]])
+    assert not any(_certifies(matrix, shift) for shift in refused)
+
+
+def test_the_factor_s_triangles_are_never_read(monkeypatch):
+    # SuperLU's L and U getters copy both factors; a factor whose getters
+    # raise still gives every disk, bit for bit
+    def unreadable(*args, **kwargs):
+        raise AssertionError("the solver read L or U")
+
+    def factor(*args, **kwargs):
+        return _GSTRF(*args, **{**kwargs, "csc_construct_func": unreadable})
+
+    expected = {n: solve_disk(DiskProblem(rho=UNIT_AREA_RHO, s=1.0, n=n)) for n in (64, 65)}
+    monkeypatch.setattr(grushin.planar._superlu(), "gstrf", factor)
+    for n, solve in expected.items():
+        assert solve_disk(DiskProblem(rho=UNIT_AREA_RHO, s=1.0, n=n)) == solve
 
 
 def test_every_solve_carries_a_certified_shift():
@@ -550,7 +580,7 @@ def test_every_solve_carries_a_certified_shift():
 
 
 def test_shift_above_the_ground_state_backs_off():
-    # a guess twice lambda1 is refused by the inertia count at margins 1e-3,
+    # a guess twice lambda1 is refused by the certificate at margins 1e-3,
     # 8e-3 and 0.064 and accepted at 0.512; the eigenvalue does not move
     matrix = _disk_matrix(1.0, 1.0, 64)
     lam, sigma, _ = _smallest_eig(matrix, 0.0)
@@ -569,18 +599,33 @@ def test_rho13_s1000_disk_is_certified_across_non_monotone_levels():
     assert solve.iterations <= 100
 
 
-@pytest.mark.parametrize(
-    "factor, message",
-    [(_NonPositivePivot, "at or below 0"), (_UnsymmetricPermutation, "off the diagonal")],
-    ids=["non-positive-pivot", "unsymmetric-permutation"],
-)
-def test_wrong_inertia_raises(monkeypatch, factor, message):
+class _NonPositiveSolve:
+    """A factor, made as SuperLU's gstrf is called, whose solve has an entry <= 0."""
+
+    def __init__(self, m, nnz, *arrays, **kwargs):
+        pass
+
+    def solve(self, b):
+        w = np.ones_like(b)
+        w[-1] = 0.0
+        return w
+
+
+class _ConstantSolve(_NonPositiveSolve):
+    # positive, but S 1 - sigma 1 is 0 up to rounding on interior rows
+    def solve(self, b):
+        return np.ones_like(b)
+
+
+@pytest.mark.parametrize("factor", [_NonPositiveSolve, _ConstantSolve],
+                         ids=["non-positive-solve", "constant-solve"])
+def test_wrong_inertia_raises(monkeypatch, factor):
     monkeypatch.setattr(grushin.planar._superlu(), "gstrf", factor)
-    with pytest.raises(NonConvergence, match=message):
+    with pytest.raises(NonConvergence, match="shift 0 fails the M-matrix test"):
         solve_disk(DiskProblem(rho=UNIT_AREA_RHO, s=150.0, n=64))
 
 
-def test_non_positive_pivot_at_every_shift_stops_at_zero(monkeypatch):
+def test_non_positive_solve_at_every_shift_stops_at_zero(monkeypatch):
     # the margin grows 8-fold per refused shift and ends at the shift 0;
     # the factored matrix is S / c, c the power of two above max diag(S)
     matrix = _disk_matrix(1.0, 1.0, 64)
@@ -588,13 +633,12 @@ def test_non_positive_pivot_at_every_shift_stops_at_zero(monkeypatch):
     c = math.ldexp(1.0, math.frexp(diagonal.max())[1])
     shifts = []
 
-    class _Recording(_NonPositivePivot):
+    class _Recording(_NonPositiveSolve):
         def __init__(self, m, nnz, *arrays, **kwargs):
             shifts.append(diagonal[0] - c * csr(arrays).diagonal()[0])
-            super().__init__(m, nnz, *arrays, **kwargs)
 
     monkeypatch.setattr(grushin.planar._superlu(), "gstrf", _Recording)
-    with pytest.raises(NonConvergence, match="at or below 0"):
+    with pytest.raises(NonConvergence, match="shift 0 fails the M-matrix test"):
         _smallest_eig(matrix, 10.0)
     assert shifts == pytest.approx([10.0 * (1.0 - 1e-3 * 8.0**k) for k in range(4)] + [0.0])
 
