@@ -148,17 +148,6 @@ def limit_profile(p: ProblemParams, kind: LimitKind, t_grid) -> tuple[float, ...
     return tuple(large_s_limit(p.d1, float(t)) for t in t_grid)
 
 
-def _infer_kind(s_list: tuple[float, ...]) -> LimitKind:
-    if len(s_list) < 2 or s_list[-1] >= s_list[0]:
-        return LimitKind.S_TO_INFINITY
-    return LimitKind.S_TO_ZERO
-
-
-def _report_point(args: tuple) -> float:
-    d1, d2, s, V, t, n = args
-    return lambda1_product(ProblemParams(d1=d1, d2=d2, s=s, V=V), t, n)
-
-
 def convergence_report(
     p: ProblemParams,
     s_list,
@@ -172,8 +161,11 @@ def convergence_report(
     One row per (s, t) pair with columns (s, t, G_s, G_limit, abs_dev).
     The s ladder must be monotone; its direction selects the limit curve
     when kind is not given (decreasing ladders check the zero-exponent
-    curve, increasing ladders the infinite-exponent one).  map_fn lets a
-    caller fan the independent grid points out to a worker pool; row order
+    curve, increasing ladders the infinite-exponent one).  Every point's
+    ProblemParams is built, and so checked, before the first solve.  map_fn
+    is called as map_fn(lambda1_product, problems, ts, ns) with three
+    iterables, as builtin map and Executor.map take them; it lets a caller
+    fan the independent grid points out to a worker pool, and row order
     follows input order either way.
     """
     s_list = tuple(float(s) for s in s_list)
@@ -185,16 +177,15 @@ def convergence_report(
     if not (increasing or decreasing):
         raise InvalidProblem("s_list must be monotone")
     if kind is None:
-        kind = _infer_kind(s_list)
+        kind = LimitKind.S_TO_ZERO if s_list[-1] < s_list[0] else LimitKind.S_TO_INFINITY
 
-    points = [
-        (p.d1, p.d2, s, p.V, t, n) for s in s_list for t in t_grid
-    ]
-    values = map_fn(_report_point, points)
+    problems = [ProblemParams(p.d1, p.d2, s, p.V) for s in s_list for _ in t_grid]
+    ts = t_grid * len(s_list)
+    values = map_fn(lambda1_product, problems, ts, [n] * len(ts))
     refs = limit_profile(p, kind, t_grid) * len(s_list)
     rows = tuple(
-        (s, t, value, ref, abs(value - ref))
-        for (_, _, s, _, t, _), value, ref in zip(points, values, refs)
+        (q.s, t, value, ref, abs(value - ref))
+        for q, t, value, ref in zip(problems, ts, values, refs)
     )
     return SweepTable(headers=REPORT_HEADERS, rows=rows)
 

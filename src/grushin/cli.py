@@ -126,8 +126,8 @@ def _params(cfg: RunConfig) -> ProblemParams:
 def _cmd_solve1d(cfg: RunConfig) -> None:
     import numpy as np
 
-    lam, prob, sol = _split_solution(_params(cfg), cfg.t, cfg.grid_n)
-    v = sol.v
+    lam, sol = _split_solution(_params(cfg), cfg.t, cfg.grid_n)
+    prob, v = sol.problem, sol.v
     del sol  # its unread E'' operands would stay alive through emission
     _emit(cfg, SweepTable(headers=("r", "v"), rows=np.column_stack((prob.grid(), v))))
     print(f"lambda1 = {lam:.12g} (coupling {prob.mu:.6g})", file=sys.stderr)

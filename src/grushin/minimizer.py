@@ -216,10 +216,9 @@ def coupling_of_split(p: ProblemParams, t: float) -> float:
     return math.exp(log_sigma)
 
 
-def _ball1_solution(p: ProblemParams, sigma: float, n: int, start=None) -> tuple:
-    """(problem, solution) at coupling sigma on the unit-volume ball B1; built nowhere else."""
-    prob = RadialProblem(d1=p.d1, s=p.s, mu=sigma, R=ball1_radius(p.d1), n=n)
-    return prob, solve_radial(prob, start)
+def _ball1_solution(p: ProblemParams, sigma: float, n: int, start=None):
+    """The solution at coupling sigma on the unit-volume ball B1, the one place it is built."""
+    return solve_radial(RadialProblem(d1=p.d1, s=p.s, mu=sigma, R=ball1_radius(p.d1), n=n), start)
 
 
 def _split_eigenvalue(p: ProblemParams, t: float, energy: float) -> float:
@@ -228,9 +227,9 @@ def _split_eigenvalue(p: ProblemParams, t: float, energy: float) -> float:
 
 
 def _split_solution(p: ProblemParams, t: float, n: int) -> tuple:
-    """(lambda1, problem, solution) at split t: the problem on B1 at coupling sigma(t)."""
-    prob, sol = _ball1_solution(p, coupling_of_split(p, t), n)
-    return _split_eigenvalue(p, t, sol.energy), prob, sol
+    """(lambda1, solution) at split t: the solution on B1 at coupling sigma(t)."""
+    sol = _ball1_solution(p, coupling_of_split(p, t), n)
+    return _split_eigenvalue(p, t, sol.energy), sol
 
 
 def lambda1_product(p: ProblemParams, t: float, n: int = DEFAULT_N) -> float:
@@ -243,7 +242,7 @@ def lambda1_product(p: ProblemParams, t: float, n: int = DEFAULT_N) -> float:
 
 
 def _critical_terms(p: ProblemParams, log_sigma: float, n: int, warm=None) -> tuple:
-    """(G, dG/du, problem, solution) at u = log_sigma, from one radial solve.
+    """(G, dG/du, solution) at u = log_sigma, from one radial solve.
 
     G = sigma E1' - a E1 has the sign of F'(sigma); dG/du = sigma ((1-a) E1'
     + sigma E1'').  warm, the solution of an earlier iterate on the same grid,
@@ -258,14 +257,15 @@ def _critical_terms(p: ProblemParams, log_sigma: float, n: int, warm=None) -> tu
         )
     sigma = math.exp(log_sigma)
     a = _objective_exponent(p)
-    prob, sol = _ball1_solution(p, sigma, n, None if warm is None else warm.v)
+    sol = _ball1_solution(p, sigma, n, None if warm is None else warm.v)
     g = sigma * sol.hf_derivative - a * sol.energy
     slope = sigma * ((1.0 - a) * sol.hf_derivative + sigma * sol.second_derivative)
-    return g, slope, prob, sol
+    return g, slope, sol
 
 
-def _log_sigma_floor(p: ProblemParams, c: BallConstants) -> float:
+def _log_sigma_floor(p: ProblemParams) -> float:
     """log of the coupling below which F' is provably negative."""
+    c = ball_constants(p.d1, p.d2)
     return (
         (2.0 * p.s / p.d1) * math.log(c.tau_d1)
         + math.log(p.d2 / (p.d1 + p.s * p.d2))
@@ -280,10 +280,10 @@ def whole_space_energy(d1: int, s: float, n_base: int = DEFAULT_N) -> float:
     truncated energies decrease monotonically to the limit).  The first
     radius is four times the turning point E^(1/(2s)) of the trial-ball bound
     E <= (1+s) (j^2/s)^(s/(1+s)), j^2 the unit ball's Dirichlet eigenvalue,
-    kept within [8, 64].  The grid spacing is held fixed while the radius
-    grows by factors of 1.5, so the change between rounds tracks the
-    truncation error alone; iteration stops once that change drops below
-    _WHOLE_SPACE_TOL.  The first round starts
+    with the turning point capped below 16 and the radius at least 8.  The
+    grid spacing is held fixed while the radius grows by factors of 1.5, so
+    the change between rounds tracks the truncation error alone; iteration
+    stops once that change drops below _WHOLE_SPACE_TOL.  The first round starts
     inverse iteration from solve_radial's cos profile; each later round
     starts from the previous round's ground state, copied node for node (the
     spacing is 8 / n_base up to the rounding of n) with zeros beyond the old
@@ -299,7 +299,7 @@ def whole_space_energy(d1: int, s: float, n_base: int = DEFAULT_N) -> float:
     log_j2 = math.log(mu1_ball(d1, ball_volume_constant(d1)))
     log_turn = math.log1p(s) / (2.0 * s) + (log_j2 - math.log(s)) / (2.0 + 2.0 * s)
     growth = math.exp(min(log_turn, math.log(16.0)))
-    radius = max(8.0, min(4.0 * growth, 64.0))
+    radius = max(8.0, 4.0 * growth)
     h0 = 8.0 / n_base
     prev = profile = None
     while (n := int(round(radius / h0))) <= _WHOLE_SPACE_NODES:
@@ -340,7 +340,7 @@ def lower_bounds(p: ProblemParams, n: int = DEFAULT_N) -> tuple[float, float]:
     whole-space lower envelope (`asymptotics.lower_envelope`) at that split.
     Raises InvalidProblem naming s and V if either bound overflows a float.
     """
-    log_t = _log_split(p, _log_sigma_floor(p, ball_constants(p.d1, p.d2)))
+    log_t = _log_split(p, _log_sigma_floor(p))
     vol_lb = _finite("the split volume bound", lambda: math.exp(log_t), s=p.s, V=p.V)
     log_lam = _log_lower_envelope(p, log_t, n)
     return vol_lb, _finite("the eigenvalue bound", lambda: math.exp(log_lam), s=p.s, V=p.V)
@@ -371,17 +371,17 @@ def minimize(p: ProblemParams, n: int = DEFAULT_N) -> MinimizeResult:
     leaves the float range (sigma^2 > float max) or lambda1 overflows a
     float, and NonConvergence after 100 radial solves.
     """
-    log_floor = _log_sigma_floor(p, ball_constants(p.d1, p.d2))
+    log_floor = _log_sigma_floor(p)
     max_step = math.log(_BRACKET_FACTOR)
     u, lo, hi = log_floor, -math.inf, math.inf
     last_step = math.inf
-    prob = sol = None
+    sol = None
     for _ in range(_MAX_SOLVES):
         if abs(u - log_floor) > math.log(_BRACKET_SPAN):
             floor = math.exp(log_floor)
             raise BracketFailure("no sign change of the split objective derivative in "
                                  f"[{floor / _BRACKET_SPAN:.3e}, {floor * _BRACKET_SPAN:.3e}]")
-        g, slope, prob, sol = _critical_terms(p, u, n, sol)
+        g, slope, sol = _critical_terms(p, u, n, sol)
         if g < 0.0:
             lo = u
         elif g > 0.0:
@@ -416,8 +416,8 @@ def minimize(p: ProblemParams, n: int = DEFAULT_N) -> MinimizeResult:
         sol.second_derivative
         + a * ((a + 1.0) * sol.energy / sigma_star - 2.0 * sol.hf_derivative) / sigma_star
     )
-    # the last iterate's problem: its coupling is sigma_star
-    grad = gradient_integral(sol, prob)
+    # the last iterate's solution, whose problem's coupling is sigma_star
+    grad = gradient_integral(sol)
     crit = grad - ((p.d1 + p.s * p.d2) / p.d2) * sigma_star * sol.hf_derivative
 
     vol_lb, lam_lb = lower_bounds(p, n)

@@ -214,12 +214,6 @@ def _rows(indptr: np.ndarray) -> np.ndarray:  # of each entry, in CSR (column in
     return np.repeat(np.arange(indptr.size - 1, dtype=indptr.dtype), np.diff(indptr))
 
 
-def _stored_diagonal(arrays: tuple) -> np.ndarray:
-    """The stored diagonal of CSR arrays."""
-    data, indices, indptr = arrays
-    return data[indices == _rows(indptr)]
-
-
 def _lanczos(solve, first: np.ndarray) -> np.ndarray:
     """Ritz vector of the largest eigenvalue of the inverse that solve applies.
 
@@ -246,9 +240,11 @@ def _lanczos(solve, first: np.ndarray) -> np.ndarray:
             w -= c @ basis[: j + 1]
             h += c
         projected[: j + 1, j] = projected[j, : j + 1] = h
-        beta = np.linalg.norm(w)
+        with np.errstate(over="ignore"):  # a finite w whose squares overflow
+            beta = np.linalg.norm(w)
         if not math.isfinite(beta):
-            raise NonConvergence("an LU solve returned a non-finite vector")
+            raise NonConvergence("an LU solve returned a vector of non-finite norm: a "
+                                 "non-finite entry, or finite entries whose squares overflow")
         theta, y = np.linalg.eigh(projected[: j + 1, : j + 1])
         # theta > 0 since S is positive definite, so beta = 0 also stops here
         if beta * abs(y[-1, -1]) <= _RITZ_RTOL * theta[-1] or j + 1 == m:
@@ -329,8 +325,9 @@ def _smallest_eig(matrix, guess: float) -> tuple[float, float, int]:
 
     # S / c, c the power of two just above max diag(S), scales every factor,
     # solve and norm exactly, and keeps v.v in range for radii far from 1
-    c = math.ldexp(1.0, math.frexp(float(_stored_diagonal(matrix).max()))[1])
-    data, indices, indptr = matrix = (matrix[0] / c, *matrix[1:])
+    data, indices, indptr = matrix
+    c = math.ldexp(1.0, math.frexp(float(data[indices == _rows(indptr)].max()))[1])
+    data, indices, indptr = matrix = (data / c, indices, indptr)
     guess /= c
     margin = _SHIFT_MARGIN
     while True:

@@ -68,7 +68,8 @@ below, gains from a shift this close to E1.
 The reported energy is the Rayleigh quotient of the final iterate in physical
 variables, accurate to rounding; perturbation in mu is exact at the discrete
 level, which makes the Hellmann-Feynman derivative below agree with finite
-differences of the energy to the finite-difference truncation error.
+differences of the energy to the finite-difference truncation error.  Each
+solution carries the problem it solves, so its identity checks take it alone.
 
 The derivative of the energy with respect to the coupling mu is
 
@@ -246,6 +247,7 @@ class RadialSolution:
     """Lowest eigenpair of a RadialProblem.
 
     Attributes:
+        problem: the RadialProblem solved, whose grid v lives on.
         energy: smallest eigenvalue of the discrete pencil (Rayleigh refined).
         v: eigenfunction sampled on the full grid (n + 1 values, v[n] = 0),
            nonnegative, normalized by the weighted trapezoid rule
@@ -261,6 +263,7 @@ class RadialSolution:
            it raises NonConvergence if that solve fails.
     """
 
+    problem: RadialProblem
     energy: float
     v: np.ndarray
     boundary_slope: float
@@ -479,13 +482,13 @@ def solve_radial(p: RadialProblem, start: np.ndarray | None = None) -> RadialSol
     nonnegative and not zero on the unknowns, and overwritten there; the
     eliminated d1 >= 2 origin and the Dirichlet node are ignored.  Without it the
     iteration starts from cos(pi r / 2R).  Every return rests on a certified
-    shift (see _ground_state).  The solution keeps the operator and
-    eigenvector until its second_derivative is read.  Raises NonConvergence
-    if the ground state cannot be certified or the inverse iteration does
-    not settle at the rounding level (_ground_state says when);
-    DegenerateGrid if the grid does not resolve the origin's well
-    (_WELL_GAP); InvalidProblem for bad inputs, a start of the wrong length
-    included.
+    shift (see _ground_state).  The solution carries p as its problem, and
+    keeps the operator and eigenvector until its second_derivative is read.
+    Raises NonConvergence if the ground state cannot be certified or the
+    inverse iteration does not settle at the rounding level (_ground_state
+    says when); DegenerateGrid if the grid does not resolve the origin's
+    well (_WELL_GAP); InvalidProblem for bad inputs, a start of the wrong
+    length included.
     """
     import numpy as np
 
@@ -519,6 +522,7 @@ def solve_radial(p: RadialProblem, start: np.ndarray | None = None) -> RadialSol
 
     slope = (-4.0 * v[p.n - 1] + v[p.n - 2]) / (2.0 * p.h)
     return RadialSolution(
+        problem=p,
         energy=energy,
         v=v,
         boundary_slope=slope,
@@ -527,10 +531,11 @@ def solve_radial(p: RadialProblem, start: np.ndarray | None = None) -> RadialSol
     )
 
 
-def gradient_integral(sol: RadialSolution, p: RadialProblem) -> float:
-    """integral (v')^2 r^(d1-1) dr, v' by second order differences, by the trapezoid rule."""
+def gradient_integral(sol: RadialSolution) -> float:
+    """integral (v')^2 r^(d1-1) dr on sol's grid, v' by second order differences, trapezoid rule."""
     import numpy as np
 
+    p = sol.problem
     r = p.grid()
     values = np.gradient(sol.v, p.h, edge_order=2) ** 2
     w = np.ones(values.size)
@@ -539,10 +544,11 @@ def gradient_integral(sol: RadialSolution, p: RadialProblem) -> float:
     return float(p.h * np.sum(w * _rpow(r, p.d1 - 1.0) * values))
 
 
-def identity_residuals(sol: RadialSolution, p: RadialProblem) -> tuple[float, float, float]:
+def identity_residuals(sol: RadialSolution) -> tuple[float, float, float]:
     """Residuals of three exact identities satisfied by the continuum eigenpair.
 
-    With g = integral (v')^2 r^(d1-1) dr, q = dE/dmu, and slope = v'(R):
+    With g = integral (v')^2 r^(d1-1) dr, q = dE/dmu, and slope = v'(R), and
+    (d1, s, mu, R) those of sol.problem:
 
         res1 = | g + mu*q - E |                      (energy split)
         res2 = | g - (R^d1 / 2) slope^2 - s*mu*q |   (boundary Pohozaev form)
@@ -550,7 +556,8 @@ def identity_residuals(sol: RadialSolution, p: RadialProblem) -> tuple[float, fl
 
     All three vanish at rate O(1/n) or better under grid refinement.
     """
-    g = gradient_integral(sol, p)
+    p = sol.problem
+    g = gradient_integral(sol)
     q = sol.hf_derivative
     e = sol.energy
     flux = 0.5 * p.R**p.d1 * sol.boundary_slope**2

@@ -183,7 +183,7 @@ def test_criterion_06_identity_residuals_refine():
         ladder = []
         for n in (512, 1024, 2048, 4096):
             p = RadialProblem(d1, s, mu, radius, n)
-            ladder.append(identity_residuals(solve_radial(p), p))
+            ladder.append(identity_residuals(solve_radial(p)))
         for k in range(3):
             seq = [row[k] for row in ladder]
             for coarse, fine in zip(seq, seq[1:]):

@@ -12,6 +12,7 @@ import re
 
 import pytest
 
+from grushin import asymptotics
 from grushin.asymptotics import (
     REPORT_HEADERS,
     LimitKind,
@@ -212,6 +213,17 @@ def test_report_validation():
         convergence_report(p, (1.0,), (), n=512)
     with pytest.raises(InvalidProblem):
         convergence_report(p, (0.5, 2.0, 1.0), (1.0,), n=512)
+
+
+def test_report_checks_every_point_before_the_first_solve(monkeypatch):
+    # s = 0 is rejected when its ProblemParams is built, before the s = 1
+    # points ahead of it in the ladder are solved
+    calls = []
+    solve = asymptotics.lambda1_product
+    monkeypatch.setattr(asymptotics, "lambda1_product", lambda *a: calls.append(a) or solve(*a))
+    with pytest.raises(InvalidProblem, match="s must be finite and > 0"):
+        convergence_report(ProblemParams(1, 1, 1.0), (1.0, 0.0), (1.0, 2.0), n=256)
+    assert calls == []
 
 
 def test_report_accepts_parallel_map():

@@ -221,7 +221,7 @@ def test_curvature_and_residual_certificates():
         r = minimize(p, 1024)
         assert r.F_second > 0.0
         prob = RadialProblem(d1=d1, s=s, mu=r.sigma_star, R=ball1_radius(d1), n=1024)
-        grad = gradient_integral(solve_radial(prob), prob)
+        grad = gradient_integral(solve_radial(prob))
         assert abs(r.crit_residual) / grad < 1e-4
 
 
@@ -258,7 +258,7 @@ def test_lower_bounds_are_the_envelope_at_the_floor_split():
         p = ProblemParams(d1, d2, s, V)
         vol_lb, lam_lb = lower_bounds(p, 512)
         assert math.isclose(lam_lb, lower_envelope(p, vol_lb, 512), rel_tol=1e-14)
-        floor = minimizer._log_sigma_floor(p, ball_constants(d1, d2))
+        floor = minimizer._log_sigma_floor(p)
         assert math.isclose(minimizer._log_coupling(p, math.log(vol_lb)), floor, rel_tol=1e-14)
 
 
@@ -359,7 +359,7 @@ def _assert_bracket_failure(monkeypatch, g):
     # every solve counts against the one budget
     solves = []
     monkeypatch.setattr(minimizer, "_critical_terms",
-                        lambda *a: solves.append(a) or (g, 1.0, None, None))
+                        lambda *a: solves.append(a) or (g, 1.0, None))
     with pytest.raises(BracketFailure, match="no sign change of the split objective derivative"):
         minimize(ProblemParams(1, 1, 1.0), 256)
     assert 0 < len(solves) <= minimizer._MAX_SOLVES
@@ -378,7 +378,7 @@ def test_minimize_walks_down_from_a_floor_above_the_root(monkeypatch):
     # walked down until G < 0, and the search converges inside that bracket
     p = ProblemParams(1, 1, 1.0)
     sigma_star = minimize(p, 1024).sigma_star
-    monkeypatch.setattr(minimizer, "_log_sigma_floor", lambda p, c: math.log(sigma_star) + 3.0)
+    monkeypatch.setattr(minimizer, "_log_sigma_floor", lambda p: math.log(sigma_star) + 3.0)
     solves = []
     terms = minimizer._critical_terms
     monkeypatch.setattr(minimizer, "_critical_terms", lambda *a: solves.append(a) or terms(*a))

@@ -320,6 +320,14 @@ def test_disk_far_from_unit_radius_scales_as_rho_squared(rho):
     assert rho * rho * far == pytest.approx(unit, rel=1e-12)
 
 
+def test_lanczos_norm_overflow_is_a_typed_error():
+    # on this odd grid the axis line couples only through x-links of ~4e-291,
+    # so every shift above 0 is refused, and the solve at 0 has finite entries
+    # near 4e288 whose squares overflow: NonConvergence, with no NumPy warning
+    with pytest.raises(NonConvergence, match="non-finite norm"):
+        solve_disk(DiskProblem(1e150, 1.0, 65))
+
+
 def test_disk_solve_metadata():
     p = DiskProblem(rho=1.0, s=0.5, n=64)
     solve = solve_disk(p)

@@ -263,7 +263,7 @@ def test_identity_residuals_refine_second_order():
         ladder = []
         for n in (512, 1024, 2048, 4096):
             p = RadialProblem(d1, s, mu, radius, n)
-            ladder.append(identity_residuals(solve_radial(p), p))
+            ladder.append(identity_residuals(solve_radial(p)))
         for k in range(3):
             seq = [row[k] for row in ladder]
             for coarse, fine in zip(seq, seq[1:]):
@@ -289,10 +289,12 @@ def test_hf_derivative_matches_richardson_differences_on_a_fine_grid():
 
 
 def test_gradient_integral_energy_split():
-    # g + mu q = E is one of the residual identities; check it directly
+    # g + mu q = E is one of the residual identities; check it directly, on
+    # the grid of the problem the solution carries
     p = RadialProblem(1, 1.0, 2.0, 1.0, 2048)
     sol = solve_radial(p)
-    g = gradient_integral(sol, p)
+    assert sol.problem is p
+    g = gradient_integral(sol)
     assert abs(g + p.mu * sol.hf_derivative - sol.energy) < 1e-5
 
 
