@@ -47,6 +47,7 @@ from .errors import BracketFailure, InvalidProblem, NonConvergence
 from .radial import (
     DEFAULT_N,
     RadialProblem,
+    RadialSolution,
     _finite,
     _positive,
     _positive_integer,
@@ -216,7 +217,7 @@ def coupling_of_split(p: ProblemParams, t: float) -> float:
     return math.exp(log_sigma)
 
 
-def _ball1_solution(p: ProblemParams, sigma: float, n: int, start=None):
+def _ball1_solution(p: ProblemParams, sigma: float, n: int, start=None) -> RadialSolution:
     """The solution at coupling sigma on the unit-volume ball B1, the one place it is built."""
     return solve_radial(RadialProblem(d1=p.d1, s=p.s, mu=sigma, R=ball1_radius(p.d1), n=n), start)
 
